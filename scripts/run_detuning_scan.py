@@ -25,5 +25,4 @@ if __name__ == "__main__":
                    "--n-trajectories", n_traj,
                    "--duration", "1.0",
                    "--seed", "31415",
-                   "--threads", "2",
                    "--out-dir", str(OUT / "scan_detuning")]))

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coherence import feasibility_budget
+from .coherence import config_budget, feasibility_budget
 from .dynamics import (SimPlan, detuning_scan, off_state_mode, predicted_rate,
                        reduced_model, run_ensemble, write_ensemble_csv,
                        write_scan_csv)
@@ -32,6 +32,7 @@ from .spectra import (build_frequency_grid, displacement_to_voltage,
                       freqnoise_spectrum, mode_temperature, occupations,
                       thermal_spectrum, voltage_to_displacement,
                       write_spectrum_csv, Spectrum)
+from .tables import write_table
 
 
 def _parse_range(text: str, name: str) -> np.ndarray:
@@ -176,24 +177,23 @@ def cmd_cool(args) -> int:
     out = _out_dir(args)
     gains = ([config.servo.g_el] if args.gel_range is None
              else list(_parse_range(args.gel_range, "--gel-range")))
-    lines = ["gel,f_eff_Hz,gamma_eff_Hz,T_eff_mK,n_th_prime,n_freq,n_th_bare,stable"]
+    rows = []
     for gel in gains:
         gel = float(gel)
         cfg = config.with_gain(gel)
         mode, chi_eff, s_th, s_fr, total = _spectrum_bundle(cfg, config.noise.temperature)
-        head = (f"{gel!r},{float(mode.omega_eff / TWO_PI)!r},"
-                f"{float(mode.gamma_eff / TWO_PI)!r}")
         try:
             temp = mode_temperature(total, mode.omega_eff, mode.gamma_eff,
                                     config.mirror1)
-            n_th_p, n_fr, n_bare = occupations(cfg, config.noise, mode, s_fr)
-            lines.append(f"{head},{float(temp.t_eff * 1e3)!r},"
-                         f"{n_th_p!r},{n_fr!r},{n_bare!r},{int(mode.stable)}")
+            cells = (temp.t_eff * 1e3,) + occupations(cfg, config.noise, mode, s_fr)
         except OptospringError as exc:
-            lines.append(f"{head},nan,nan,nan,nan,{int(mode.stable)}")
+            cells = (np.nan,) * 4
             print(f"gel = {gel:.4g}: {exc}", file=sys.stderr)
+        rows.append((gel, mode.omega_eff / TWO_PI, mode.gamma_eff / TWO_PI)
+                    + cells + (int(mode.stable),))
     csv_path = out / "cool.csv"
-    csv_path.write_text("\n".join(lines) + "\n")
+    write_table(csv_path, ("gel", "f_eff_Hz", "gamma_eff_Hz", "T_eff_mK",
+                           "n_th_prime", "n_freq", "n_th_bare", "stable"), rows)
     _write_manifest(out, "cool", args, path, [csv_path], None)
     print(f"cool: {len(gains)} gain point(s) -> {csv_path}")
     return 0
@@ -209,7 +209,7 @@ def cmd_retherm(args) -> int:
     config, path = _load(args)
     out = _out_dir(args)
     plan = _plan_from_args(args)
-    result = run_ensemble(config, config.noise, plan, threads=args.threads)
+    result = run_ensemble(config, config.noise, plan)
     mode_off = off_state_mode(config, config.noise)
     total_pred, thermal_pred, trap_pred = predicted_rate(config, config.noise,
                                                          mode_off)
@@ -245,8 +245,7 @@ def cmd_scan(args) -> int:
     out = _out_dir(args)
     deltas = _parse_range(args.deltas, "--deltas") * TWO_PI
     plan = _plan_from_args(args)
-    rows = detuning_scan(config, config.noise, plan, deltas,
-                         threads=args.threads)
+    rows = detuning_scan(config, config.noise, plan, deltas)
     csv_path = out / "scan.csv"
     write_scan_csv(csv_path, rows, comment=f"detuning scan, {config.label}, "
                    f"seed {plan.master_seed}")
@@ -269,15 +268,8 @@ _CHECK_SCALARS = ("m1_mg", "f_eff_Hz", "noise_mHz_rtHz", "length_cm",
 def cmd_check(args) -> int:
     if args.config is not None:
         config, path = _load(args)
-        mode = off_state_mode(config, config.noise)
-        f_eff = mode.omega_eff / TWO_PI
-        budget = feasibility_budget(
-            m1=config.mirror1.mass, omega_eff=mode.omega_eff,
-            noise_amp_at_omega_eff=float(config.noise.sqrt_sphidot(f_eff)),
-            length=config.cavity.length,
-            q1=config.mirror1.quality_factor, omega1=config.mirror1.omega0,
-            temperature=config.noise.temperature,
-            omega_laser=config.cavity.omega_laser)
+        budget = config_budget(config,
+                               off_state_mode(config, config.noise).omega_eff)
     else:
         missing = [name for name in _CHECK_SCALARS
                    if getattr(args, name.lower()) is None]
@@ -318,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         if seeded:
             p.add_argument("--seed", type=int, default=2024,
                            help="master seed for the trajectory streams")
-            p.add_argument("--threads", type=int, default=1,
-                           help="worker cap for trajectory batches")
 
     p_map = sub.add_parser("map", help="stability map over detuning and gain")
     add_common(p_map)

@@ -59,6 +59,41 @@ class CoherenceBudget:
                 f"margin = {self.condition_margin:.3g}): {verdict}")
 
 
+def heating_rates(m1: float, gamma1: float, omega_eff: float,
+                  temperature: float, sphi: float, g: float
+                  ) -> tuple[float, float]:
+    """The heating-rate law: initial d<n>/dt of the trapped mode, phonons/s.
+
+    Returns (thermal, trap): the bath term kB*T*gamma1/(hbar*omega_eff) and
+    the trap-noise term m1*omega_eff^3*S_phidot/(hbar*g^2), for mass m1
+    (kg), bare damping gamma1 and trapped frequency omega_eff (rad/s), bath
+    temperature T (K), S_phidot at omega_eff (Hz^2/Hz) and frequency pull g
+    (rad/s per m).
+    """
+    if omega_eff <= 0:
+        raise ValidationError("omega_eff > 0", "omega_eff", omega_eff)
+    thermal = K_B * temperature * gamma1 / (HBAR * omega_eff)
+    if sphi == 0.0:
+        trap = 0.0
+    elif g <= 0:
+        raise ValidationError("g_pull > 0 when frequency noise is present",
+                              "g_pull", g)
+    else:
+        trap = m1 * omega_eff**3 * sphi / (HBAR * g**2)
+    return thermal, trap
+
+
+def _zero_point_coupling(g: float, m1: float, omega_eff: float) -> float:
+    return g * math.sqrt(HBAR / (2.0 * m1 * omega_eff))
+
+
+def _margin(sphi: float, omega_eff: float, g0: float) -> float:
+    if g0 == 0.0:
+        # 0 < 0 is false: a lossless-coupling boundary case counts as failed
+        return math.inf if sphi > 0 else 1.0
+    return sphi * omega_eff / g0**2
+
+
 def single_photon_coupling(config: SystemConfig, omega_eff: float) -> float:
     """g0 = g * x_zpf with x_zpf = sqrt(hbar / (2*m1*omega_eff)), rad/s.
 
@@ -67,8 +102,8 @@ def single_photon_coupling(config: SystemConfig, omega_eff: float) -> float:
     """
     if omega_eff <= 0:
         raise ValidationError("omega_eff > 0", "omega_eff", omega_eff)
-    x_zpf = math.sqrt(HBAR / (2.0 * config.mirror1.mass * omega_eff))
-    return config.cavity.g_pull * x_zpf
+    return _zero_point_coupling(config.cavity.g_pull, config.mirror1.mass,
+                                omega_eff)
 
 
 def check_condition(noise: NoiseEnv, g0: float, omega_eff: float
@@ -76,30 +111,23 @@ def check_condition(noise: NoiseEnv, g0: float, omega_eff: float
     """Is S_phidot(omega_eff) < g0^2/omega_eff?  Returns (satisfied, margin)."""
     if omega_eff <= 0:
         raise ValidationError("omega_eff > 0", "omega_eff", omega_eff)
-    sphi = noise.sphidot(omega_eff / TWO_PI)
-    if g0 == 0.0:
-        # 0 < 0 is false: a lossless-coupling boundary case counts as failed
-        margin = math.inf if sphi > 0 else 1.0
-    else:
-        margin = sphi * omega_eff / g0**2
+    margin = _margin(noise.sphidot(omega_eff / TWO_PI), omega_eff, g0)
     return margin < 1.0, margin
 
 
 def feasibility_budget(m1: float, omega_eff: float,
                        noise_amp_at_omega_eff: float, length: float,
                        q1: float, omega1: float, temperature: float,
-                       omega_laser: float = DEFAULT_OMEGA_LASER
-                       ) -> CoherenceBudget:
+                       g_pull: float | None = None) -> CoherenceBudget:
     """Build the 1/n_osc budget from first principles.
 
     Arguments: mirror mass (kg), trapped angular frequency (rad/s), laser
     frequency-noise amplitude at the trapped frequency (Hz/sqrt(Hz)), cavity
     round-trip length (m), suspension quality factor, bare angular frequency
-    (rad/s), bath temperature (K).
+    (rad/s), bath temperature (K), and the frequency pull g (rad/s per m;
+    default DEFAULT_OMEGA_LASER/L).
 
-    Each term is rate/f_eff with the heating-rate law evaluated directly:
-    thermal rate kB*T*gamma1/(hbar*omega_eff) and trap rate
-    m1*omega_eff^3*S_phidot/(hbar*g^2) with g = omega_laser/L.
+    Each term is rate/f_eff with the heating-rate law evaluated directly.
     """
     for name, val in (("m1", m1), ("omega_eff", omega_eff), ("L", length),
                       ("Q1", q1), ("omega1", omega1)):
@@ -111,21 +139,28 @@ def feasibility_budget(m1: float, omega_eff: float,
         raise ValidationError("noise amp >= 0", "noise_amp_at_omega_eff",
                               noise_amp_at_omega_eff)
 
-    gamma1 = omega1 / q1
-    g = omega_laser / length
+    g = DEFAULT_OMEGA_LASER / length if g_pull is None else g_pull
     f_eff = omega_eff / TWO_PI
     sphi = noise_amp_at_omega_eff**2
-
-    rate_thermal = K_B * temperature * gamma1 / (HBAR * omega_eff)
-    rate_trap = m1 * omega_eff**3 * sphi / (HBAR * g**2)
+    rate_thermal, rate_trap = heating_rates(m1, omega1 / q1, omega_eff,
+                                            temperature, sphi, g)
     inv_thermal = rate_thermal / f_eff
     inv_trap = rate_trap / f_eff
-
-    x_zpf = math.sqrt(HBAR / (2.0 * m1 * omega_eff))
-    g0 = g * x_zpf
-    margin = sphi * omega_eff / g0**2
+    g0 = _zero_point_coupling(g, m1, omega_eff)
     total = inv_thermal + inv_trap
     n_osc = 1.0 / total if total > 0 else math.inf
     return CoherenceBudget(inv_n_osc_thermal=float(inv_thermal),
                            inv_n_osc_trap=float(inv_trap), n_osc=float(n_osc),
-                           condition_margin=float(margin), g0=float(g0))
+                           condition_margin=float(_margin(sphi, omega_eff, g0)),
+                           g0=float(g0))
+
+
+def config_budget(config: SystemConfig, omega_eff: float) -> CoherenceBudget:
+    """The budget of a configured system at its trapped frequency, with the
+    configured frequency pull ``cavity.g_pull``."""
+    m1, cav, noise = config.mirror1, config.cavity, config.noise
+    return feasibility_budget(
+        m1=m1.mass, omega_eff=omega_eff,
+        noise_amp_at_omega_eff=float(noise.sqrt_sphidot(omega_eff / TWO_PI)),
+        length=cav.length, q1=m1.quality_factor, omega1=m1.omega0,
+        temperature=noise.temperature, g_pull=cav.g_pull)

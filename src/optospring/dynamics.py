@@ -24,24 +24,24 @@ statistics at any step size; dt only sets the sampling resolution.
 
 Every trajectory draws from its own counter-based RNG stream derived from
 (master_seed, trajectory index), in fixed blocks of 4096 steps, so results
-are bit-identical no matter how trajectories are batched or threaded.
+are bit-identical no matter how trajectories are batched.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import curve_fit
 
+from .coherence import heating_rates
 from .errors import (FitError, InstabilityError, InsufficientDataError,
-                     ValidationError)
+                     OptospringError, ValidationError)
 from .model import HBAR, K_B, NoiseEnv, SystemConfig
 from .response import EffectiveMode, adiabatic_spring, cancellation_gain, extract_mode
+from .tables import write_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -271,12 +271,36 @@ def _phase_steps(config: SystemConfig, dt: float) -> int:
     return max(1, int(round(half_period / dt)))
 
 
+def _initial_state(plan: SimPlan, model: ReducedModel, dt: float, b: int):
+    """Starting state of ``b`` trajectories and the cooled burn-in steps that
+    prepare it (none when the plan gives the state)."""
+    if plan.initial_state is not None:
+        z = (np.full(b, float(plan.initial_state[0])),
+             np.full(b, float(plan.initial_state[1])),
+             np.zeros(b))
+        return z, 0
+    if model.gamma_on <= 0:
+        raise InstabilityError(
+            f"cooled phase is not damped (gamma_on = {model.gamma_on:.4g} rad/s); "
+            "cannot prepare the initial state")
+    t_burn = plan.burn_in
+    if t_burn is None:
+        # the shaped trap-noise force equilibrates on 1/ou_corner, which
+        # is far slower than the cooled mechanical relaxation; both must
+        # be stationary before the first switch-off
+        t_burn = 10.0 * max(1.0 / model.gamma_on,
+                            1.0 / model.ou_corner if model.ou_force_var > 0
+                            else 0.0)
+    return (np.zeros(b), np.zeros(b), np.zeros(b)), int(math.ceil(t_burn / dt))
+
+
 def _run_batch(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
                indices, record_full: bool = False):
     """Simulate the switch protocol for the given trajectory indices.
 
-    Returns (time_off, n_off[B, periods, R], full) where ``full`` is the
-    (t, x, v, n) timeline when requested (single-trajectory use).
+    Returns (time_off, n_off[B, periods, R], full, model) where ``full`` is
+    the (t, x, v, n) timeline of the first trajectory when requested
+    (single-trajectory use).
     """
     model = reduced_model(config, noise)
     dt = plan.dt if plan.dt is not None else 1.0 / (200.0 * model.omega_ref / TWO_PI)
@@ -289,38 +313,15 @@ def _run_batch(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
                               "duration", plan.duration)
     n_periods = max(1, int(round(plan.duration / period)))
 
-    if plan.initial_state is None and model.gamma_on <= 0:
-        raise InstabilityError(
-            f"cooled phase is not damped (gamma_on = {model.gamma_on:.4g} rad/s); "
-            "cannot prepare the initial state")
-
+    b = len(indices)
+    z, burn_steps = _initial_state(plan, model, dt, b)
     common = dict(mass=model.mass, omega_sq=model.omega_trap_sq,
                   s_f_thermal=model.s_f_thermal, ou_corner=model.ou_corner,
                   ou_force_var=model.ou_force_var, dt=dt)
     map_on = PhaseMap(gamma=model.gamma_on, **common)
     map_off = PhaseMap(gamma=model.gamma_off, **common)
-    has_noise = map_on.noise is not None
-
-    b = len(indices)
-    gens = _trajectory_generators(plan.master_seed, indices)
-    draws = _BlockDraws(gens, active=has_noise)
-
-    z = (np.zeros(b), np.zeros(b), np.zeros(b))
-    if plan.initial_state is not None:
-        z = (np.full(b, float(plan.initial_state[0])),
-             np.full(b, float(plan.initial_state[1])),
-             np.zeros(b))
-        burn_steps = 0
-    else:
-        t_burn = plan.burn_in
-        if t_burn is None:
-            # the shaped trap-noise force equilibrates on 1/ou_corner, which
-            # is far slower than the cooled mechanical relaxation; both must
-            # be stationary before the first switch-off
-            t_burn = 10.0 * max(1.0 / model.gamma_on,
-                                1.0 / model.ou_corner if model.ou_force_var > 0
-                                else 0.0)
-        burn_steps = int(math.ceil(t_burn / dt))
+    draws = _BlockDraws(_trajectory_generators(plan.master_seed, indices),
+                        active=map_on.noise is not None)
 
     # runaway guard scale: thermal RMS of the trapped mode at the bath
     # temperature, with the zero-point amplitude as a floor for cold runs
@@ -331,63 +332,60 @@ def _run_batch(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
         x_scale = max(x_scale, abs(plan.initial_state[0]),
                       abs(plan.initial_state[1]) / model.omega_ref)
 
-    def check_blowup(step_label):
+    def check_blowup(z, label):
         if np.any(np.abs(z[0]) > BLOWUP_FACTOR * x_scale):
             worst = int(np.argmax(np.abs(z[0])))
             raise InstabilityError(
                 f"|x| exceeded {BLOWUP_FACTOR:.0e} x thermal RMS during "
-                f"{step_label} (trajectory {indices[worst]}, "
+                f"{label} (trajectory {indices[worst]}, "
                 f"x = {z[0][worst]:.3e} m)")
 
-    def phonon(zz):
-        e = 0.5 * model.mass * (zz[1] ** 2 + model.omega_trap_sq * zz[0] ** 2)
+    def phonon(x, v):
+        e = 0.5 * model.mass * (v ** 2 + model.omega_trap_sq * x ** 2)
         return e / (HBAR * model.omega_ref) - 0.5
-
-    for k in range(burn_steps):
-        z = map_on.advance(z, draws.next_step())
-        if k % DRAW_BLOCK == 0:
-            check_blowup("burn-in")
 
     stride = plan.record_stride
     n_rec = (steps_half + stride - 1) // stride
     time_off = dt * stride * np.arange(n_rec)
     n_off = np.empty((b, n_periods, n_rec))
+    # t, x, v of the first trajectory, every stride steps of every
+    # relaxation and re-cooling phase
+    n_full = n_rec * (2 * n_periods - 1) if record_full else 0
+    full_t, full_x, full_v = np.empty(n_full), np.empty(n_full), np.empty(n_full)
+    filled = 0
 
-    full_t, full_x, full_v = [], [], []
+    def run_phase(z, pmap, steps, label, t0=None, n_out=None):
+        """Advance ``steps`` steps of one servo phase.  Every stride steps
+        the state before the step goes to ``n_out`` (B, R) as a phonon
+        number, and, when the timeline is recorded, to it at time
+        t0 + k*dt.  The runaway guard runs every DRAW_BLOCK steps and at
+        the end of the phase."""
+        nonlocal filled
+        for k in range(steps):
+            if k % stride == 0:
+                if n_out is not None:
+                    n_out[:, k // stride] = phonon(z[0], z[1])
+                if record_full and t0 is not None:
+                    full_t[filled] = t0 + k * dt
+                    full_x[filled] = z[0][0]
+                    full_v[filled] = z[1][0]
+                    filled += 1
+            z = pmap.advance(z, draws.next_step())
+            if k % DRAW_BLOCK == DRAW_BLOCK - 1:
+                check_blowup(z, label)
+        check_blowup(z, label)
+        return z
 
-    def record_full_state(t_now):
-        full_t.append(t_now)
-        full_x.append(z[0].copy())
-        full_v.append(z[1].copy())
-
+    z = run_phase(z, map_on, burn_steps, "burn-in")
     t0 = 0.0
     for p in range(n_periods):
-        for k in range(steps_half):
-            if k % stride == 0:
-                n_off[:, p, k // stride] = phonon(z)
-                if record_full:
-                    record_full_state(t0 + k * dt)
-            z = map_off.advance(z, draws.next_step())
-            if k % DRAW_BLOCK == DRAW_BLOCK - 1:
-                check_blowup("relaxation")
+        z = run_phase(z, map_off, steps_half, "relaxation", t0, n_off[:, p])
         t0 += steps_half * dt
         if p < n_periods - 1:
-            for k in range(steps_half):
-                if record_full and k % stride == 0:
-                    record_full_state(t0 + k * dt)
-                z = map_on.advance(z, draws.next_step())
-                if k % DRAW_BLOCK == DRAW_BLOCK - 1:
-                    check_blowup("re-cooling")
+            z = run_phase(z, map_on, steps_half, "re-cooling", t0)
             t0 += steps_half * dt
 
-    full = None
-    if record_full:
-        t = np.asarray(full_t)
-        x = np.asarray(full_x)[:, 0]
-        v = np.asarray(full_v)[:, 0]
-        n = (0.5 * model.mass * (v**2 + model.omega_trap_sq * x**2)
-             / (HBAR * model.omega_ref) - 0.5)
-        full = (t, x, v, n)
+    full = (full_t, full_x, full_v, phonon(full_x, full_v)) if record_full else None
     return time_off, n_off, full, model
 
 
@@ -445,32 +443,9 @@ def _fit_exponential(t: np.ndarray, n: np.ndarray) -> tuple[float, float, float]
     return float(popt[0]), float(popt[1]), float(popt[2])
 
 
-def run_ensemble(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
-                 threads: int = 1) -> EnsembleResult:
-    """Simulate the ensemble, align switch-off epochs, fit the heating rate.
-
-    Segments come from ``n_trajectories`` independent runs times however
-    many switch periods fit into ``duration``, so one long switched run
-    (n_trajectories=1, duration of many periods) and a fresh-start ensemble
-    are both available.  Trajectories are independent work units; with
-    ``threads > 1`` they are distributed over a pool and reassembled by
-    index, so the result is bit-identical to the single-threaded run.
-    """
-    indices = list(range(plan.n_trajectories))
-    if threads <= 1 or plan.n_trajectories == 1:
-        time_off, n_off, _, model = _run_batch(config, noise, plan, indices)
-    else:
-        groups = [indices[i::threads] for i in range(threads)]
-        groups = [g for g in groups if g]
-        with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-            parts = list(pool.map(
-                lambda g: (g, _run_batch(config, noise, plan, g)), groups))
-        _, (time_off, first_n, _, model) = parts[0]
-        n_off = np.empty((plan.n_trajectories,) + first_n.shape[1:])
-        for g, (_, part_n, _, _) in parts:
-            for row, idx in enumerate(g):
-                n_off[idx] = part_n[row]
-
+def _ensemble_result(time_off: np.ndarray, n_off: np.ndarray,
+                     omega_ref: float) -> EnsembleResult:
+    """Pool the (B, periods, R) relaxation segments and fit the rate."""
     segments = n_off.reshape(-1, n_off.shape[-1])
     mean_phonon = segments.mean(axis=0)
     result = EnsembleResult(
@@ -478,15 +453,31 @@ def run_ensemble(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
         per_trajectory_n0=segments[:, 0].copy(),
         fitted_rate=math.nan, fitted_rate_err=math.nan,
         fitted_gamma_eff=math.nan,
-        n_osc=math.nan, omega_ref=model.omega_ref,
+        n_osc=math.nan, omega_ref=omega_ref,
         n_segments=segments.shape[0], fit_intercept=math.nan)
     slope = fit_decoherence_rate(result)
     _, _, gamma_fit = _fit_exponential(time_off, mean_phonon)
-    n_osc = model.omega_ref / (TWO_PI * slope.slope) if slope.slope > 0 else math.inf
+    n_osc = omega_ref / (TWO_PI * slope.slope) if slope.slope > 0 else math.inf
     return replace(result, fitted_rate=slope.slope,
                    fitted_rate_err=slope.slope_err,
                    fitted_gamma_eff=gamma_fit, n_osc=n_osc,
                    fit_intercept=slope.intercept)
+
+
+def run_ensemble(config: SystemConfig, noise: NoiseEnv,
+                 plan: SimPlan) -> EnsembleResult:
+    """Simulate the ensemble, align switch-off epochs, fit the heating rate.
+
+    Segments come from ``n_trajectories`` independent runs times however
+    many switch periods fit into ``duration``, so one long switched run
+    (n_trajectories=1, duration of many periods) and a fresh-start ensemble
+    are both available.  Each trajectory's numbers are independent of the
+    batch it runs in, so any split of the indices reassembles to the same
+    result.
+    """
+    time_off, n_off, _, model = _run_batch(config, noise, plan,
+                                           list(range(plan.n_trajectories)))
+    return _ensemble_result(time_off, n_off, model.omega_ref)
 
 
 def predicted_rate(config: SystemConfig, noise: NoiseEnv,
@@ -497,18 +488,10 @@ def predicted_rate(config: SystemConfig, noise: NoiseEnv,
     kB*T*gamma1/(hbar*omega_eff) plus the trap-noise contribution
     m1*omega_eff^3*S_phidot(omega_eff)/(hbar*g^2).
     """
-    if mode.omega_eff <= 0:
-        raise ValidationError("omega_eff > 0", "omega_eff", mode.omega_eff)
-    m1, cav = config.mirror1, config.cavity
-    thermal = K_B * noise.temperature * m1.gamma0 / (HBAR * mode.omega_eff)
-    sphi = noise.sphidot(mode.omega_eff / TWO_PI)
-    if sphi == 0.0:
-        trap = 0.0
-    elif cav.g_pull <= 0:
-        raise ValidationError("g_pull > 0 when frequency noise is present",
-                              "g_pull", cav.g_pull)
-    else:
-        trap = m1.mass * mode.omega_eff**3 * sphi / (HBAR * cav.g_pull**2)
+    m1 = config.mirror1
+    thermal, trap = heating_rates(
+        m1.mass, m1.gamma0, mode.omega_eff, noise.temperature,
+        noise.sphidot(mode.omega_eff / TWO_PI), config.cavity.g_pull)
     return thermal + trap, thermal, trap
 
 
@@ -519,16 +502,16 @@ def off_state_mode(config: SystemConfig, noise: NoiseEnv) -> EffectiveMode:
 
 
 def detuning_scan(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
-                  delta_values, threads: int = 1) -> list[ScanRow]:
-    """Full measure-and-predict pipeline per detuning; failures are recorded
-    per row and the scan continues."""
+                  delta_values) -> list[ScanRow]:
+    """Full measure-and-predict pipeline per detuning; toolkit and numerical
+    failures are recorded per row and the scan continues."""
     rows = []
     for delta in np.atleast_1d(np.asarray(delta_values, dtype=float)):
         cfg = config.with_detuning(float(delta))
         try:
             mode_off = off_state_mode(cfg, noise)
             total_pred, _, _ = predicted_rate(cfg, noise, mode_off)
-            result = run_ensemble(cfg, noise, plan, threads=threads)
+            result = run_ensemble(cfg, noise, plan)
             n_osc = mode_off.omega_eff / (TWO_PI * result.fitted_rate) \
                 if result.fitted_rate > 0 else math.inf
             rows.append(ScanRow(
@@ -536,7 +519,8 @@ def detuning_scan(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
                 rate_measured=result.fitted_rate,
                 rate_measured_err=result.fitted_rate_err,
                 rate_predicted=total_pred, n_osc=n_osc, ok=True))
-        except Exception as exc:  # per-cell failure, keep scanning
+        except (OptospringError, np.linalg.LinAlgError,
+                FloatingPointError) as exc:  # per-cell failure, keep scanning
             rows.append(ScanRow(
                 delta=float(delta), omega_eff=math.nan,
                 rate_measured=math.nan, rate_measured_err=math.nan,
@@ -551,29 +535,16 @@ def detuning_scan(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
 
 def write_ensemble_csv(path, result: EnsembleResult, comment: str = ""):
     """Columns: t_s, mean_n."""
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(f"# segments: {result.n_segments}, "
-                 f"f_ref_Hz: {float(result.omega_ref / TWO_PI)!r}")
-    lines.append("t_s,mean_n")
-    for t, n in zip(result.time_grid, result.mean_phonon):
-        lines.append(f"{float(t)!r},{float(n)!r}")
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text("\n".join(lines) + "\n")
+    write_table(path, ("t_s", "mean_n"),
+                zip(result.time_grid, result.mean_phonon),
+                (comment, f"segments: {result.n_segments}, "
+                          f"f_ref_Hz: {float(result.omega_ref / TWO_PI)!r}"))
 
 
 def write_scan_csv(path, rows: list[ScanRow], comment: str = ""):
     """Columns: delta_Hz, f_eff_Hz, rate_measured, rate_predicted, rate_err, n_osc."""
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("delta_Hz,f_eff_Hz,rate_measured,rate_predicted,rate_err,n_osc")
-    for r in rows:
-        cells = (r.delta / TWO_PI, r.omega_eff / TWO_PI, r.rate_measured,
-                 r.rate_predicted, r.rate_measured_err, r.n_osc)
-        lines.append(",".join(repr(float(c)) for c in cells))
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text("\n".join(lines) + "\n")
+    write_table(path, ("delta_Hz", "f_eff_Hz", "rate_measured",
+                       "rate_predicted", "rate_err", "n_osc"),
+                ((r.delta / TWO_PI, r.omega_eff / TWO_PI, r.rate_measured,
+                  r.rate_predicted, r.rate_measured_err, r.n_osc) for r in rows),
+                (comment,))

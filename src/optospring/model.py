@@ -302,10 +302,14 @@ def _parse_float(mapping, key, origin, default=None):
     if key not in mapping:
         return default
     try:
-        return float(mapping[key])
+        value = float(mapping[key])
     except ValueError as exc:
         raise ConfigParseError(f"{origin}: key {key!r}: not a number: "
                                f"{mapping[key]!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigParseError(f"{origin}: key {key!r}: not a finite number: "
+                               f"{mapping[key]!r}")
+    return value
 
 
 def _parse_sections(raw: str, origin: str) -> tuple[FilterSection, ...]:
@@ -424,7 +428,8 @@ def load_config(path: str | Path) -> SystemConfig:
             f"{KAPPA_CONSISTENCY_TOL:.0%}", ConsistencyWarning, stacklevel=2)
 
     off_gain_raw = mapping.get("off_gain_Ns_per_m", "auto").strip().lower()
-    off_gain = None if off_gain_raw == "auto" else float(off_gain_raw)
+    off_gain = None if off_gain_raw == "auto" else _parse_float(
+        mapping, "off_gain_Ns_per_m", origin)
     servo = ServoParams(
         g_el=_parse_float(mapping, "gel_Ns_per_m", origin, 0.0),
         sections=_parse_sections(mapping.get("servo_sections", ""), origin),

@@ -26,6 +26,7 @@ from .errors import (AmbiguousBranchWarning, NoConvergenceError,
                      SingularResponseError, ValidationError)
 from .model import HBAR, CavityParams, MirrorParams, ServoParams, SystemConfig
 from .model import intracavity_photons
+from .tables import write_table
 
 # Relative magnitude below which a response denominator counts as singular.
 DENOM_EPS = 1e-12
@@ -319,15 +320,6 @@ class StabilityMap:
     stable: np.ndarray        # bool
     converged: np.ndarray     # bool; False marks per-cell pole failures
 
-    def mode_at(self, i: int, j: int) -> EffectiveMode:
-        if not self.converged[i, j]:
-            raise NoConvergenceError(f"map cell ({i}, {j}) did not converge", [])
-        ge = self.gamma_eff[i, j]
-        return EffectiveMode(omega_eff=float(self.omega_eff[i, j]),
-                             gamma_eff=float(ge),
-                             stable=bool(self.stable[i, j]),
-                             pole=complex(-ge / 2.0, self.omega_eff[i, j]))
-
 
 def stability_map(config: SystemConfig, delta_values, gel_values) -> StabilityMap:
     """Evaluate the trapped mode over a detuning x gain grid.
@@ -364,47 +356,24 @@ def stability_map(config: SystemConfig, delta_values, gel_values) -> StabilityMa
 # CSV emitters
 # --------------------------------------------------------------------------
 
-def _write_text(path, text: str):
-    from pathlib import Path
-
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(text)
-
-
-def fmt(value) -> str:
-    """Shortest round-trip decimal form of a scalar, for CSV cells."""
-    return repr(float(value))
-
-
 def write_response_csv(path, response: ComplexResponse, comment: str = ""):
     """Columns: f_Hz, re, im, mag, phase_deg."""
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("f_Hz,re,im,mag,phase_deg")
     f_hz = response.grid / (2.0 * math.pi)
-    for f, v in zip(f_hz, response.values):
-        phase = math.degrees(math.atan2(v.imag, v.real))
-        lines.append(f"{fmt(f)},{fmt(v.real)},{fmt(v.imag)},{fmt(abs(v))},"
-                     f"{fmt(phase)}")
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = ((f, v.real, v.imag, abs(v), math.degrees(math.atan2(v.imag, v.real)))
+            for f, v in zip(f_hz, response.values))
+    write_table(path, ("f_Hz", "re", "im", "mag", "phase_deg"), rows, (comment,))
 
 
 def write_map_csv(path, smap: StabilityMap, comment: str = ""):
     """Columns: delta_Hz, gel, f_eff_Hz, gamma_eff_Hz, stable."""
     two_pi = 2.0 * math.pi
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("delta_Hz,gel,f_eff_Hz,gamma_eff_Hz,stable")
+    rows = []
     for i, d in enumerate(smap.deltas):
         for j, ge in enumerate(smap.gels):
-            if smap.converged[i, j]:
-                lines.append(f"{fmt(d / two_pi)},{fmt(ge)},"
-                             f"{fmt(smap.omega_eff[i, j] / two_pi)},"
-                             f"{fmt(smap.gamma_eff[i, j] / two_pi)},"
-                             f"{int(smap.stable[i, j])}")
-            else:
-                lines.append(f"{fmt(d / two_pi)},{fmt(ge)},nan,nan,0")
-    _write_text(path, "\n".join(lines) + "\n")
+            ok = smap.converged[i, j]
+            rows.append((d / two_pi, ge,
+                         smap.omega_eff[i, j] / two_pi if ok else math.nan,
+                         smap.gamma_eff[i, j] / two_pi if ok else math.nan,
+                         int(ok and smap.stable[i, j])))
+    write_table(path, ("delta_Hz", "gel", "f_eff_Hz", "gamma_eff_Hz", "stable"),
+                rows, (comment,))

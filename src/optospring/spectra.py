@@ -20,6 +20,7 @@ from .errors import (FitError, InstabilityError, InsufficientDataError,
                      SingularResponseError, SpectrumBandError, ValidationError)
 from .model import HBAR, K_B, C_LIGHT, MirrorParams, NoiseEnv, SystemConfig
 from .response import ComplexResponse
+from .tables import write_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -261,16 +262,11 @@ def occupations(config: SystemConfig, noise: NoiseEnv, mode,
 
 def write_spectrum_csv(path, spectrum: Spectrum, comment: str = ""):
     """Columns: f_Hz, value, unit; header comments carry kind/normalization."""
-    lines = [f"# kind: {spectrum.kind}",
-             "# normalization: one-sided; integral over f_Hz equals variance"]
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("f_Hz,value,unit")
-    for f, v in zip(spectrum.grid, spectrum.values):
-        lines.append(f"{float(f)!r},{float(v)!r},{spectrum.unit}")
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text("\n".join(lines) + "\n")
+    rows = ((f, v, spectrum.unit) for f, v in zip(spectrum.grid, spectrum.values))
+    write_table(path, ("f_Hz", "value", "unit"), rows,
+                (f"kind: {spectrum.kind}",
+                 "normalization: one-sided; integral over f_Hz equals variance",
+                 comment))
 
 
 def read_spectrum_csv(path) -> Spectrum:

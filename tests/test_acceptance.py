@@ -15,7 +15,8 @@ import pytest
 from conftest import ACCEPTANCE_LINES
 
 from optospring.coherence import feasibility_budget
-from optospring.dynamics import (SimPlan, off_state_mode, predicted_rate,
+from optospring.dynamics import (SimPlan, _ensemble_result, _run_batch,
+                                 off_state_mode, predicted_rate,
                                  reduced_model, run_ensemble,
                                  simulate_trajectory, write_ensemble_csv)
 from optospring.model import HBAR, K_B, TWO_PI
@@ -209,19 +210,29 @@ def test_acceptance_8_temperature_pipeline(experiment_config, thermal_only_noise
 
 
 def test_acceptance_9_determinism(experiment_config, tmp_path):
-    """Fixed seed gives byte-identical ensemble CSV for 1 and N threads."""
-    with criterion(9, "seeded determinism across threads", 60.0):
+    """Fixed seed gives byte-identical ensemble CSV for one batch of all
+    trajectories and for three interleaved sub-batches."""
+    with criterion(9, "seeded determinism across batch splits", 60.0):
+        noise = experiment_config.noise
         plan = SimPlan(duration=1.0, n_trajectories=12, master_seed=1234)
-        paths = []
-        for label, threads in (("one", 1), ("many", 3)):
-            result = run_ensemble(experiment_config, experiment_config.noise, plan,
-                                  threads=threads)
-            path = tmp_path / f"{label}.csv"
-            write_ensemble_csv(path, result, comment="determinism check")
-            paths.append(path)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-        # and a repeated single-threaded run reproduces the same bytes
-        result = run_ensemble(experiment_config, experiment_config.noise, plan, threads=1)
-        path = tmp_path / "again.csv"
-        write_ensemble_csv(path, result, comment="determinism check")
-        assert path.read_bytes() == paths[0].read_bytes()
+        indices = list(range(plan.n_trajectories))
+        one = tmp_path / "one.csv"
+        write_ensemble_csv(one, run_ensemble(experiment_config, noise, plan),
+                           comment="determinism check")
+        n_off = None
+        for i in range(3):
+            part = indices[i::3]
+            time_off, part_n, _, model = _run_batch(experiment_config, noise,
+                                                    plan, part)
+            if n_off is None:
+                n_off = np.empty((len(indices),) + part_n.shape[1:])
+            n_off[part] = part_n
+        split = tmp_path / "split.csv"
+        write_ensemble_csv(split, _ensemble_result(time_off, n_off, model.omega_ref),
+                           comment="determinism check")
+        assert one.read_bytes() == split.read_bytes()
+        # and a repeated run reproduces the same bytes
+        again = tmp_path / "again.csv"
+        write_ensemble_csv(again, run_ensemble(experiment_config, noise, plan),
+                           comment="determinism check")
+        assert again.read_bytes() == one.read_bytes()

@@ -1,11 +1,13 @@
 """Command-line frontend: outputs, manifests, exit codes, determinism."""
 
 import json
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from optospring.cli import main
-from optospring.model import TWO_PI
+from optospring.model import TWO_PI, resolve_config_path
 from optospring.response import extract_mode
 
 
@@ -138,16 +140,14 @@ def test_cool_reports_millikelvin_temperatures(tmp_path):
 # retherm / scan
 # --------------------------------------------------------------------------
 
-def test_retherm_deterministic_across_runs_and_threads(tmp_path):
+def test_retherm_deterministic_across_runs(tmp_path):
     args = ["retherm", "--config", "experiment", "--n-trajectories", "8",
             "--duration", "1.0", "--seed", "20"]
-    out1, out2, out3 = (tmp_path / n for n in ("a", "b", "c"))
+    out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out-dir", str(out1)]) == 0
     assert main(args + ["--out-dir", str(out2)]) == 0
-    assert main(args + ["--out-dir", str(out3), "--threads", "3"]) == 0
     data1 = (out1 / "retherm_mean_n.csv").read_bytes()
     assert data1 == (out2 / "retherm_mean_n.csv").read_bytes()
-    assert data1 == (out3 / "retherm_mean_n.csv").read_bytes()
     fit = json.loads((out1 / "retherm_fit.json").read_text())
     assert fit["fitted_rate"] > 0
     assert fit["predicted_rate"] > 0
@@ -219,6 +219,55 @@ def test_check_json_output(tmp_path):
     payload = json.loads(out.read_text())
     assert {"inv_n_osc_thermal", "inv_n_osc_trap", "n_osc",
             "condition_margin", "g0", "satisfied"} <= payload.keys()
+
+
+def _is_number(text):
+    try:
+        float(text.split("#")[0])
+    except ValueError:
+        return False
+    return True
+
+
+_PRESET_LINES = resolve_config_path("experiment").read_text().splitlines()
+# keys with a number in the preset, plus the off gain (preset value "auto")
+_NUMERIC_KEYS = [line.split("=")[0].strip() for line in _PRESET_LINES
+                 if "=" in line and _is_number(line.split("=")[1])]
+_NUMERIC_KEYS.append("off_gain_Ns_per_m")
+
+
+def _preset_with(tmp_path, key, value):
+    lines = [f"{key} = {value}" if line.split("=")[0].strip() == key else line
+             for line in _PRESET_LINES]
+    path = tmp_path / "edited.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("key,value", [("off_gain_Ns_per_m", "abc"),
+                                       ("input_power_mW", "inf")])
+def test_check_bad_config_number_is_usage_error(tmp_path, capsys, key, value):
+    rc = main(["check", "--config", str(_preset_with(tmp_path, key, value))])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(_NUMERIC_KEYS),
+       value=st.one_of(st.sampled_from(["nan", "inf", "-inf", "NaN", "1e999"]),
+                       st.text(alphabet=st.characters(
+                           blacklist_characters="#\n\r"), max_size=12)))
+def test_check_config_fuzz_exits_cleanly(tmp_path, key, value):
+    """A preset with one numeric value replaced by text, nan or inf ends in
+    an exit code, never a traceback."""
+    path = _preset_with(tmp_path, key, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = main(["check", "--config", str(path)])
+    assert rc in (0, 1, 2)
+    if value.strip().lower() in ("nan", "inf", "-inf", "1e999"):
+        assert rc == 2
 
 
 def test_unknown_config_is_usage_error(tmp_path):

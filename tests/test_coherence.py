@@ -1,16 +1,19 @@
 """Coherence condition and the oscillation-number budget."""
 
 import dataclasses
+import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from optospring.coherence import (check_condition, feasibility_budget,
-                                  single_photon_coupling)
+from optospring.cli import main
+from optospring.coherence import (check_condition, config_budget,
+                                  feasibility_budget, single_photon_coupling)
 from optospring.dynamics import off_state_mode, predicted_rate
 from optospring.errors import ValidationError
-from optospring.model import HBAR, TWO_PI, NoiseEnv
+from optospring.model import (HBAR, TWO_PI, NoiseEnv, load_config,
+                              resolve_config_path)
 
 REF = dict(m1=5e-6, omega_eff=TWO_PI * 1e3, noise_amp_at_omega_eff=4e-3,
            length=0.05, q1=5e7, omega1=TWO_PI * 1.0, temperature=300.0)
@@ -148,23 +151,35 @@ def test_budget_input_validation():
         feasibility_budget(**{**REF, "q1": -1.0})
 
 
-def test_budget_agrees_with_rate_law(experiment_config):
-    """Cross-module consistency: for any operating point, the budget total
-    equals 2*pi*rate/omega_eff from the decoherence-rate law within 1%."""
-    for delta_hz in (3e5, 9.1e5, 1.4e6):
-        cfg = experiment_config.with_detuning(TWO_PI * delta_hz)
+def test_budget_agrees_with_rate_law(experiment_config, tmp_path):
+    """Cross-module consistency: for any operating point and frequency-pull
+    setting, the budget that ``check --config`` reports equals
+    2*pi*rate/omega_eff from the decoherence-rate law within 1%, term by
+    term."""
+    preset = resolve_config_path("experiment").read_text()
+    cases = [(experiment_config.with_detuning(TWO_PI * delta_hz), None)
+             for delta_hz in (3e5, 9.1e5, 1.4e6)]
+    for name, line in (("geometric", "g_pull_mode = geometric"),
+                       ("explicit", "g_pull_rad_per_s_per_m = 1.5e16")):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(preset + line + "\n")
+        cases.append((load_config(path), path))
+    for cfg, path in cases:
         mode = off_state_mode(cfg, cfg.noise)
-        total_rate, _, _ = predicted_rate(cfg, cfg.noise, mode)
-        f_eff = mode.omega_eff / TWO_PI
-        budget = feasibility_budget(
-            m1=cfg.mirror1.mass, omega_eff=mode.omega_eff,
-            noise_amp_at_omega_eff=float(cfg.noise.sqrt_sphidot(f_eff)),
-            length=cfg.cavity.length, q1=cfg.mirror1.quality_factor,
-            omega1=cfg.mirror1.omega0, temperature=cfg.noise.temperature,
-            omega_laser=cfg.cavity.omega_laser)
-        total_inv = budget.inv_n_osc_thermal + budget.inv_n_osc_trap
-        assert total_inv == pytest.approx(TWO_PI * total_rate / mode.omega_eff,
-                                          rel=1e-2)
+        _, thermal, trap = predicted_rate(cfg, cfg.noise, mode)
+        budget = config_budget(cfg, mode.omega_eff)
+        if path is not None:
+            json_out = tmp_path / "budget.json"
+            assert main(["check", "--config", str(path),
+                         "--json-out", str(json_out)]) == 0
+            assert json.loads(json_out.read_text()) == json.loads(budget.to_json())
+        scale = TWO_PI / mode.omega_eff
+        assert budget.inv_n_osc_thermal == pytest.approx(scale * thermal, rel=1e-2)
+        assert budget.inv_n_osc_trap == pytest.approx(scale * trap, rel=1e-2)
+        _, margin = check_condition(cfg.noise,
+                                    single_photon_coupling(cfg, mode.omega_eff),
+                                    mode.omega_eff)
+        assert budget.condition_margin == pytest.approx(margin, rel=1e-12)
 
 
 def test_verdict_line_mentions_n_osc():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from optospring import dynamics
 from optospring.errors import (InstabilityError, InsufficientDataError,
                                ValidationError)
 from optospring.model import HBAR, K_B, TWO_PI
@@ -165,15 +166,6 @@ def test_trajectory_independent_of_batch(experiment_config):
     _, n_batch, _, _ = _run_batch(experiment_config, noise, batch_plan,
                                   list(range(6)))
     np.testing.assert_array_equal(n_solo[0], n_batch[4])
-
-
-def test_thread_count_does_not_change_result(experiment_config):
-    plan = SimPlan(duration=1.0, n_trajectories=12, master_seed=8)
-    r1 = run_ensemble(experiment_config, experiment_config.noise, plan, threads=1)
-    r3 = run_ensemble(experiment_config, experiment_config.noise, plan, threads=3)
-    np.testing.assert_array_equal(r1.mean_phonon, r3.mean_phonon)
-    assert r1.fitted_rate == r3.fitted_rate
-    assert r1.fitted_rate_err == r3.fitted_rate_err
 
 
 # --------------------------------------------------------------------------
@@ -386,6 +378,19 @@ def test_scan_records_failures_and_continues(experiment_config):
     assert len(rows) == 2
     assert not rows[0].ok and not rows[1].ok
     assert "InstabilityError" in rows[0].error
+
+
+def test_scan_propagates_programming_errors(experiment_config, monkeypatch):
+    """Only toolkit and numerical errors become failed rows; anything else
+    is a bug and surfaces."""
+    def broken_run_ensemble(*args, **kwargs):
+        raise TypeError("broken run_ensemble")
+
+    monkeypatch.setattr(dynamics, "run_ensemble", broken_run_ensemble)
+    plan = SimPlan(duration=1.0, n_trajectories=2, master_seed=10)
+    with pytest.raises(TypeError, match="broken run_ensemble"):
+        detuning_scan(experiment_config, experiment_config.noise, plan,
+                      [experiment_config.cavity.detuning])
 
 
 # --------------------------------------------------------------------------
