@@ -387,8 +387,8 @@ def main(argv=None) -> int:
     except OptospringError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+        print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

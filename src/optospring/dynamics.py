@@ -22,9 +22,12 @@ exponential).  That makes the integrator unconditionally stable, exactly
 energy-conserving in the noise-free limit, and exact for the stationary
 statistics at any step size; dt only sets the sampling resolution.
 
+Within a phase the map is a linear filter, so ``PhaseMap.run`` advances all
+trajectories by a whole chunk of steps per call (``scipy.signal.lfilter``).
 Every trajectory draws from its own counter-based RNG stream derived from
-(master_seed, trajectory index), in fixed blocks of 4096 steps, so results
-are bit-identical no matter how trajectories are batched.
+(master_seed, trajectory index), three normals per step in step order, and
+chunks end at phase ends or at multiples of DRAW_BLOCK steps of the run, so
+results are bit-identical no matter how trajectories are batched.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import curve_fit
+from scipy.signal import lfilter
 
 from .coherence import heating_rates
 from .errors import (FitError, InstabilityError, InsufficientDataError,
@@ -45,8 +49,9 @@ from .tables import write_table
 
 TWO_PI = 2.0 * math.pi
 
-# Steps per RNG draw block; fixed so chunking never changes a stream.
-DRAW_BLOCK = 4096
+# Longest chunk of steps per kernel call; chunk edges sit at multiples of it
+# (counted over the whole run), never at a batch-dependent step.
+DRAW_BLOCK = 1024
 
 # Trap-noise shaping-filter corner sits this far below the trapped resonance
 # (keeps the synthesized force PSD within 5% of the 1/f^2 target from
@@ -88,6 +93,10 @@ class SimPlan:
                                   "record_stride", self.record_stride)
         if self.dt is not None and self.dt <= 0:
             raise ValidationError("dt > 0", "dt", self.dt)
+        if self.initial_state is not None and not all(
+                math.isfinite(c) for c in self.initial_state):
+            raise ValidationError("initial_state finite",
+                                  "initial_state", self.initial_state)
 
 
 @dataclass(frozen=True)
@@ -215,55 +224,52 @@ class PhaseMap:
             self.noise = evecs * np.sqrt(np.clip(evals, 0.0, None))
         self.dt = dt
 
-    def advance(self, z: tuple, xi_block: np.ndarray | None) -> tuple:
-        """Advance a state (x, v, F) of (B,) arrays by one step.
+    def run(self, z: tuple, steps: int, xi: np.ndarray | None = None) -> tuple:
+        """Advance a state (x, v, F) of (B,) arrays by ``steps`` steps.
 
-        The 3x3 maps are expanded into elementwise operations with a fixed
-        association order, so a trajectory's numbers do not depend on how
-        many others share the batch (BLAS would not guarantee that).
+        ``xi`` holds the (B, steps, 3) standard normals of the steps (None
+        without noise).  Returns (B, steps) arrays of x, v and F after each
+        step.  The force row of A is (0, 0, -ou_corner), so F is a
+        first-order recursion; (x, v) is a second-order section with
+        denominator [1, -tr, det] of Phi[:2, :2], driven by Phi[:2, 2]*F
+        plus the noise.  Every operation is elementwise with a fixed
+        association order, and lfilter runs each row on its own, so a
+        trajectory's numbers do not depend on the batch (BLAS would not
+        guarantee that).
         """
         p = self.phi
-        z0 = p[0, 0] * z[0] + p[0, 1] * z[1] + p[0, 2] * z[2]
-        z1 = p[1, 0] * z[0] + p[1, 1] * z[1] + p[1, 2] * z[2]
-        z2 = p[2, 0] * z[0] + p[2, 1] * z[1] + p[2, 2] * z[2]
-        if self.noise is not None and xi_block is not None:
+        x0, v0, f0 = z
+        b = x0.shape[0]
+        if self.noise is not None and xi is not None:
             n = self.noise
-            z0 += (n[0, 0] * xi_block[0] + n[0, 1] * xi_block[1]
-                   + n[0, 2] * xi_block[2])
-            z1 += (n[1, 0] * xi_block[0] + n[1, 1] * xi_block[1]
-                   + n[1, 2] * xi_block[2])
-            z2 += (n[2, 0] * xi_block[0] + n[2, 1] * xi_block[1]
-                   + n[2, 2] * xi_block[2])
-        return z0, z1, z2
+            e0, e1, e2 = xi[..., 0], xi[..., 1], xi[..., 2]
+            w = [n[i, 0] * e0 + n[i, 1] * e1 + n[i, 2] * e2 for i in range(3)]
+        else:
+            w = [np.zeros((b, steps))] * 3
+        f = lfilter([1.0], [1.0, -p[2, 2]], w[2], zi=(p[2, 2] * f0)[:, None])[0]
+        f_before = np.empty((b, steps))
+        f_before[:, 0], f_before[:, 1:] = f0, f[:, :-1]
+        u0 = p[0, 2] * f_before + w[0]
+        u1 = p[1, 2] * f_before + w[1]
+        # s[k+1] = tr*s[k] - det*s[k-1] + u[k] + (P - tr*I) u[k-1] by
+        # Cayley-Hamilton; zi starts the section at s[0] with u[-1] = 0
+        g = np.empty((2, b, steps))
+        g[0, :, 0], g[1, :, 0] = u0[:, 0], u1[:, 0]
+        g[0, :, 1:] = u0[:, 1:] - p[1, 1] * u0[:, :-1] + p[0, 1] * u1[:, :-1]
+        g[1, :, 1:] = u1[:, 1:] + p[1, 0] * u0[:, :-1] - p[0, 0] * u1[:, :-1]
+        det = p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]
+        zi = np.empty((2, b, 2))
+        zi[0, :, 0] = p[0, 0] * x0 + p[0, 1] * v0
+        zi[1, :, 0] = p[1, 0] * x0 + p[1, 1] * v0
+        zi[0, :, 1], zi[1, :, 1] = -det * x0, -det * v0
+        xv = lfilter([1.0], [1.0, -(p[0, 0] + p[1, 1]), det], g, zi=zi)[0]
+        return xv[0], xv[1], f
 
 
 def _trajectory_generators(master_seed: int, indices) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=master_seed, spawn_key=(int(i),))))
         for i in indices]
-
-
-class _BlockDraws:
-    """Per-trajectory standard normals consumed in fixed blocks of DRAW_BLOCK
-    steps, so a trajectory's stream is identical in any batch."""
-
-    def __init__(self, gens: list[np.random.Generator], active: bool):
-        self.gens = gens
-        self.active = active
-        self.buf = None
-        self.pos = DRAW_BLOCK
-
-    def next_step(self) -> np.ndarray | None:
-        if not self.active:
-            return None
-        if self.pos >= DRAW_BLOCK:
-            # (block, 3) per trajectory keeps draws step-ordered
-            self.buf = np.stack(
-                [g.standard_normal((DRAW_BLOCK, 3)) for g in self.gens], axis=2)
-            self.pos = 0
-        out = self.buf[self.pos]
-        self.pos += 1
-        return out
 
 
 def _phase_steps(config: SystemConfig, dt: float) -> int:
@@ -320,8 +326,8 @@ def _run_batch(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
                   ou_force_var=model.ou_force_var, dt=dt)
     map_on = PhaseMap(gamma=model.gamma_on, **common)
     map_off = PhaseMap(gamma=model.gamma_off, **common)
-    draws = _BlockDraws(_trajectory_generators(plan.master_seed, indices),
-                        active=map_on.noise is not None)
+    gens = _trajectory_generators(plan.master_seed, indices)
+    xi_buf = np.empty((b, DRAW_BLOCK, 3)) if map_on.noise is not None else None
 
     # runaway guard scale: thermal RMS of the trapped mode at the bath
     # temperature, with the zero-point amplitude as a floor for cold runs
@@ -332,13 +338,15 @@ def _run_batch(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
         x_scale = max(x_scale, abs(plan.initial_state[0]),
                       abs(plan.initial_state[1]) / model.omega_ref)
 
-    def check_blowup(z, label):
-        if np.any(np.abs(z[0]) > BLOWUP_FACTOR * x_scale):
-            worst = int(np.argmax(np.abs(z[0])))
+    def check_blowup(x, label):
+        # NaN fails the comparison, so a non-finite state is a runaway too
+        bad = ~(np.abs(x) <= BLOWUP_FACTOR * x_scale)
+        if bad.any():
+            row, _ = np.unravel_index(np.argmax(bad), bad.shape)
             raise InstabilityError(
-                f"|x| exceeded {BLOWUP_FACTOR:.0e} x thermal RMS during "
-                f"{label} (trajectory {indices[worst]}, "
-                f"x = {z[0][worst]:.3e} m)")
+                f"|x| exceeded {BLOWUP_FACTOR:.0e} x thermal RMS or went "
+                f"non-finite during {label} (trajectory {indices[row]}, "
+                f"x = {x[bad][0]:.3e} m)")
 
     def phonon(x, v):
         e = 0.5 * model.mass * (v ** 2 + model.omega_trap_sq * x ** 2)
@@ -353,27 +361,44 @@ def _run_batch(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
     n_full = n_rec * (2 * n_periods - 1) if record_full else 0
     full_t, full_x, full_v = np.empty(n_full), np.empty(n_full), np.empty(n_full)
     filled = 0
+    done = 0  # steps run so far, burn-in included
 
     def run_phase(z, pmap, steps, label, t0=None, n_out=None):
-        """Advance ``steps`` steps of one servo phase.  Every stride steps
+        """Advance ``steps`` steps of one servo phase in chunks that end at
+        the phase end or at a multiple of DRAW_BLOCK steps of the whole
+        run, so chunk edges never depend on the batch.  Every stride steps
         the state before the step goes to ``n_out`` (B, R) as a phonon
         number, and, when the timeline is recorded, to it at time
-        t0 + k*dt.  The runaway guard runs every DRAW_BLOCK steps and at
-        the end of the phase."""
-        nonlocal filled
-        for k in range(steps):
-            if k % stride == 0:
+        t0 + k*dt.  The runaway guard checks every state."""
+        nonlocal filled, done
+        k = 0
+        while k < steps:
+            n = min(steps - k, DRAW_BLOCK - done % DRAW_BLOCK)
+            xi = None
+            if xi_buf is not None:
+                xi = xi_buf[:, :n]
+                for g, rows in zip(gens, xi):
+                    g.standard_normal(out=rows)
+            x, v, f = pmap.run(z, n, xi)
+            check_blowup(x, label)
+            cols = np.arange((-k) % stride, n, stride)  # chunk steps to record
+            if cols.size:
+                # state before step c: the chunk start for c = 0, else the
+                # state after step c - 1
+                xb, vb = x[:, cols - 1], v[:, cols - 1]
+                if cols[0] == 0:
+                    xb[:, 0], vb[:, 0] = z[0], z[1]
                 if n_out is not None:
-                    n_out[:, k // stride] = phonon(z[0], z[1])
+                    r = (k + cols[0]) // stride
+                    n_out[:, r:r + cols.size] = phonon(xb, vb)
                 if record_full and t0 is not None:
-                    full_t[filled] = t0 + k * dt
-                    full_x[filled] = z[0][0]
-                    full_v[filled] = z[1][0]
-                    filled += 1
-            z = pmap.advance(z, draws.next_step())
-            if k % DRAW_BLOCK == DRAW_BLOCK - 1:
-                check_blowup(z, label)
-        check_blowup(z, label)
+                    m = filled + cols.size
+                    full_t[filled:m] = t0 + (k + cols) * dt
+                    full_x[filled:m], full_v[filled:m] = xb[0], vb[0]
+                    filled = m
+            z = (x[:, -1], v[:, -1], f[:, -1])
+            k += n
+            done += n
         return z
 
     z = run_phase(z, map_on, burn_steps, "burn-in")
@@ -520,7 +545,7 @@ def detuning_scan(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
                 rate_measured_err=result.fitted_rate_err,
                 rate_predicted=total_pred, n_osc=n_osc, ok=True))
         except (OptospringError, np.linalg.LinAlgError,
-                FloatingPointError) as exc:  # per-cell failure, keep scanning
+                ArithmeticError) as exc:  # per-cell failure, keep scanning
             rows.append(ScanRow(
                 delta=float(delta), omega_eff=math.nan,
                 rate_measured=math.nan, rate_measured_err=math.nan,

@@ -333,15 +333,23 @@ def _parse_sections(raw: str, origin: str) -> tuple[FilterSection, ...]:
 
 
 def _load_noise_table(path: Path):
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ConfigParseError(f"{path}: cannot read noise table: {exc}") from exc
     rows = []
-    for line in path.read_text().splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        parts = stripped.replace(",", " ").split()
-        if len(parts) != 2:
-            raise ConfigParseError(f"{path}: expected two columns, got {line!r}")
-        rows.append((float(parts[0]), float(parts[1])))
+        try:
+            row = tuple(float(cell) for cell in stripped.replace(",", " ").split())
+        except ValueError:
+            row = ()
+        if len(row) != 2 or not all(math.isfinite(c) for c in row):
+            raise ConfigParseError(
+                f"{path}:{lineno}: expected two finite numbers, got {line!r}")
+        rows.append(row)
     return tuple(rows)
 
 

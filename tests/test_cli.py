@@ -252,6 +252,39 @@ def test_check_bad_config_number_is_usage_error(tmp_path, capsys, key, value):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("m1_mg", "1e300"), ("f1_Hz", "1e300"), ("f2_Hz", "1e300"),
+    ("kappa_over_2pi_Hz", "1e300"), ("detuning_over_2pi_Hz", "1e300"),
+    ("freq_noise_amp_Hz2_per_rtHz", "1e300"),
+    ("round_trip_length_cm", "1e300"), ("kappa_over_2pi_Hz", "1e-300")])
+def test_check_extreme_config_number_is_numerical_error(tmp_path, capsys,
+                                                        key, value):
+    """Finite but extreme values overflow or divide by zero: exit 1 with a
+    one-line numerical error, no traceback."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = main(["check", "--config", str(_preset_with(tmp_path, key, value))])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("numerical error:")
+    assert "Traceback" not in err
+
+
+def test_check_malformed_noise_table_is_usage_error(tmp_path, capsys):
+    """A bad frequency-noise table row or a missing table exits 2 naming the
+    file (and the line)."""
+    table = tmp_path / "table.csv"
+    path = _preset_with(tmp_path, "label", "table")
+    path.write_text(path.read_text() + f"freq_noise_table_csv = {table}\n")
+    for row in ("100, abc", "100, nan", "100"):
+        table.write_text(f"# f_Hz, sqrt(S)\n10, 0.4\n{row}\n")
+        assert main(["check", "--config", str(path)]) == 2
+        assert f"{table}:3: expected two finite numbers" in capsys.readouterr().err
+    table.unlink()
+    assert main(["check", "--config", str(path)]) == 2
+    assert f"{table}: cannot read" in capsys.readouterr().err
+
+
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(key=st.sampled_from(_NUMERIC_KEYS),

@@ -32,6 +32,106 @@ def _slow_trap_config(experiment_config, off_gain, gel=30.0):
 # integrator quality
 # --------------------------------------------------------------------------
 
+def _kernel_states(pm, z, steps, xi=None, chunk=dynamics.DRAW_BLOCK):
+    """(x, v, F) after each of ``steps`` steps, as (B, steps) arrays, from
+    PhaseMap.run called in chunks the way the engine calls it."""
+    parts = []
+    for k in range(0, steps, chunk):
+        n = min(chunk, steps - k)
+        part = pm.run(z, n, None if xi is None else xi[:, k:k + n])
+        z = tuple(a[:, -1] for a in part)
+        parts.append(part)
+    return tuple(np.concatenate(p, axis=1) for p in zip(*parts))
+
+
+def _reference_states(pm, z, steps, xi=None):
+    """Oracle: the 3x3 map z <- Phi z + N xi one step at a time, (3, B, steps)."""
+    z = np.array(z, dtype=float)
+    out = np.empty(z.shape + (steps,))
+    for k in range(steps):
+        z = pm.phi @ z
+        if pm.noise is not None and xi is not None:
+            z = z + pm.noise @ xi[:, k].T
+        out[..., k] = z
+    return out
+
+
+def _phase_map(model, dt, **overrides):
+    args = dict(mass=model.mass, omega_sq=model.omega_trap_sq,
+                gamma=model.gamma_off, s_f_thermal=model.s_f_thermal,
+                ou_corner=model.ou_corner, ou_force_var=model.ou_force_var,
+                dt=dt)
+    args.update(overrides)
+    return PhaseMap(**args)
+
+
+@pytest.mark.parametrize("b", [1, 5])
+@pytest.mark.parametrize("regime", ["on", "off", "critical", "overdamped",
+                                    "undamped-quiet", "ou-only"])
+def test_kernel_matches_step_by_step_map(experiment_config, regime, b):
+    """PhaseMap.run against the plain matrix recursion, over a phase that is
+    not a whole number of chunks, from a nonzero start."""
+    model = reduced_model(experiment_config, experiment_config.noise)
+    omega = model.omega_ref
+    dt = 1.0 / (200.0 * omega / TWO_PI)
+    pm = _phase_map(model, dt, **{
+        "on": dict(gamma=model.gamma_on),
+        "off": {},
+        "critical": dict(gamma=2.0 * omega),
+        "overdamped": dict(gamma=4.0 * omega),
+        "undamped-quiet": dict(gamma=0.0, s_f_thermal=0.0, ou_force_var=0.0),
+        "ou-only": dict(s_f_thermal=0.0),
+    }[regime])
+    if regime == "on":
+        assert omega / model.gamma_on == pytest.approx(1.1, abs=0.1)
+    if regime == "off":
+        assert omega / model.gamma_off > 5e3
+    rng = np.random.Generator(np.random.Philox(11))
+    x_rms = math.sqrt(K_B * 300.0 / (model.mass * model.omega_trap_sq))
+    scales = (x_rms, omega * x_rms, math.sqrt(model.ou_force_var))
+    z0 = tuple(s * rng.standard_normal(b) for s in scales)
+    steps = 2 * dynamics.DRAW_BLOCK + 437
+    xi = rng.standard_normal((b, steps, 3))
+    got = _kernel_states(pm, z0, steps, xi)
+    want = _reference_states(pm, z0, steps, xi)
+    for g, w in zip(got, want):
+        assert g.shape == (b, steps)
+        assert np.max(np.abs(g - w)) <= 1e-9 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_engine_timeline_matches_step_by_step_map(experiment_config, stride):
+    """simulate_trajectory (chunking, RNG stream, phase switching, stride
+    recording) against the oracle map run over the same normals."""
+    servo = dataclasses.replace(experiment_config.servo, switch_frequency=50.0)
+    cfg = dataclasses.replace(experiment_config, servo=servo, raw_items=())
+    plan = SimPlan(duration=0.04, n_trajectories=1, master_seed=8,
+                   record_stride=stride, burn_in=0.005)
+    t, x, v, _ = simulate_trajectory(cfg, cfg.noise, plan, 3)
+
+    model = reduced_model(cfg, cfg.noise)
+    dt = 1.0 / (200.0 * model.omega_ref / TWO_PI)
+    half = dynamics._phase_steps(cfg, dt)
+    burn = math.ceil(plan.burn_in / dt)
+    pm_on = _phase_map(model, dt, gamma=model.gamma_on)
+    pm_off = _phase_map(model, dt)
+    xi = dynamics._trajectory_generators(8, [3])[0].standard_normal(
+        (burn + 3 * half, 3))[None]
+    z = _reference_states(pm_on, np.zeros((3, 1)), burn, xi)[..., -1]
+    states = []
+    for i, pm in enumerate((pm_off, pm_on, pm_off)):
+        run = _reference_states(pm, z, half, xi[:, burn + i * half:])
+        # record the state before each step
+        states.append(np.concatenate((z[..., None], run[..., :-1]), axis=-1))
+        z = run[..., -1]
+    want = np.concatenate([s[:, 0, ::stride] for s in states], axis=-1)
+    np.testing.assert_allclose(t, dt * np.concatenate(
+        [p * half + np.arange(0, half, stride) for p in range(3)]), rtol=1e-12)
+    for got, ref in ((x, want[0]), (v, want[1])):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
 def test_energy_conservation_gate():
     """Zero damping, zero noise: relative energy drift < 1e-6 over 1e6 steps."""
     omega = TWO_PI * 950.0
@@ -40,9 +140,8 @@ def test_energy_conservation_gate():
                   ou_corner=omega / 50.0, ou_force_var=0.0, dt=dt)
     z = (np.array([1e-9]), np.array([0.0]), np.array([0.0]))
     e0 = 0.5 * 5e-6 * (z[1][0] ** 2 + omega**2 * z[0][0] ** 2)
-    for _ in range(1_000_000):
-        z = pm.advance(z, None)
-    e1 = 0.5 * 5e-6 * (z[1][0] ** 2 + omega**2 * z[0][0] ** 2)
+    x, v, _ = _kernel_states(pm, z, 1_000_000)
+    e1 = 0.5 * 5e-6 * (v[0, -1] ** 2 + omega**2 * x[0, -1] ** 2)
     assert abs(e1 / e0 - 1.0) < 1e-6
 
 
@@ -87,11 +186,8 @@ def test_trap_noise_force_psd_matches_target(experiment_config):
     rng = np.random.Generator(np.random.Philox(7))
     steps = 600_000
     z = (np.zeros(1), np.zeros(1), np.zeros(1))
-    force = np.empty(steps)
     xi = rng.standard_normal((steps, 3))
-    for k in range(steps):
-        z = pm.advance(z, xi[k][:, None])
-        force[k] = z[2][0]
+    force = _kernel_states(pm, z, steps, xi[None])[2][0]
     spec = welch_psd(force, dt, segment_length=1 << 14, kind="frequency-noise")
 
     def ou_law(f_hz):
@@ -380,6 +476,18 @@ def test_scan_records_failures_and_continues(experiment_config):
     assert "InstabilityError" in rows[0].error
 
 
+@pytest.mark.parametrize("exc", [OverflowError, ZeroDivisionError])
+def test_scan_records_arithmetic_errors(experiment_config, monkeypatch, exc):
+    def overflowing_run_ensemble(*args, **kwargs):
+        raise exc("extreme parameter")
+
+    monkeypatch.setattr(dynamics, "run_ensemble", overflowing_run_ensemble)
+    plan = SimPlan(duration=1.0, n_trajectories=2, master_seed=10)
+    rows = detuning_scan(experiment_config, experiment_config.noise, plan,
+                         [experiment_config.cavity.detuning])
+    assert not rows[0].ok and rows[0].error.startswith(exc.__name__)
+
+
 def test_scan_propagates_programming_errors(experiment_config, monkeypatch):
     """Only toolkit and numerical errors become failed rows; anything else
     is a bug and surfaces."""
@@ -406,6 +514,24 @@ def test_blowup_detection(experiment_config, cold_noise):
                    initial_state=(1e-8, 0.0))
     with pytest.raises(InstabilityError, match="thermal RMS"):
         simulate_trajectory(cfg, cold_noise, plan, 0)
+
+
+def test_runaway_guard_catches_nonfinite_state(experiment_config, cold_noise):
+    """A NaN state fails |x| <= bound, so it stops the run as a runaway."""
+    plan = SimPlan(duration=1.0, n_trajectories=1, master_seed=1,
+                   initial_state=(1e-9, 0.0))
+    # a state gone non-finite mid-run, past the plan's own validation
+    object.__setattr__(plan, "initial_state", (1e-9, math.nan))
+    with pytest.raises(InstabilityError, match="non-finite"):
+        simulate_trajectory(experiment_config, cold_noise, plan, 0)
+
+
+def test_nonfinite_initial_state_rejected(experiment_config):
+    for state in ((math.nan, 0.0), (0.0, math.inf)):
+        with pytest.raises(ValidationError, match="initial_state finite"):
+            run_ensemble(experiment_config, experiment_config.noise,
+                         SimPlan(duration=1.0, n_trajectories=1, master_seed=1,
+                                 initial_state=state))
 
 
 def test_plan_validation(experiment_config):
