@@ -26,8 +26,7 @@ from .dynamics import (SimPlan, detuning_scan, off_state_mode, predicted_rate,
 from .errors import ConfigParseError, OptospringError, ValidationError
 from .model import TWO_PI, load_config, resolve_config_path
 from .response import (cancellation_gain, closed_loop_response, extract_mode,
-                       mech_susceptibility, servo_response, stability_map,
-                       write_map_csv, write_response_csv)
+                       stability_map, write_map_csv, write_response_csv)
 from .spectra import (build_frequency_grid, displacement_to_voltage,
                       freqnoise_spectrum, mode_temperature, occupations,
                       thermal_spectrum, voltage_to_displacement,
@@ -111,21 +110,15 @@ def cmd_map(args) -> int:
     return 0
 
 
-def _spectrum_bundle(config, temperature: float, engaged: bool = True):
-    """(chi_eff, thermal, freq-noise, total) on the default grid."""
-    gel = config.servo.g_el if engaged else (config.servo.off_gain or 0.0)
-    mode = extract_mode(config, gel=gel)
+def _spectrum_bundle(config, temperature: float):
+    """(mode, chi_eff, thermal, freq-noise, total) on the default grid."""
+    mode = extract_mode(config)
     grid_hz = build_frequency_grid(
         peaks=((mode.omega_eff / TWO_PI, max(abs(mode.gamma_eff),
                                              config.mirror1.gamma0)),))
-    w = grid_hz * TWO_PI
-    chi_eff = closed_loop_response(config, w, engaged=engaged)
+    chi_eff = closed_loop_response(config, grid_hz * TWO_PI)
     s_th = thermal_spectrum(temperature, config.mirror1, chi_eff)
-    s_fr = freqnoise_spectrum(
-        config.noise, config, chi_eff,
-        mech_susceptibility(config.mirror1, w),
-        mech_susceptibility(config.mirror2, w),
-        servo_response(config.servo, w, engaged=engaged))
+    s_fr = freqnoise_spectrum(config.noise, config, chi_eff)
     total = Spectrum(grid=grid_hz, values=s_th.values + s_fr.values,
                      kind="displacement")
     return mode, chi_eff, s_th, s_fr, total
@@ -195,7 +188,8 @@ def cmd_cool(args) -> int:
     write_table(csv_path, ("gel", "f_eff_Hz", "gamma_eff_Hz", "T_eff_mK",
                            "n_th_prime", "n_freq", "n_th_bare", "stable"), rows)
     _write_manifest(out, "cool", args, path, [csv_path], None)
-    print(f"cool: {len(gains)} gain point(s) -> {csv_path}")
+    n_nan = sum(np.isnan(row[3]) for row in rows)
+    print(f"cool: {len(gains)} gain point(s), {n_nan} with T_eff = NaN -> {csv_path}")
     return 0
 
 

@@ -44,7 +44,8 @@ from .coherence import heating_rates
 from .errors import (FitError, InstabilityError, InsufficientDataError,
                      OptospringError, ValidationError)
 from .model import HBAR, K_B, NoiseEnv, SystemConfig
-from .response import EffectiveMode, adiabatic_spring, cancellation_gain, extract_mode
+from .response import (EffectiveMode, adiabatic_spring, cancellation_gain,
+                       extract_mode, rigid_trap_omega_sq)
 from .tables import write_table
 
 TWO_PI = 2.0 * math.pi
@@ -86,13 +87,15 @@ class SimPlan:
         if self.n_trajectories < 1:
             raise ValidationError("n_trajectories >= 1",
                                   "n_trajectories", self.n_trajectories)
-        if self.duration <= 0:
-            raise ValidationError("duration > 0", "duration", self.duration)
+        if not 0 < self.duration < math.inf:
+            raise ValidationError("duration finite and > 0", "duration", self.duration)
         if self.record_stride < 1:
             raise ValidationError("record_stride >= 1",
                                   "record_stride", self.record_stride)
-        if self.dt is not None and self.dt <= 0:
-            raise ValidationError("dt > 0", "dt", self.dt)
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise ValidationError("dt finite and > 0", "dt", self.dt)
+        if self.burn_in is not None and not math.isfinite(self.burn_in):
+            raise ValidationError("burn_in finite", "burn_in", self.burn_in)
         if self.initial_state is not None and not all(
                 math.isfinite(c) for c in self.initial_state):
             raise ValidationError("initial_state finite",
@@ -159,7 +162,7 @@ def reduced_model(config: SystemConfig, noise: NoiseEnv) -> ReducedModel:
     m1, m2, cav, servo = (config.mirror1, config.mirror2,
                           config.cavity, config.servo)
     k0, c1 = adiabatic_spring(cav)
-    omega_trap_sq = m1.omega0**2 + cav.zeta1**2 * k0 / m1.mass
+    omega_trap_sq = rigid_trap_omega_sq(config)
     if omega_trap_sq <= 0:
         raise InstabilityError(
             f"optical spring inverts the trap (omega_trap^2 = {omega_trap_sq:.4g})")

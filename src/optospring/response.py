@@ -11,7 +11,8 @@ Solving that signal flow for x1/F gives the effective susceptibility
 
 whose denominator zeros are the closed-loop poles.  Fourier convention is
 exp(+i*omega*t); a pole s = -gamma/2 + i*omega_eff is damped when
-Re(s) < 0.
+Re(s) < 0.  Each loop term is written once, for real grids and complex omega
+alike.  The servo runs at g_el; switched off is ``with_gain(off_gain)``.
 """
 
 from __future__ import annotations
@@ -70,10 +71,34 @@ class EffectiveMode:
             raise ValidationError("omega_eff >= 0", "omega_eff", self.omega_eff)
 
 
+# Loop terms: keep them free of float casts, the pole polish passes complex w.
+def _bare_term(mirror: MirrorParams, w):
+    return mirror.omega0**2 - w**2 + 1j * mirror.gamma0 * w
+
+
+def _spring_denominator(cavity: CavityParams, w):
+    return (cavity.kappa + 1j * w) ** 2 + cavity.detuning**2
+
+
+def _spring(cavity: CavityParams, denom):
+    n_cav = intracavity_photons(cavity)
+    return 2.0 * HBAR * cavity.g_pull**2 * n_cav * cavity.detuning / denom
+
+
+def _servo_chain(servo: ServoParams, gain, w):
+    out = 1j * w * gain
+    for section in servo.sections:
+        out = out * section.response(w)
+    return out
+
+
+def _spring_factor(zeta1, chi1, k_opt):
+    return 1.0 + zeta1**2 * np.asarray(chi1) * np.asarray(k_opt)
+
+
 def mech_susceptibility(mirror: MirrorParams, omega):
     """Bare mechanical susceptibility x/F with velocity damping, m/N."""
-    w = np.asarray(omega, dtype=float)
-    chi = 1.0 / (mirror.mass * (mirror.omega0**2 - w**2 + 1j * mirror.gamma0 * w))
+    chi = 1.0 / (mirror.mass * _bare_term(mirror, np.asarray(omega, dtype=float)))
     return chi if chi.shape else complex(chi)
 
 
@@ -85,13 +110,12 @@ def optical_spring(cavity: CavityParams, omega):
     positive frequency (anti-damping).
     """
     w = np.asarray(omega, dtype=float)
-    n_cav = intracavity_photons(cavity)
-    denom = (cavity.kappa + 1j * w) ** 2 + cavity.detuning**2
+    denom = _spring_denominator(cavity, w)
     scale = cavity.kappa**2 + cavity.detuning**2
     if np.any(np.abs(denom) < DENOM_EPS * scale):
         raise SingularResponseError(
             f"optical spring denominator below {DENOM_EPS} * (kappa^2 + Delta^2)")
-    k = 2.0 * HBAR * cavity.g_pull**2 * n_cav * cavity.detuning / denom
+    k = _spring(cavity, denom)
     return k if k.shape else complex(k)
 
 
@@ -102,26 +126,27 @@ def adiabatic_spring(cavity: CavityParams) -> tuple[float, float]:
     seconds.  Valid for omega << sqrt(kappa^2 + Delta^2), i.e. everywhere in
     the trapped-mode band of a MHz-linewidth cavity.
     """
-    n_cav = intracavity_photons(cavity)
     s2 = cavity.kappa**2 + cavity.detuning**2
-    k0 = 2.0 * HBAR * cavity.g_pull**2 * n_cav * cavity.detuning / s2
-    c1 = 2.0 * cavity.kappa / s2
-    return k0, c1
+    return _spring(cavity, s2), 2.0 * cavity.kappa / s2
 
 
-def servo_response(servo: ServoParams, omega, engaged: bool = True):
-    """Loop response of the feedback chain, i*omega*g_el times the sections.
+def rigid_trap_omega_sq(config: SystemConfig) -> float:
+    """omega1^2 + zeta1^2*k0/m1: trapped frequency^2 of a rigid, static trap."""
+    k0, _ = adiabatic_spring(config.cavity)
+    return config.mirror1.omega0**2 + config.cavity.zeta1**2 * k0 / config.mirror1.mass
 
-    With ``engaged=False`` the differentiator gain is replaced by the
-    residual ``off_gain`` (0 when the off gain is left for the dynamics
-    layer to resolve).
-    """
-    w = np.asarray(omega, dtype=float)
-    gain = servo.g_el if engaged else (servo.off_gain or 0.0)
-    out = 1j * w * gain
-    for section in servo.sections:
-        out = out * section.response(w)
+
+def servo_response(servo: ServoParams, omega):
+    """Loop response of the feedback chain, i*omega*g_el times the sections."""
+    out = _servo_chain(servo, servo.g_el, np.asarray(omega, dtype=float))
     return out if np.asarray(out).shape else complex(out)
+
+
+def _loop(config: SystemConfig, w):
+    """(chi1, chi2, k_opt, chi_fb) of the loop on a real grid."""
+    return (mech_susceptibility(config.mirror1, w),
+            mech_susceptibility(config.mirror2, w),
+            optical_spring(config.cavity, w), servo_response(config.servo, w))
 
 
 def effective_susceptibility(chi1, chi2, k_opt, chi_fb, zeta1, zeta2, omega=None):
@@ -129,55 +154,43 @@ def effective_susceptibility(chi1, chi2, k_opt, chi_fb, zeta1, zeta2, omega=None
 
     Reduces to chi1 when both the spring and the servo are off.
     """
-    denom = 1.0 + zeta1**2 * np.asarray(chi1) * np.asarray(k_opt) \
-        + zeta2 * np.asarray(chi2) * np.asarray(chi_fb)
+    servo_term = zeta2 * np.asarray(chi2) * np.asarray(chi_fb)
+    denom = _spring_factor(zeta1, chi1, k_opt) + servo_term
     bad = np.abs(denom) < DENOM_EPS
     if np.any(bad):
         where = "" if omega is None else f" at omega = {np.asarray(omega)[bad]} rad/s"
         raise SingularResponseError(
             f"closed-loop denominator ~ 0{where}: |D| = {np.abs(denom).min():.3e}")
-    out = np.asarray(chi1) * (1.0 + zeta2 * np.asarray(chi2) * np.asarray(chi_fb)) / denom
+    out = np.asarray(chi1) * (1.0 + servo_term) / denom
     return out if out.shape else complex(out)
 
 
-def open_loop_gain(config: SystemConfig, omega, engaged: bool = True):
+def open_loop_gain(config: SystemConfig, omega):
     """Servo open-loop gain zeta2*chi2*chi_fb / (1 + zeta1^2*chi1*k_opt)."""
     cav = config.cavity
-    chi1 = mech_susceptibility(config.mirror1, omega)
-    chi2 = mech_susceptibility(config.mirror2, omega)
-    k_opt = optical_spring(cav, omega)
-    denom = 1.0 + cav.zeta1**2 * np.asarray(chi1) * np.asarray(k_opt)
+    chi1, chi2, k_opt, chi_fb = _loop(config, omega)
+    denom = _spring_factor(cav.zeta1, chi1, k_opt)
     if np.any(np.abs(denom) < DENOM_EPS):
         raise SingularResponseError("1 + zeta1^2*chi1*k_opt ~ 0")
-    out = cav.zeta2 * np.asarray(chi2) * np.asarray(
-        servo_response(config.servo, omega, engaged)) / denom
+    out = cav.zeta2 * np.asarray(chi2) * np.asarray(chi_fb) / denom
     return out if out.shape else complex(out)
 
 
 def feedback_from_open_loop(config: SystemConfig, omega, loop_values):
     """Invert a measured/synthetic open-loop gain back to chi_fb."""
     cav = config.cavity
-    chi1 = mech_susceptibility(config.mirror1, omega)
-    chi2 = mech_susceptibility(config.mirror2, omega)
-    k_opt = optical_spring(cav, omega)
-    denom = 1.0 + cav.zeta1**2 * np.asarray(chi1) * np.asarray(k_opt)
+    chi1, chi2, k_opt, _ = _loop(config, omega)
     base = cav.zeta2 * np.asarray(chi2)
     if np.any(np.abs(base) < 1e-300):
         raise SingularResponseError("zeta2*chi2 ~ 0, cannot invert loop gain")
-    return np.asarray(loop_values) * denom / base
+    return np.asarray(loop_values) * _spring_factor(cav.zeta1, chi1, k_opt) / base
 
 
-def closed_loop_response(config: SystemConfig, omega_grid, engaged: bool = True
-                         ) -> ComplexResponse:
+def closed_loop_response(config: SystemConfig, omega_grid) -> ComplexResponse:
     """chi_eff evaluated on an angular-frequency grid."""
     w = np.asarray(omega_grid, dtype=float)
-    cav = config.cavity
-    chi_eff = effective_susceptibility(
-        mech_susceptibility(config.mirror1, w),
-        mech_susceptibility(config.mirror2, w),
-        optical_spring(cav, w),
-        servo_response(config.servo, w, engaged),
-        cav.zeta1, cav.zeta2, omega=w)
+    chi_eff = effective_susceptibility(*_loop(config, w), config.cavity.zeta1,
+                                       config.cavity.zeta2, omega=w)
     return ComplexResponse(grid=w, values=chi_eff)
 
 
@@ -209,16 +222,12 @@ def _characteristic_roots(config: SystemConfig, gel: float) -> np.ndarray:
 
 def _characteristic_exact(config: SystemConfig, gel: float, w: complex):
     """Characteristic function with the full rational spring and the full
-    servo chain (filter sections included, by analytic continuation)."""
+    servo chain (filter sections included, by analytic continuation):
+    m1*m2*X1*X2 times the closed-loop denominator of chi_eff."""
     m1, m2, cav = config.mirror1, config.mirror2, config.cavity
-    n_cav = intracavity_photons(cav)
-    x1 = m1.omega0**2 - w**2 + 1j * m1.gamma0 * w
-    x2 = m2.omega0**2 - w**2 + 1j * m2.gamma0 * w
-    denom = (cav.kappa + 1j * w) ** 2 + cav.detuning**2
-    k_opt = 2.0 * HBAR * cav.g_pull**2 * n_cav * cav.detuning / denom
-    chi_fb = 1j * w * gel
-    for section in config.servo.sections:
-        chi_fb = chi_fb * section.response(w)
+    x1, x2 = _bare_term(m1, w), _bare_term(m2, w)
+    k_opt = _spring(cav, _spring_denominator(cav, w))
+    chi_fb = _servo_chain(config.servo, gel, w)
     return (m1.mass * m2.mass * x1 * x2
             + cav.zeta1**2 * k_opt * m2.mass * x2
             + chi_fb * cav.zeta2 * m1.mass * x1)
@@ -262,9 +271,7 @@ def extract_mode(config: SystemConfig, gel: float | None = None) -> EffectiveMod
     """
     if gel is None:
         gel = config.servo.g_el
-    m1, cav = config.mirror1, config.cavity
-    k0, _ = adiabatic_spring(cav)
-    guess = math.sqrt(max(m1.omega0**2 + cav.zeta1**2 * k0 / m1.mass, 0.0))
+    guess = math.sqrt(max(rigid_trap_omega_sq(config), 0.0))
 
     roots = _characteristic_roots(config, gel)
     # each physical mode appears as (w, -conj(w)); keep the Re >= 0 copies
@@ -304,8 +311,6 @@ def extract_mode(config: SystemConfig, gel: float | None = None) -> EffectiveMod
 def cancellation_gain(config: SystemConfig, omega_eff: float) -> float:
     """Differentiator gain m2*omega_eff^2/kappa that nominally offsets the
     spring's anti-damping (exact at Delta = kappa for a rigid trap)."""
-    if config.cavity.kappa <= 0:
-        raise ValidationError("kappa > 0", "kappa", config.cavity.kappa)
     return config.mirror2.mass * omega_eff**2 / config.cavity.kappa
 
 

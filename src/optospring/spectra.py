@@ -19,7 +19,7 @@ from scipy.signal import welch as _scipy_welch
 from .errors import (FitError, InstabilityError, InsufficientDataError,
                      SingularResponseError, SpectrumBandError, ValidationError)
 from .model import HBAR, K_B, C_LIGHT, MirrorParams, NoiseEnv, SystemConfig
-from .response import ComplexResponse
+from .response import ComplexResponse, _loop
 from .tables import write_table
 
 TWO_PI = 2.0 * math.pi
@@ -106,19 +106,20 @@ def thermal_spectrum(temperature: float, mirror: MirrorParams,
 
 
 def freqnoise_spectrum(noise: NoiseEnv, config: SystemConfig,
-                       chi_eff: ComplexResponse, chi1, chi2, chi_fb) -> Spectrum:
+                       chi_eff: ComplexResponse) -> Spectrum:
     """Displacement noise driven by laser frequency fluctuations.
 
     sqrt(S_x) = sqrt(S_phidot) * |chi_eff / (chi1*(1 + zeta2*chi2*chi_fb)*g)|
-    with S_phidot in Hz^2/Hz and g the frequency-pull coefficient.
+    with S_phidot in Hz^2/Hz, g the frequency-pull coefficient, and chi1,
+    chi2, chi_fb the config's loop terms on chi_eff's grid.
     """
     f_hz = chi_eff.grid / TWO_PI
     cav = config.cavity
     if cav.g_pull <= 0:
         raise SingularResponseError(
             "frequency-noise transduction needs a nonzero pull coefficient g")
-    bracket = np.asarray(chi1) * (1.0 + cav.zeta2 * np.asarray(chi2)
-                                  * np.asarray(chi_fb))
+    chi1, chi2, _, chi_fb = _loop(config, chi_eff.grid)
+    bracket = chi1 * (1.0 + cav.zeta2 * chi2 * chi_fb)
     bad = np.abs(bracket) == 0.0
     if np.any(bad):
         raise SingularResponseError(
@@ -136,10 +137,6 @@ def calibration_factor(config: SystemConfig, omega_eff: float,
                 * (1 - kappa_in/kappa) * omega_eff^2 * eta
     """
     cav = config.cavity
-    if cav.zeta1 <= 0:
-        raise ValidationError("zeta1 > 0", "zeta1", cav.zeta1)
-    if cav.finesse <= 0:
-        raise ValidationError("finesse > 0", "finesse", cav.finesse)
     if eta is None:
         eta = config.detector_eta
     return (TWO_PI * C_LIGHT * config.mirror1.mass / (cav.finesse * cav.zeta1)

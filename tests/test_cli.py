@@ -1,6 +1,7 @@
 """Command-line frontend: outputs, manifests, exit codes, determinism."""
 
 import json
+import math
 import warnings
 
 import pytest
@@ -136,9 +137,33 @@ def test_cool_reports_millikelvin_temperatures(tmp_path):
     assert float(rows[0]["n_th_prime"]) > 0
 
 
+def test_cool_summary_counts_nan_rows(tmp_path, capsys):
+    """The 560 N*s/m gain has no fittable peak: its row is NaN, the run
+    still exits 0, and the summary line says how many rows are NaN."""
+    out = tmp_path / "c"
+    rc = main(["cool", "--config", "experiment", "--gel-range", "14:560:2",
+               "--out-dir", str(out)])
+    assert rc == 0
+    assert "cool: 2 gain point(s), 1 with T_eff = NaN ->" in capsys.readouterr().out
+    rows = _read_csv(out / "cool.csv", ["T_eff_mK"])
+    assert [math.isnan(float(r["T_eff_mK"])) for r in rows] == [False, True]
+
+
 # --------------------------------------------------------------------------
 # retherm / scan
 # --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("flag", ["--duration", "--dt"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_retherm_nonfinite_plan_value_is_usage_error(tmp_path, capsys, flag,
+                                                     value):
+    rc = main(["retherm", "--config", "experiment", "--n-trajectories", "1",
+               flag, value, "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{flag[2:]} finite" in err
+    assert "Traceback" not in err
+
 
 def test_retherm_deterministic_across_runs(tmp_path):
     args = ["retherm", "--config", "experiment", "--n-trajectories", "8",

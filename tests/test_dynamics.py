@@ -546,6 +546,16 @@ def test_plan_validation(experiment_config):
                      SimPlan(duration=0.3, n_trajectories=1, master_seed=1))
 
 
+@pytest.mark.parametrize("field", ["duration", "dt", "burn_in"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_plan_rejects_nonfinite_values(field, value):
+    """NaN slips past a `<= 0` check; each non-finite value is named."""
+    kwargs = dict(duration=1.0, n_trajectories=1, master_seed=1)
+    kwargs[field] = value
+    with pytest.raises(ValidationError, match=f"{field} finite"):
+        SimPlan(**kwargs)
+
+
 def test_unstable_cooled_phase_rejected(experiment_config):
     servo = dataclasses.replace(experiment_config.servo, g_el=0.0, off_gain=0.0)
     cfg = dataclasses.replace(experiment_config, servo=servo, raw_items=())

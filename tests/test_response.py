@@ -14,7 +14,8 @@ from optospring.errors import (AmbiguousBranchWarning, SingularResponseError,
                                ValidationError)
 from optospring.model import (HBAR, TWO_PI, FilterSection, MirrorParams,
                               ServoParams, intracavity_photons)
-from optospring.response import (ComplexResponse, adiabatic_spring,
+from optospring.response import (ComplexResponse, _characteristic_exact,
+                                 _loop, adiabatic_spring,
                                  cancellation_gain, closed_loop_response,
                                  effective_susceptibility, extract_mode,
                                  feedback_from_open_loop, mech_susceptibility,
@@ -141,13 +142,6 @@ def test_highpass_section_sweep():
     got = servo_response(servo, w)
     oracle = 1j * w * 2.0 * (1j * w / w_c) / (1.0 + 1j * w / w_c)
     np.testing.assert_allclose(got, oracle, rtol=1e-12)
-
-
-def test_switched_off_uses_residual_gain():
-    servo = ServoParams(g_el=5.0, off_gain=0.25)
-    assert servo_response(servo, 2.0, engaged=False) == pytest.approx(0.5j)
-    auto = ServoParams(g_el=5.0, off_gain=None)
-    assert servo_response(auto, 2.0, engaged=False) == 0.0
 
 
 # --------------------------------------------------------------------------
@@ -336,6 +330,28 @@ def test_sectioned_servo_shapes_the_pole(experiment_config):
     plain = extract_mode(dataclasses.replace(
         cfg, servo=dataclasses.replace(servo, sections=()), raw_items=()))
     assert mode.gamma_eff < plain.gamma_eff  # the lowpass weakens the damping
+
+
+def test_pole_solver_and_response_share_one_characteristic(experiment_config,
+                                                           ideal_config):
+    """The polish target is m1*m2*X1*X2 times the closed-loop denominator
+    that the response builds from its loop terms, at real frequencies."""
+    sections = (FilterSection("highpass", TWO_PI * 40.0),
+                FilterSection("lowpass", TWO_PI * 2e3))
+    ideal = ideal_config.with_detuning(ideal_config.cavity.kappa)
+    configs = [experiment_config, ideal.with_gain(5e-7)]
+    configs += [dataclasses.replace(cfg, servo=dataclasses.replace(
+        cfg.servo, sections=sections), raw_items=()) for cfg in configs]
+    w = TWO_PI * np.geomspace(0.3, 3e4, 23)
+    for cfg in configs:
+        m1, m2, cav = cfg.mirror1, cfg.mirror2, cfg.cavity
+        chi1, chi2, k_opt, chi_fb = _loop(cfg, w)
+        denom = 1.0 + cav.zeta1**2 * chi1 * k_opt + cav.zeta2 * chi2 * chi_fb
+        x1 = 1.0 / (m1.mass * chi1)
+        x2 = 1.0 / (m2.mass * chi2)
+        want = m1.mass * m2.mass * x1 * x2 * denom
+        got = [_characteristic_exact(cfg, cfg.servo.g_el, complex(wi)) for wi in w]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_mode_continuity_in_detuning(experiment_config):

@@ -73,11 +73,7 @@ def test_thermal_peak_value(experiment_config):
 def test_freqnoise_zero(experiment_config):
     noise = dataclasses.replace(experiment_config.noise, freq_noise_amp=0.0)
     chi, _ = _lossless_trap_response(experiment_config)
-    w = chi.grid
-    s = freqnoise_spectrum(noise, experiment_config, chi,
-                           mech_susceptibility(experiment_config.mirror1, w),
-                           mech_susceptibility(experiment_config.mirror2, w),
-                           np.zeros_like(w, dtype=complex))
+    s = freqnoise_spectrum(noise, experiment_config.with_gain(0.0), chi)
     assert np.all(s.values == 0.0)
 
 
@@ -89,9 +85,7 @@ def test_freqnoise_flat_without_loop(experiment_config):
     w = grid_hz * TWO_PI
     chi1 = mech_susceptibility(experiment_config.mirror1, w)
     chi_eff = ComplexResponse(grid=w, values=chi1)  # k_opt = chi_fb = 0
-    s = freqnoise_spectrum(noise, experiment_config, chi_eff, chi1,
-                           mech_susceptibility(experiment_config.mirror2, w),
-                           np.zeros_like(w, dtype=complex))
+    s = freqnoise_spectrum(noise, experiment_config.with_gain(0.0), chi_eff)
     expected = noise.sphidot(grid_hz) / experiment_config.cavity.g_pull**2
     np.testing.assert_allclose(s.values, expected, rtol=1e-12)
 
@@ -106,7 +100,7 @@ def test_freqnoise_against_independent_transfer(experiment_config):
     chi1 = mech_susceptibility(cfg.mirror1, w)
     chi2 = mech_susceptibility(cfg.mirror2, w)
     chi_fb = servo_response(cfg.servo, w)
-    s = freqnoise_spectrum(noise, cfg, chi_eff, chi1, chi2, chi_fb)
+    s = freqnoise_spectrum(noise, cfg, chi_eff)
 
     amp = noise.freq_noise_amp
     oracle = (amp / grid_hz) ** 2 * np.abs(
