@@ -103,10 +103,15 @@ def cmd_map(args) -> int:
     smap = stability_map(config, deltas, gels)
     csv_path = out / "map.csv"
     write_map_csv(csv_path, smap, comment=f"stability map for {config.label}")
+    counts = {"cells": int(smap.converged.size),
+              "unconverged": int(np.count_nonzero(~smap.converged)),
+              "ambiguous": int(np.count_nonzero(smap.ambiguous))}
     _write_manifest(out, "map", args, path, [csv_path], None,
                     {"delta_range_hz": [float(d) / TWO_PI for d in deltas],
-                     "gel_range": [float(g) for g in gels]})
-    print(f"map: {smap.deltas.size} x {smap.gels.size} cells -> {csv_path}")
+                     "gel_range": [float(g) for g in gels], **counts})
+    print(f"map: {smap.deltas.size} x {smap.gels.size} cells "
+          f"({counts['unconverged']} unconverged, {counts['ambiguous']} "
+          f"ambiguous) -> {csv_path}")
     return 0
 
 

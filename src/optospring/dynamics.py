@@ -36,9 +36,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import curve_fit
-from scipy.signal import lfilter
 
 from .coherence import heating_rates
 from .errors import (FitError, InstabilityError, InsufficientDataError,
@@ -206,6 +203,8 @@ class PhaseMap:
     def __init__(self, mass: float, omega_sq: float, gamma: float,
                  s_f_thermal: float, ou_corner: float, ou_force_var: float,
                  dt: float):
+        from scipy.linalg import expm
+
         a = np.array([[0.0, 1.0, 0.0],
                       [-omega_sq, -gamma, 1.0 / mass],
                       [0.0, 0.0, -ou_corner]])
@@ -240,6 +239,8 @@ class PhaseMap:
         trajectory's numbers do not depend on the batch (BLAS would not
         guarantee that).
         """
+        from scipy.signal import lfilter
+
         p = self.phi
         x0, v0, f0 = z
         b = x0.shape[0]
@@ -455,6 +456,7 @@ def fit_decoherence_rate(result: EnsembleResult) -> SlopeFit:
 
 def _fit_exponential(t: np.ndarray, n: np.ndarray) -> tuple[float, float, float]:
     """Fit n(t) = n_inf + (n0 - n_inf) exp(-gamma t); returns (n0, n_inf, gamma)."""
+    from scipy.optimize import curve_fit
 
     def model(tt, n0, n_inf, gamma):
         return n_inf + (n0 - n_inf) * np.exp(-gamma * tt)

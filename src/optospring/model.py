@@ -25,13 +25,16 @@ import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from scipy.constants import c as C_LIGHT
-from scipy.constants import hbar as HBAR
-from scipy.constants import k as K_B
-
 from .errors import ConfigParseError, ConsistencyWarning, ValidationError
 
 TWO_PI = 2.0 * math.pi
+
+# Exact SI values (hbar = h/2pi to double precision), equal to
+# scipy.constants c, hbar and k; written out so that importing the toolkit
+# does not load scipy.constants.
+C_LIGHT = 299792458.0            # m/s
+HBAR = 1.0545718176461565e-34    # J*s
+K_B = 1.380649e-23               # J/K
 
 # Fractional finesse/kappa mismatch that triggers a ConsistencyWarning.
 KAPPA_CONSISTENCY_TOL = 0.10

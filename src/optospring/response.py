@@ -198,8 +198,9 @@ def closed_loop_response(config: SystemConfig, omega_grid) -> ComplexResponse:
 # closed-loop poles
 # --------------------------------------------------------------------------
 
-def _characteristic_roots(config: SystemConfig, gel: float) -> np.ndarray:
-    """Roots (in complex omega, exp(+i w t)) of the closed-loop quartic.
+def _characteristic_roots(config: SystemConfig, deltas, gels) -> np.ndarray:
+    """Roots (in complex omega, exp(+i w t)) of the closed-loop quartic at
+    every (detuning, gain) cell, shape (n_delta, n_gel, 4).
 
     The denominator of chi_eff is cleared of both bare susceptibilities and
     the spring is used in its adiabatic first-order form, which turns the
@@ -207,17 +208,57 @@ def _characteristic_roots(config: SystemConfig, gel: float) -> np.ndarray:
 
       m1*m2*X1*X2 + zeta1^2*k0*(1 - i*c1*w)*m2*X2 + i*w*gel*zeta2*m1*X1 = 0,
 
-    with Xj = omega_j^2 - w^2 + i*gamma_j*w.
+    with Xj = omega_j^2 - w^2 + i*gamma_j*w.  The products are np.polymul's
+    convolutions (every leading coefficient is nonzero, so it trims none),
+    and one batched eigvals runs on the companion matrices np.roots builds,
+    so each cell's roots equal np.roots' bit for bit.  The one difference:
+    np.roots strips a zero constant coefficient (only at omega_trap^2 = 0),
+    where the companion keeps a zero eigenvalue, so the roots are the same
+    set in another order.
     """
-    m1, m2, cav = config.mirror1, config.mirror2, config.cavity
-    k0, c1 = adiabatic_spring(cav)
+    m1, m2 = config.mirror1, config.mirror2
     x1 = np.array([-1.0, 1j * m1.gamma0, m1.omega0**2])  # X1 coefficients, w^2..w^0
     x2 = np.array([-1.0, 1j * m2.gamma0, m2.omega0**2])
-    poly = m1.mass * m2.mass * np.polymul(x1, x2)
-    spring = cav.zeta1**2 * k0 * m2.mass * np.polymul([-1j * c1, 1.0], x2)
-    servo = gel * cav.zeta2 * m1.mass * np.polymul([1j, 0.0], x1)
-    poly = np.polyadd(poly, np.polyadd(spring, servo))
-    return np.roots(poly)
+    bare = m1.mass * m2.mass * np.convolve(x1, x2)
+    servo_gain = np.asarray(gels, dtype=float) * config.cavity.zeta2 * m1.mass
+    servo = servo_gain[:, None] * np.convolve([1j, 0.0], x1)
+    coeffs = np.zeros((len(deltas), servo.shape[0], 5), dtype=complex)
+    for i, delta in enumerate(deltas):
+        cav = config.with_detuning(float(delta)).cavity
+        k0, c1 = adiabatic_spring(cav)
+        spring = cav.zeta1**2 * k0 * m2.mass * np.convolve([-1j * c1, 1.0], x2)
+        coeffs[i, :, 1:] = spring + servo
+    coeffs = (bare + coeffs).reshape(-1, 5)  # np.polyadd's zero-padded sum
+    companion = np.zeros((coeffs.shape[0], 4, 4), dtype=complex)
+    companion[:, 1:, :-1] = np.eye(3)
+    companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+    return np.linalg.eigvals(companion).reshape(len(deltas), -1, 4)
+
+
+def _trapped_branch(config: SystemConfig, deltas, gels):
+    """Pick every cell's trapped-branch root from the quartic's roots.
+
+    Each physical mode appears as (w, -conj(w)); of the Re >= 0 copies the
+    root whose frequency is nearest the rigid-trap estimate wins.  Returns
+    (roots, best, first, second, tie): ``first`` and ``second`` are the two
+    nearest candidates, ``tie`` marks cells where both are kept and sit
+    within BRANCH_TOL of each other, and ``best`` is ``first`` or, in a
+    tie, the larger-frequency candidate.
+    """
+    roots = _characteristic_roots(config, deltas, gels)
+    guess = np.array([math.sqrt(max(rigid_trap_omega_sq(
+        config.with_detuning(float(d))), 0.0)) for d in deltas])[:, None, None]
+    keep = roots.real >= -1e-9 * np.maximum(guess, 1.0)
+    keep |= ~keep.any(axis=-1, keepdims=True)
+    dist = np.where(keep, np.abs(np.abs(roots.real) - guess), np.inf)
+    order = np.argsort(dist, axis=-1, kind="stable")
+    nearest = np.take_along_axis(roots, order[..., :2], axis=-1)
+    first, second = nearest[..., 0], nearest[..., 1]
+    a, b = np.abs(first.real), np.abs(second.real)
+    tie = (keep.sum(axis=-1) > 1) & (
+        np.abs(a - b) <= BRANCH_TOL * np.maximum(np.maximum(a, b), 1e-300))
+    best = np.where(tie & (b > a), second, first)
+    return roots, best, first, second, tie
 
 
 def _characteristic_exact(config: SystemConfig, gel: float, w: complex):
@@ -259,6 +300,12 @@ def _polish_root(config: SystemConfig, gel: float, w0: complex) -> tuple[complex
     raise NoConvergenceError("pole polishing did not converge in 60 steps", trace)
 
 
+def _polish_branch(config: SystemConfig, gel: float, best) -> tuple[complex, bool]:
+    """Polish a picked root; also report whether it moved by more than 1%."""
+    polished, _ = _polish_root(config, gel, best)
+    return polished, bool(abs(polished - best) > BRANCH_TOL * max(abs(best), 1e-300))
+
+
 def extract_mode(config: SystemConfig, gel: float | None = None) -> EffectiveMode:
     """Locate the trapped-mode pole and classify overall stability.
 
@@ -267,33 +314,22 @@ def extract_mode(config: SystemConfig, gel: float | None = None) -> EffectiveMod
     1% of each other the larger frequency wins and an AmbiguousBranchWarning
     is emitted.  Quartic roots are polished on the exact rational
     characteristic function; a polish that moves the root by more than 1%
-    also warns.
+    also warns.  This is the one-cell case of ``stability_map``.
     """
     if gel is None:
         gel = config.servo.g_el
-    guess = math.sqrt(max(rigid_trap_omega_sq(config), 0.0))
+    roots, best, first, second, tie = _trapped_branch(
+        config, [config.cavity.detuning], [gel])
+    best = best[0, 0]
+    if tie[0, 0]:
+        a, b = abs(first[0, 0].real), abs(second[0, 0].real)
+        warnings.warn(
+            f"two pole candidates within {BRANCH_TOL:.0%} "
+            f"(|w| = {a:.6g} and {b:.6g} rad/s); picking the larger",
+            AmbiguousBranchWarning, stacklevel=2)
 
-    roots = _characteristic_roots(config, gel)
-    # each physical mode appears as (w, -conj(w)); keep the Re >= 0 copies
-    keep = roots[roots.real >= -1e-9 * max(guess, 1.0)]
-    if keep.size == 0:
-        keep = roots
-    om = np.abs(keep.real)
-    order = np.argsort(np.abs(om - guess))
-    best = keep[order[0]]
-    if order.size > 1:
-        second = keep[order[1]]
-        a, b = abs(best.real), abs(second.real)
-        if abs(a - b) <= BRANCH_TOL * max(a, b, 1e-300):
-            warnings.warn(
-                f"two pole candidates within {BRANCH_TOL:.0%} "
-                f"(|w| = {a:.6g} and {b:.6g} rad/s); picking the larger",
-                AmbiguousBranchWarning, stacklevel=2)
-            if b > a:
-                best = second
-
-    polished, _ = _polish_root(config, gel, best)
-    if abs(polished - best) > BRANCH_TOL * max(abs(best), 1e-300):
+    polished, moved = _polish_branch(config, gel, best)
+    if moved:
         warnings.warn(
             f"polished pole moved by more than {BRANCH_TOL:.0%} "
             f"({best:.6g} -> {polished:.6g})", AmbiguousBranchWarning, stacklevel=2)
@@ -324,37 +360,39 @@ class StabilityMap:
     gamma_eff: np.ndarray     # rad/s
     stable: np.ndarray        # bool
     converged: np.ndarray     # bool; False marks per-cell pole failures
+    ambiguous: np.ndarray     # bool; cells where extract_mode would warn
 
 
 def stability_map(config: SystemConfig, delta_values, gel_values) -> StabilityMap:
     """Evaluate the trapped mode over a detuning x gain grid.
 
-    Failed cells are flagged in ``converged`` and the map is still returned.
+    Failed cells are flagged in ``converged`` and the map is still returned;
+    cells with an AmbiguousBranchWarning's tie or large polish step are
+    flagged in ``ambiguous``.
     """
     deltas = np.atleast_1d(np.asarray(delta_values, dtype=float))
     gels = np.atleast_1d(np.asarray(gel_values, dtype=float))
     if deltas.size == 0 or gels.size == 0:
         raise ValidationError("ranges nonempty", "delta_values/gel_values", None)
+    roots, best, _, _, ambiguous = _trapped_branch(config, deltas, gels)
     shape = (deltas.size, gels.size)
     w = np.full(shape, np.nan)
     g = np.full(shape, np.nan)
-    st = np.zeros(shape, dtype=bool)
     ok = np.zeros(shape, dtype=bool)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AmbiguousBranchWarning)
-        for i, d in enumerate(deltas):
-            cfg = config.with_detuning(float(d))
-            for j, ge in enumerate(gels):
-                try:
-                    mode = extract_mode(cfg, gel=float(ge))
-                except NoConvergenceError:
-                    continue
-                w[i, j] = mode.omega_eff
-                g[i, j] = mode.gamma_eff
-                st[i, j] = mode.stable
-                ok[i, j] = True
+    for i, d in enumerate(deltas):
+        cfg = config.with_detuning(float(d))
+        for j, ge in enumerate(gels):
+            try:
+                polished, moved = _polish_branch(cfg, float(ge), best[i, j])
+            except NoConvergenceError:
+                continue
+            w[i, j] = abs(polished.real)
+            g[i, j] = 2.0 * polished.imag
+            ok[i, j] = True
+            ambiguous[i, j] |= moved
+    st = ok & np.all(roots.imag > 0, axis=-1)
     return StabilityMap(deltas=deltas, gels=gels, omega_eff=w, gamma_eff=g,
-                        stable=st, converged=ok)
+                        stable=st, converged=ok, ambiguous=ambiguous)
 
 
 # --------------------------------------------------------------------------

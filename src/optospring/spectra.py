@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import curve_fit
-from scipy.signal import welch as _scipy_welch
 
 from .errors import (FitError, InstabilityError, InsufficientDataError,
                      SingularResponseError, SpectrumBandError, ValidationError)
@@ -160,6 +158,8 @@ def voltage_to_displacement(s_v: Spectrum, config: SystemConfig,
 def welch_psd(series, dt: float, segment_length: int | None = None,
               overlap: int | None = None, kind: str = "displacement") -> Spectrum:
     """One-sided Welch estimate (Hann window, mean removed per segment)."""
+    from scipy.signal import welch
+
     x = np.asarray(series, dtype=float)
     if segment_length is None:
         segment_length = max(256, x.size // 8)
@@ -170,8 +170,8 @@ def welch_psd(series, dt: float, segment_length: int | None = None,
         overlap = segment_length // 2
     unit = {"displacement": "m^2/Hz", "voltage": "V^2/Hz",
             "frequency-noise": "Hz^2/Hz"}[kind]
-    f, p = _scipy_welch(x, fs=1.0 / dt, window="hann", nperseg=segment_length,
-                        noverlap=overlap, detrend="constant")
+    f, p = welch(x, fs=1.0 / dt, window="hann", nperseg=segment_length,
+                 noverlap=overlap, detrend="constant")
     # drop the DC bin so the grid stays strictly positive / log-plottable
     return Spectrum(grid=f[1:], values=p[1:], kind=kind, unit=unit)
 
@@ -188,6 +188,8 @@ def fit_peak_width(spectrum: Spectrum, f_guess: float, width_guess: float
     structure (the heavy-mirror line the servo imprints at low frequency,
     the trap-noise shoulder) cannot capture the fit of a broad peak.
     """
+    from scipy.optimize import curve_fit
+
     f, s = spectrum.grid, spectrum.values
     sel = (np.abs(f - f_guess) <= 8.0 * width_guess) \
         & (f >= 0.5 * f_guess) & (f <= 2.0 * f_guess)

@@ -60,6 +60,18 @@ def test_map_default_ranges(tmp_path):
         assert float(r["gamma_eff_Hz"]) == pytest.approx(1e-6, rel=1e-3)
 
 
+def test_map_reports_cell_counts(tmp_path, capsys):
+    """The manifest and the summary line count cells, unconverged cells and
+    cells with an ambiguous trapped branch."""
+    out = tmp_path / "auto"
+    assert main(["map", "--config", "ideal", "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["cells"], manifest["unconverged"],
+            manifest["ambiguous"]) == (117, 0, 9)
+    assert capsys.readouterr().out == (
+        f"map: 13 x 9 cells (0 unconverged, 9 ambiguous) -> {out / 'map.csv'}\n")
+
+
 def test_map_empty_range_is_usage_error(tmp_path):
     rc = main(["map", "--config", "ideal", "--delta-range", "1:2:0",
                "--out-dir", str(tmp_path)])

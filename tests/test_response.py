@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from optospring.errors import (AmbiguousBranchWarning, SingularResponseError,
                                ValidationError)
 from optospring.model import (HBAR, TWO_PI, FilterSection, MirrorParams,
                               ServoParams, intracavity_photons)
+from optospring.cli import _auto_delta_range, _auto_gel_range
 from optospring.response import (ComplexResponse, _characteristic_exact,
-                                 _loop, adiabatic_spring,
+                                 _characteristic_roots, _loop, adiabatic_spring,
                                  cancellation_gain, closed_loop_response,
                                  effective_susceptibility, extract_mode,
                                  feedback_from_open_loop, mech_susceptibility,
@@ -430,6 +432,82 @@ def test_single_cell_map_matches_extract_mode(ideal_config):
     assert smap.omega_eff[0, 0] == mode.omega_eff
     assert smap.gamma_eff[0, 0] == mode.gamma_eff
     assert bool(smap.stable[0, 0]) == mode.stable
+
+
+def _np_roots_per_cell(config, gel):
+    """The quartic's roots from np.roots on per-cell polymul/polyadd
+    coefficients, the construction the batched solver replaces."""
+    m1, m2, cav = config.mirror1, config.mirror2, config.cavity
+    k0, c1 = adiabatic_spring(cav)
+    x1 = np.array([-1.0, 1j * m1.gamma0, m1.omega0**2])
+    x2 = np.array([-1.0, 1j * m2.gamma0, m2.omega0**2])
+    poly = m1.mass * m2.mass * np.polymul(x1, x2)
+    spring = cav.zeta1**2 * k0 * m2.mass * np.polymul([-1j * c1, 1.0], x2)
+    servo = gel * cav.zeta2 * m1.mass * np.polymul([1j, 0.0], x1)
+    return np.roots(np.polyadd(poly, np.polyadd(spring, servo)))
+
+
+def _assert_roots_bitwise(config, deltas, gels):
+    roots = _characteristic_roots(config, deltas, gels)
+    assert roots.shape == (len(deltas), len(gels), 4)
+    for i, d in enumerate(deltas):
+        cfg = config.with_detuning(float(d))
+        for j, g in enumerate(gels):
+            np.testing.assert_array_equal(roots[i, j],
+                                          _np_roots_per_cell(cfg, float(g)))
+
+
+def test_batched_roots_equal_np_roots_bitwise(experiment_config, ideal_config):
+    """One batched eigvals on the companion matrices gives each cell's
+    np.roots result bit for bit (array_equal, no tolerance)."""
+    for cfg in (experiment_config, ideal_config):
+        kappa = cfg.cavity.kappa
+        _assert_roots_bitwise(cfg, [cfg.cavity.detuning], [cfg.servo.g_el])
+        _assert_roots_bitwise(cfg, [0.0, 0.5 * kappa], [0.0, cfg.servo.g_el])
+    bench_deltas = TWO_PI * np.linspace(0.0, 1.7e6, 120)
+    bench_gels = np.linspace(0.0, 1.5, 100)
+    _assert_roots_bitwise(experiment_config, bench_deltas[40:47], bench_gels[60:65])
+    rng = np.random.default_rng(20240607)
+    for cfg in (experiment_config, ideal_config):
+        g_max = 2.0 * _auto_gel_range(cfg)[-1]
+        for _ in range(25):
+            _assert_roots_bitwise(cfg, [rng.uniform(0.0, 3.0 * cfg.cavity.kappa)],
+                                  [rng.uniform(0.0, g_max)])
+
+
+def _warned_cells(config, deltas, gels):
+    warned = np.zeros((len(deltas), len(gels)), dtype=bool)
+    for i, d in enumerate(deltas):
+        for j, g in enumerate(gels):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                extract_mode(config.with_detuning(float(d)), gel=float(g))
+            warned[i, j] = any(issubclass(w.category, AmbiguousBranchWarning)
+                               for w in caught)
+    return warned
+
+
+def test_map_ambiguous_cells_match_extract_mode_warnings(experiment_config,
+                                                         ideal_config):
+    """``ambiguous`` flags exactly the cells where extract_mode warns: ties
+    of two candidates (the ideal preset's auto grid) and polish steps over
+    1% (a gain section the quartic seed does not know)."""
+    deltas = TWO_PI * _auto_delta_range(ideal_config)
+    gels = _auto_gel_range(ideal_config)
+    smap = stability_map(ideal_config, deltas, gels)
+    np.testing.assert_array_equal(smap.ambiguous,
+                                  _warned_cells(ideal_config, deltas, gels))
+    assert smap.converged.all()
+    assert int(smap.ambiguous.sum()) == 9
+    cfg = dataclasses.replace(experiment_config, servo=dataclasses.replace(
+        experiment_config.servo, sections=(FilterSection("gain", 10.0),)),
+        raw_items=())
+    deltas = np.linspace(0.1, 3.0, 6) * cfg.cavity.kappa
+    gels = np.linspace(0.0, 1.5, 8)
+    smap = stability_map(cfg, deltas, gels)
+    warned = _warned_cells(cfg, deltas, gels)
+    np.testing.assert_array_equal(smap.ambiguous, warned)
+    assert 0 < warned.sum() < warned.size
 
 
 def test_map_requires_nonempty_ranges(ideal_config):
