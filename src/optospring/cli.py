@@ -204,6 +204,23 @@ def _plan_from_args(args) -> SimPlan:
                    record_stride=args.record_stride)
 
 
+def _plan_record(plan: SimPlan, omega_ref: float | None) -> dict:
+    """The plan as run, for the manifest: the resolved dt and the kernel
+    step record_stride*dt (None where the reduced model, and with it the
+    servo-off trap frequency, could not be built)."""
+    dt = None if omega_ref is None else plan.resolve_dt(omega_ref)
+    return {"duration": plan.duration, "n_trajectories": plan.n_trajectories,
+            "record_stride": plan.record_stride, "dt": dt,
+            "kernel_step": None if dt is None else plan.record_stride * dt}
+
+
+def _omega_ref_or_none(config) -> float | None:
+    try:
+        return reduced_model(config, config.noise).omega_ref
+    except OptospringError:
+        return None
+
+
 def cmd_retherm(args) -> int:
     config, path = _load(args)
     out = _out_dir(args)
@@ -229,10 +246,7 @@ def cmd_retherm(args) -> int:
     }, indent=2, sort_keys=True) + "\n")
     _write_manifest(out, "retherm", args, path, [csv_path, fit_path],
                     plan.master_seed,
-                    {"plan": {"duration": plan.duration,
-                              "n_trajectories": plan.n_trajectories,
-                              "dt": plan.dt,
-                              "record_stride": plan.record_stride}})
+                    {"plan": _plan_record(plan, result.omega_ref)})
     print(f"retherm: rate = {result.fitted_rate:.4g} +- "
           f"{result.fitted_rate_err:.2g} /s (predicted {total_pred:.4g}) "
           f"-> {csv_path}")
@@ -249,7 +263,9 @@ def cmd_scan(args) -> int:
     write_scan_csv(csv_path, rows, comment=f"detuning scan, {config.label}, "
                    f"seed {plan.master_seed}")
     _write_manifest(out, "scan", args, path, [csv_path], plan.master_seed,
-                    {"deltas_hz": [float(d) / TWO_PI for d in deltas]})
+                    {"deltas_hz": [float(d) / TWO_PI for d in deltas],
+                     "plans": [_plan_record(plan, _omega_ref_or_none(
+                         config.with_detuning(float(d)))) for d in deltas]})
     n_fail = sum(1 for r in rows if not r.ok)
     print(f"scan: {len(rows)} detunings ({n_fail} failed) -> {csv_path}")
     if n_fail:

@@ -16,18 +16,25 @@ its one-sided PSD matches 4*m1^2*omega_ref^4*S_phidot(f)/g^2 around the
 trapped resonance.
 
 Within each servo phase the system (x, v, F_trap) is a linear SDE with
-constant coefficients, so each step applies the exact one-step Gaussian map
+constant coefficients, so the exact Gaussian map over any interval
 (transition matrix and process-noise covariance from the Van Loan block
-exponential).  That makes the integrator unconditionally stable, exactly
-energy-conserving in the noise-free limit, and exact for the stationary
-statistics at any step size; dt only sets the sampling resolution.
+exponential) advances it.  That makes the integrator unconditionally
+stable, exactly energy-conserving in the noise-free limit, and exact for
+the stationary statistics at any step size; dt only sets the sampling
+resolution.
 
-Within a phase the map is a linear filter, so ``PhaseMap.run`` advances all
-trajectories by a whole chunk of steps per call (``scipy.signal.lfilter``).
-Every trajectory draws from its own counter-based RNG stream derived from
-(master_seed, trajectory index), three normals per step in step order, and
-chunks end at phase ends or at multiples of DRAW_BLOCK steps of the run, so
-results are bit-identical no matter how trajectories are batched.
+Each kernel step spans one recorded interval, ``record_stride`` steps of
+dt: it applies Phi^s and projects the 3s normals those s steps would draw
+(three per step of dt, in step order), so a run at any stride is the same
+realisation as at stride 1, sampled every s-th state, up to rounding.  A
+phase is R - 1 such strides, R = ceil(steps/s), then one remainder step to
+the phase end.  Within a phase the map is a linear filter, so
+``PhaseMap.run`` advances all trajectories by up to DRAW_BLOCK // s strides
+per call (``scipy.signal.lfilter``), whose normals fill a (B, 3*DRAW_BLOCK)
+buffer at most.  Every trajectory draws from its own counter-based RNG
+stream derived from (master_seed, trajectory index), and chunk edges depend
+only on the plan, so results are bit-identical no matter how trajectories
+are batched.
 """
 
 from __future__ import annotations
@@ -47,8 +54,8 @@ from .tables import write_table
 
 TWO_PI = 2.0 * math.pi
 
-# Longest chunk of steps per kernel call; chunk edges sit at multiples of it
-# (counted over the whole run), never at a batch-dependent step.
+# Steps of dt per kernel call at most (DRAW_BLOCK // record_stride whole
+# strides); chunks are counted from each phase start, never from the batch.
 DRAW_BLOCK = 1024
 
 # Trap-noise shaping-filter corner sits this far below the trapped resonance
@@ -65,7 +72,8 @@ class SimPlan:
     """Monte Carlo protocol: step size, duration, ensemble size, seeding.
 
     ``duration`` counts from the first cooling switch-off and must cover at
-    least one full switch period.  ``dt=None`` resolves to 1/(200*f_eff).
+    least one full switch period.  ``dt=None`` resolves to 1/(200*f_ref)
+    (``resolve_dt``), f_ref the servo-off trapped frequency.
     ``initial_state`` (x0, v0) skips the cooled burn-in; otherwise each
     trajectory equilibrates for ``burn_in`` seconds (default: 10 times the
     slower of the cooled damping time and the trap-noise filter correlation
@@ -97,6 +105,10 @@ class SimPlan:
                 math.isfinite(c) for c in self.initial_state):
             raise ValidationError("initial_state finite",
                                   "initial_state", self.initial_state)
+
+    def resolve_dt(self, omega_ref: float) -> float:
+        """The step size: ``dt``, or 1/(200*f_ref) when it is None."""
+        return self.dt if self.dt is not None else 1.0 / (200.0 * omega_ref / TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -136,7 +148,7 @@ class ScanRow:
 
 
 # --------------------------------------------------------------------------
-# reduced model coefficients and the exact one-step map
+# reduced model coefficients and the exact phase map
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -194,15 +206,20 @@ def reduced_model(config: SystemConfig, noise: NoiseEnv) -> ReducedModel:
 
 
 class PhaseMap:
-    """Exact one-step Gaussian map z -> Phi z + C xi for one servo phase.
+    """Exact Gaussian map z -> Phi z + C xi over ``substeps`` steps of dt of
+    one servo phase.
 
-    State z = (x, v, F_trap).  Phi = expm(A dt); the step-noise covariance
-    comes from the Van Loan block exponential and is factored once.
+    State z = (x, v, F_trap).  One step has Phi1 = expm(A dt) and a
+    step-noise covariance from the Van Loan block exponential, factored once
+    as N.  Over s substeps Phi = Phi1^s, and the 3s normals those steps
+    would draw, in step order, enter through the (3, 3s) projection
+    C = [Phi1^(s-1) N, ..., Phi1 N, N].  One step of the map therefore gives
+    the state that s single steps on the same normals give, up to rounding.
     """
 
     def __init__(self, mass: float, omega_sq: float, gamma: float,
                  s_f_thermal: float, ou_corner: float, ou_force_var: float,
-                 dt: float):
+                 dt: float, substeps: int = 1):
         from scipy.linalg import expm
 
         a = np.array([[0.0, 1.0, 0.0],
@@ -216,28 +233,36 @@ class PhaseMap:
         block[:3, 3:] = lmat @ lmat.T
         block[3:, 3:] = -a.T
         eb = expm(block * dt)
-        self.phi = eb[:3, :3]
-        sigma = eb[:3, 3:] @ self.phi.T
+        phi1 = eb[:3, :3]
+        sigma = eb[:3, 3:] @ phi1.T
         sigma = 0.5 * (sigma + sigma.T)
+        # powers[k] = Phi1^k for k = 0..substeps
+        powers = [np.eye(3)]
+        for _ in range(substeps):
+            powers.append(phi1 @ powers[-1])
+        self.phi = powers[substeps]
         if s_th == 0.0 and s_ou == 0.0:
             self.noise = None
         else:
             evals, evecs = np.linalg.eigh(sigma)
-            self.noise = evecs * np.sqrt(np.clip(evals, 0.0, None))
+            n1 = evecs * np.sqrt(np.clip(evals, 0.0, None))
+            self.noise = np.hstack([powers[k] @ n1
+                                    for k in range(substeps - 1, -1, -1)])
         self.dt = dt
 
     def run(self, z: tuple, steps: int, xi: np.ndarray | None = None) -> tuple:
-        """Advance a state (x, v, F) of (B,) arrays by ``steps`` steps.
+        """Advance a state (x, v, F) of (B,) arrays by ``steps`` steps of
+        the map (each one of ``substeps`` steps of dt).
 
-        ``xi`` holds the (B, steps, 3) standard normals of the steps (None
-        without noise).  Returns (B, steps) arrays of x, v and F after each
-        step.  The force row of A is (0, 0, -ou_corner), so F is a
-        first-order recursion; (x, v) is a second-order section with
+        ``xi`` holds the (B, steps, 3*substeps) standard normals of the
+        steps (None without noise).  Returns (B, steps) arrays of x, v and
+        F after each step.  The force row of Phi is (0, 0, Phi[2, 2]), so F
+        is a first-order recursion; (x, v) is a second-order section with
         denominator [1, -tr, det] of Phi[:2, :2], driven by Phi[:2, 2]*F
-        plus the noise.  Every operation is elementwise with a fixed
-        association order, and lfilter runs each row on its own, so a
-        trajectory's numbers do not depend on the batch (BLAS would not
-        guarantee that).
+        plus the noise.  The noise projection is one einsum (its own loops,
+        no BLAS) and every other operation is elementwise with a fixed
+        association order; lfilter runs each row on its own, so a
+        trajectory's numbers do not depend on the batch.
         """
         from scipy.signal import lfilter
 
@@ -245,11 +270,9 @@ class PhaseMap:
         x0, v0, f0 = z
         b = x0.shape[0]
         if self.noise is not None and xi is not None:
-            n = self.noise
-            e0, e1, e2 = xi[..., 0], xi[..., 1], xi[..., 2]
-            w = [n[i, 0] * e0 + n[i, 1] * e1 + n[i, 2] * e2 for i in range(3)]
+            w = np.einsum("ij,bkj->ibk", self.noise, xi)
         else:
-            w = [np.zeros((b, steps))] * 3
+            w = np.zeros((3, b, steps))
         f = lfilter([1.0], [1.0, -p[2, 2]], w[2], zi=(p[2, 2] * f0)[:, None])[0]
         f_before = np.empty((b, steps))
         f_before[:, 0], f_before[:, 1:] = f0, f[:, :-1]
@@ -313,7 +336,7 @@ def _run_batch(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
     (single-trajectory use).
     """
     model = reduced_model(config, noise)
-    dt = plan.dt if plan.dt is not None else 1.0 / (200.0 * model.omega_ref / TWO_PI)
+    dt = plan.resolve_dt(model.omega_ref)
     if dt * model.omega_ref >= 0.1:
         raise ValidationError("dt * omega_eff < 0.1", "dt", dt)
     steps_half = _phase_steps(config, dt)
@@ -325,13 +348,24 @@ def _run_batch(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
 
     b = len(indices)
     z, burn_steps = _initial_state(plan, model, dt, b)
+    stride = plan.record_stride
     common = dict(mass=model.mass, omega_sq=model.omega_trap_sq,
                   s_f_thermal=model.s_f_thermal, ou_corner=model.ou_corner,
                   ou_force_var=model.ou_force_var, dt=dt)
-    map_on = PhaseMap(gamma=model.gamma_on, **common)
-    map_off = PhaseMap(gamma=model.gamma_off, **common)
+    maps = {}
+
+    def phase_map(gamma, substeps):
+        if (gamma, substeps) not in maps:
+            maps[gamma, substeps] = PhaseMap(gamma=gamma, substeps=substeps,
+                                             **common)
+        return maps[gamma, substeps]
+
     gens = _trajectory_generators(plan.master_seed, indices)
-    xi_buf = np.empty((b, DRAW_BLOCK, 3)) if map_on.noise is not None else None
+    # whole strides per kernel call; their normals fill at most
+    # 3*DRAW_BLOCK of each trajectory's draw buffer
+    per_chunk = max(1, DRAW_BLOCK // stride)
+    xi_buf = (np.empty((b, 3 * per_chunk * stride))
+              if phase_map(model.gamma_on, stride).noise is not None else None)
 
     # runaway guard scale: thermal RMS of the trapped mode at the bath
     # temperature, with the zero-point amplitude as a floor for cold runs
@@ -356,7 +390,6 @@ def _run_batch(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
         e = 0.5 * model.mass * (v ** 2 + model.omega_trap_sq * x ** 2)
         return e / (HBAR * model.omega_ref) - 0.5
 
-    stride = plan.record_stride
     n_rec = (steps_half + stride - 1) // stride
     time_off = dt * stride * np.arange(n_rec)
     n_off = np.empty((b, n_periods, n_rec))
@@ -365,53 +398,58 @@ def _run_batch(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
     n_full = n_rec * (2 * n_periods - 1) if record_full else 0
     full_t, full_x, full_v = np.empty(n_full), np.empty(n_full), np.empty(n_full)
     filled = 0
-    done = 0  # steps run so far, burn-in included
 
-    def run_phase(z, pmap, steps, label, t0=None, n_out=None):
-        """Advance ``steps`` steps of one servo phase in chunks that end at
-        the phase end or at a multiple of DRAW_BLOCK steps of the whole
-        run, so chunk edges never depend on the batch.  Every stride steps
-        the state before the step goes to ``n_out`` (B, R) as a phonon
-        number, and, when the timeline is recorded, to it at time
-        t0 + k*dt.  The runaway guard checks every state."""
-        nonlocal filled, done
-        k = 0
-        while k < steps:
-            n = min(steps - k, DRAW_BLOCK - done % DRAW_BLOCK)
+    def run_phase(z, gamma, steps, label, t0=None, n_out=None):
+        """Advance ``steps`` >= 1 steps of dt of one servo phase: R - 1
+        whole strides, R = ceil(steps / stride), in kernel calls of at most
+        ``per_chunk`` strides, then one remainder step to the phase end.
+        Chunk edges depend on the plan only, never on the batch.  The state
+        before each stride (record r at step r*stride) goes to ``n_out``
+        (B, R) as a phonon number and, when the timeline is recorded, to it
+        at time t0 + r*stride*dt.  The runaway guard checks every state."""
+        rec = -(-steps // stride)
+        chunks = [(stride, min(per_chunk, rec - 1 - j))
+                  for j in range(0, rec - 1, per_chunk)]
+        chunks.append((steps - (rec - 1) * stride, 1))
+
+        def record(r, x, v):
+            # x, v: (B, m) states of records r .. r + m - 1
+            nonlocal filled
+            m = x.shape[1]
+            if n_out is not None:
+                n_out[:, r:r + m] = phonon(x, v)
+            if record_full and t0 is not None:
+                full_t[filled:filled + m] = t0 + stride * np.arange(r, r + m) * dt
+                full_x[filled:filled + m], full_v[filled:filled + m] = x[0], v[0]
+                filled += m
+
+        record(0, z[0][:, None], z[1][:, None])
+        r = 0  # map steps run so far
+        for sub, n in chunks:
             xi = None
             if xi_buf is not None:
-                xi = xi_buf[:, :n]
-                for g, rows in zip(gens, xi):
-                    g.standard_normal(out=rows)
-            x, v, f = pmap.run(z, n, xi)
+                draws = xi_buf[:, :3 * sub * n]
+                for g, row in zip(gens, draws):
+                    g.standard_normal(out=row)
+                xi = draws.reshape(b, n, 3 * sub)
+            x, v, f = phase_map(gamma, sub).run(z, n, xi)
             check_blowup(x, label)
-            cols = np.arange((-k) % stride, n, stride)  # chunk steps to record
-            if cols.size:
-                # state before step c: the chunk start for c = 0, else the
-                # state after step c - 1
-                xb, vb = x[:, cols - 1], v[:, cols - 1]
-                if cols[0] == 0:
-                    xb[:, 0], vb[:, 0] = z[0], z[1]
-                if n_out is not None:
-                    r = (k + cols[0]) // stride
-                    n_out[:, r:r + cols.size] = phonon(xb, vb)
-                if record_full and t0 is not None:
-                    m = filled + cols.size
-                    full_t[filled:m] = t0 + (k + cols) * dt
-                    full_x[filled:m], full_v[filled:m] = xb[0], vb[0]
-                    filled = m
+            m = min(n, rec - 1 - r)  # states after these steps that are records
+            if m > 0:
+                record(r + 1, x[:, :m], v[:, :m])
             z = (x[:, -1], v[:, -1], f[:, -1])
-            k += n
-            done += n
+            r += n
         return z
 
-    z = run_phase(z, map_on, burn_steps, "burn-in")
+    if burn_steps:
+        z = run_phase(z, model.gamma_on, burn_steps, "burn-in")
     t0 = 0.0
     for p in range(n_periods):
-        z = run_phase(z, map_off, steps_half, "relaxation", t0, n_off[:, p])
+        z = run_phase(z, model.gamma_off, steps_half, "relaxation", t0,
+                      n_off[:, p])
         t0 += steps_half * dt
         if p < n_periods - 1:
-            z = run_phase(z, map_on, steps_half, "re-cooling", t0)
+            z = run_phase(z, model.gamma_on, steps_half, "re-cooling", t0)
             t0 += steps_half * dt
 
     full = (full_t, full_x, full_v, phonon(full_x, full_v)) if record_full else None

@@ -4,11 +4,13 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from optospring.cli import main
-from optospring.model import TWO_PI, resolve_config_path
+from optospring.dynamics import reduced_model
+from optospring.model import TWO_PI, load_config, resolve_config_path
 from optospring.response import extract_mode
 
 
@@ -202,6 +204,34 @@ def test_manifest_reproduces_outputs(tmp_path):
     assert main(argv) == 0
     assert (out1 / "retherm_mean_n.csv").read_bytes() == \
         (tmp_path / "r2" / "retherm_mean_n.csv").read_bytes()
+
+
+def test_manifest_records_resolved_step(tmp_path):
+    """With --dt left at its default, the retherm and scan manifests record
+    the step that ran, 1/(200*f_ref), and the kernel step record_stride*dt."""
+    out = tmp_path / "r"
+    assert main(["retherm", "--config", "experiment", "--n-trajectories", "1",
+                 "--seed", "3", "--out-dir", str(out)]) == 0
+    plan = json.loads((out / "manifest.json").read_text())["plan"]
+    f_ref = json.loads((out / "retherm_fit.json").read_text())["f_ref_Hz"]
+    assert plan["record_stride"] == 10
+    assert plan["dt"] == pytest.approx(1.0 / (200.0 * f_ref), rel=1e-12)
+    assert plan["kernel_step"] == pytest.approx(10 * plan["dt"], rel=1e-15)
+
+    out = tmp_path / "s"
+    assert main(["scan", "--config", "experiment", "--deltas", "7e5:1.1e6:2",
+                 "--n-trajectories", "1", "--record-stride", "4",
+                 "--out-dir", str(out)]) == 0
+    plans = json.loads((out / "manifest.json").read_text())["plans"]
+    assert len(plans) == 2
+    config = load_config("experiment")
+    for p, delta in zip(plans, np.linspace(7e5, 1.1e6, 2) * TWO_PI):
+        cfg = config.with_detuning(float(delta))
+        omega_ref = reduced_model(cfg, cfg.noise).omega_ref
+        assert p["dt"] == pytest.approx(1.0 / (200.0 * omega_ref / TWO_PI),
+                                        rel=1e-12)
+        assert p["kernel_step"] == pytest.approx(4 * p["dt"], rel=1e-15)
+    assert plans[0]["dt"] != plans[1]["dt"]
 
 
 def test_scan_writes_rows(tmp_path):

@@ -65,23 +65,30 @@ def _phase_map(model, dt, **overrides):
     return PhaseMap(**args)
 
 
-@pytest.mark.parametrize("b", [1, 5])
-@pytest.mark.parametrize("regime", ["on", "off", "critical", "overdamped",
-                                    "undamped-quiet", "ou-only"])
-def test_kernel_matches_step_by_step_map(experiment_config, regime, b):
-    """PhaseMap.run against the plain matrix recursion, over a phase that is
-    not a whole number of chunks, from a nonzero start."""
-    model = reduced_model(experiment_config, experiment_config.noise)
+REGIMES = ["on", "off", "critical", "overdamped", "undamped-quiet", "ou-only"]
+
+
+def _regime_overrides(model, regime):
     omega = model.omega_ref
-    dt = 1.0 / (200.0 * omega / TWO_PI)
-    pm = _phase_map(model, dt, **{
+    return {
         "on": dict(gamma=model.gamma_on),
         "off": {},
         "critical": dict(gamma=2.0 * omega),
         "overdamped": dict(gamma=4.0 * omega),
         "undamped-quiet": dict(gamma=0.0, s_f_thermal=0.0, ou_force_var=0.0),
         "ou-only": dict(s_f_thermal=0.0),
-    }[regime])
+    }[regime]
+
+
+@pytest.mark.parametrize("b", [1, 5])
+@pytest.mark.parametrize("regime", REGIMES)
+def test_kernel_matches_step_by_step_map(experiment_config, regime, b):
+    """PhaseMap.run against the plain matrix recursion, over a phase that is
+    not a whole number of chunks, from a nonzero start."""
+    model = reduced_model(experiment_config, experiment_config.noise)
+    omega = model.omega_ref
+    dt = 1.0 / (200.0 * omega / TWO_PI)
+    pm = _phase_map(model, dt, **_regime_overrides(model, regime))
     if regime == "on":
         assert omega / model.gamma_on == pytest.approx(1.1, abs=0.1)
     if regime == "off":
@@ -97,6 +104,53 @@ def test_kernel_matches_step_by_step_map(experiment_config, regime, b):
     for g, w in zip(got, want):
         assert g.shape == (b, steps)
         assert np.max(np.abs(g - w)) <= 1e-9 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("substeps", [10, 4])
+@pytest.mark.parametrize("b", [1, 5])
+@pytest.mark.parametrize("regime", REGIMES)
+def test_strided_map_matches_fine_steps(experiment_config, regime, b, substeps):
+    """A map over ``substeps`` steps of dt, fed the normals of those steps in
+    step order, lands on every substeps-th state of the one-step oracle."""
+    model = reduced_model(experiment_config, experiment_config.noise)
+    omega = model.omega_ref
+    dt = 1.0 / (200.0 * omega / TWO_PI)
+    overrides = _regime_overrides(model, regime)
+    fine = _phase_map(model, dt, **overrides)
+    whole = _phase_map(model, dt, substeps=substeps, **overrides)
+    rng = np.random.Generator(np.random.Philox(12))
+    x_rms = math.sqrt(K_B * 300.0 / (model.mass * model.omega_trap_sq))
+    scales = (x_rms, omega * x_rms, math.sqrt(model.ou_force_var))
+    z0 = tuple(s * rng.standard_normal(b) for s in scales)
+    strides = 2 * (dynamics.DRAW_BLOCK // substeps) + 43
+    xi = rng.standard_normal((b, strides * substeps, 3))
+    got = _kernel_states(whole, z0, strides,
+                         xi.reshape(b, strides, 3 * substeps),
+                         chunk=dynamics.DRAW_BLOCK // substeps)
+    want = _reference_states(fine, z0, strides * substeps, xi)
+    want = want[..., substeps - 1::substeps]
+    for g, w in zip(got, want):
+        assert g.shape == (b, strides)
+        assert np.max(np.abs(g - w)) <= 1e-9 * np.max(np.abs(w))
+
+
+def test_record_stride_keeps_the_realisation(experiment_config):
+    """Same seed, same normals: the run at record_stride=10 is the stride-1
+    run sampled every 10th state, burn-in and phase switches included."""
+    from optospring.dynamics import _run_batch
+
+    servo = dataclasses.replace(experiment_config.servo, switch_frequency=20.0)
+    cfg = dataclasses.replace(experiment_config, servo=servo, raw_items=())
+    runs = {}
+    for stride in (1, 10):
+        plan = SimPlan(duration=0.1, n_trajectories=4, master_seed=9,
+                       record_stride=stride)
+        runs[stride] = _run_batch(cfg, cfg.noise, plan, list(range(4)))
+    t1, n1, _, _ = runs[1]
+    t10, n10, _, _ = runs[10]
+    assert n10.shape == (4, 2, t10.size)
+    np.testing.assert_allclose(t10, t1[::10], rtol=1e-12)
+    np.testing.assert_allclose(n10, n1[..., ::10], rtol=1e-9)
 
 
 @pytest.mark.parametrize("stride", [1, 7])
@@ -155,6 +209,36 @@ def test_ringdown_matches_pole_damping(experiment_config, cold_noise):
     predicted = (n[0] + 0.5) * np.exp(-mode.gamma_eff * t[sel]) - 0.5
     rel = np.abs(n[sel] - predicted) / (predicted + 0.5)
     assert np.max(rel) < 1e-2
+
+
+def test_cold_ringdown_matches_exact_solution(experiment_config, cold_noise):
+    """Noise-free ringdown at the default record_stride=10 through the first
+    off phase against the damped cosine x0*exp(-g t/2)*(cos(wd t) +
+    g/(2 wd)*sin(wd t)), evaluated in 40-digit arithmetic at the recorded
+    steps, to 1e-12 of x0.  Only rounding separates them, so this gates the
+    phase drift of the kernel's section when its trace is near 2."""
+    mpmath = pytest.importorskip("mpmath")
+    x0 = 1e-9
+    plan = SimPlan(duration=1.0, n_trajectories=1, master_seed=1,
+                   initial_state=(x0, 0.0))
+    assert plan.record_stride == 10
+    t, x, _, _ = simulate_trajectory(experiment_config, cold_noise, plan, 0)
+    model = reduced_model(experiment_config, cold_noise)
+    dt = plan.resolve_dt(model.omega_ref)
+    half = dynamics._phase_steps(experiment_config, dt)
+    steps = np.arange(0, half, plan.record_stride)
+    assert t.size == steps.size  # one period: the record is the off phase
+
+    with mpmath.workdps(40):
+        g = mpmath.mpf(model.gamma_off)
+        wd = mpmath.sqrt(mpmath.mpf(model.omega_trap_sq) - g**2 / 4)
+        exact = np.empty(steps.size)
+        for i, k in enumerate(steps):
+            tk = int(k) * mpmath.mpf(dt)
+            exact[i] = float(x0 * mpmath.exp(-g * tk / 2)
+                             * (mpmath.cos(wd * tk)
+                                + g / (2 * wd) * mpmath.sin(wd * tk)))
+    assert np.max(np.abs(x - exact)) <= 1e-12 * x0
 
 
 def test_stationary_occupancy_matches_fluctuation_dissipation(experiment_config,
