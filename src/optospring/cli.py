@@ -133,10 +133,9 @@ def cmd_spectrum(args) -> int:
     config, path = _load(args)
     out = _out_dir(args)
     noise = config.noise
-    if args.noise_model == "off":
-        noise = dataclasses.replace(noise, freq_noise_amp=0.0)
-    if args.noise_amp is not None:
-        noise = dataclasses.replace(noise, freq_noise_amp=args.noise_amp)
+    if args.noise_amp is not None:  # the 1/f model replaces any noise table
+        noise = dataclasses.replace(noise, freq_noise_amp=args.noise_amp,
+                                    freq_noise_table=None)
     if args.temperature is not None:
         noise = dataclasses.replace(noise, temperature=args.temperature)
     config = dataclasses.replace(config, noise=noise, raw_items=())
@@ -339,10 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_spec)
     p_spec.add_argument("--temperature", type=float, default=None,
                         help="bath temperature override, K")
-    p_spec.add_argument("--noise-model", choices=("one-over-f", "off"),
-                        default="one-over-f")
     p_spec.add_argument("--noise-amp", type=float, default=None,
-                        help="override the 1/f amplitude, Hz^2/sqrt(Hz)")
+                        help="1/f amplitude, Hz^2/sqrt(Hz); replaces the "
+                             "config's amplitude and noise table")
     p_spec.add_argument("--calibrate-then-invert", action="store_true",
                         help="report the voltage-calibration round-trip error")
     p_spec.set_defaults(func=cmd_spectrum)
@@ -372,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check",
                              help="coherence condition and 1/n_osc budget")
     p_check.add_argument("--config", default=None)
-    p_check.add_argument("--out-dir", default="runs")
     p_check.add_argument("--m1-mg", type=float, default=None, dest="m1_mg")
     p_check.add_argument("--f-eff-hz", type=float, default=None, dest="f_eff_hz")
     p_check.add_argument("--noise-mhz-rthz", type=float, default=None,

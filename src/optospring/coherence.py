@@ -14,9 +14,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .errors import ValidationError
-from .model import HBAR, K_B, NoiseEnv, SystemConfig
-
-TWO_PI = 2.0 * math.pi
+from .model import HBAR, K_B, TWO_PI, NoiseEnv, SystemConfig
 
 # Laser frequency used for the frequency-pull coefficient when the budget is
 # given only a cavity length (1064-nm-class source, ~300 THz).

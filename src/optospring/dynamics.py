@@ -40,19 +40,17 @@ are batched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coherence import heating_rates
 from .errors import (FitError, InstabilityError, InsufficientDataError,
                      OptospringError, ValidationError)
-from .model import HBAR, K_B, NoiseEnv, SystemConfig
+from .model import HBAR, K_B, TWO_PI, NoiseEnv, SystemConfig
 from .response import (EffectiveMode, adiabatic_spring, cancellation_gain,
                        extract_mode, rigid_trap_omega_sq)
 from .tables import write_table
-
-TWO_PI = 2.0 * math.pi
 
 # Steps of dt per kernel call at most (DRAW_BLOCK // record_stride whole
 # strides); chunks are counted from each phase start, never from the batch.
@@ -327,13 +325,11 @@ def _initial_state(plan: SimPlan, model: ReducedModel, dt: float, b: int):
     return (np.zeros(b), np.zeros(b), np.zeros(b)), int(math.ceil(t_burn / dt))
 
 
-def _run_batch(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
-               indices, record_full: bool = False):
+def _run_batch(config: SystemConfig, noise: NoiseEnv, plan: SimPlan, indices):
     """Simulate the switch protocol for the given trajectory indices.
 
     Returns (time_off, n_off[B, periods, R], full, model) where ``full`` is
-    the (t, x, v, n) timeline of the first trajectory when requested
-    (single-trajectory use).
+    the (t, x, v, n) timeline of the first trajectory.
     """
     model = reduced_model(config, noise)
     dt = plan.resolve_dt(model.omega_ref)
@@ -395,7 +391,7 @@ def _run_batch(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
     n_off = np.empty((b, n_periods, n_rec))
     # t, x, v of the first trajectory, every stride steps of every
     # relaxation and re-cooling phase
-    n_full = n_rec * (2 * n_periods - 1) if record_full else 0
+    n_full = n_rec * (2 * n_periods - 1)
     full_t, full_x, full_v = np.empty(n_full), np.empty(n_full), np.empty(n_full)
     filled = 0
 
@@ -405,8 +401,8 @@ def _run_batch(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
         ``per_chunk`` strides, then one remainder step to the phase end.
         Chunk edges depend on the plan only, never on the batch.  The state
         before each stride (record r at step r*stride) goes to ``n_out``
-        (B, R) as a phonon number and, when the timeline is recorded, to it
-        at time t0 + r*stride*dt.  The runaway guard checks every state."""
+        (B, R) as a phonon number and, in a timed phase, to the timeline at
+        t0 + r*stride*dt.  The runaway guard checks every state."""
         rec = -(-steps // stride)
         chunks = [(stride, min(per_chunk, rec - 1 - j))
                   for j in range(0, rec - 1, per_chunk)]
@@ -418,7 +414,7 @@ def _run_batch(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
             m = x.shape[1]
             if n_out is not None:
                 n_out[:, r:r + m] = phonon(x, v)
-            if record_full and t0 is not None:
+            if t0 is not None:
                 full_t[filled:filled + m] = t0 + stride * np.arange(r, r + m) * dt
                 full_x[filled:filled + m], full_v[filled:filled + m] = x[0], v[0]
                 filled += m
@@ -452,8 +448,7 @@ def _run_batch(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
             z = run_phase(z, model.gamma_on, steps_half, "re-cooling", t0)
             t0 += steps_half * dt
 
-    full = (full_t, full_x, full_v, phonon(full_x, full_v)) if record_full else None
-    return time_off, n_off, full, model
+    return time_off, n_off, (full_t, full_x, full_v, phonon(full_x, full_v)), model
 
 
 def simulate_trajectory(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
@@ -463,17 +458,15 @@ def simulate_trajectory(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
     t = 0 is the first switch-off.  The same index inside run_ensemble
     produces bit-identical numbers.
     """
-    _, _, full, _ = _run_batch(config, noise, plan, [index], record_full=True)
-    return full
+    return _run_batch(config, noise, plan, [index])[2]
 
 
-def fit_decoherence_rate(result: EnsembleResult) -> SlopeFit:
+def fit_decoherence_rate(t: np.ndarray, n: np.ndarray) -> SlopeFit:
     """Ordinary least squares on the initial-slope window of <n(t)>.
 
     The window is the first 5% of the relaxation record or the first 50
     points, whichever is longer.
     """
-    t, n = result.time_grid, result.mean_phonon
     window = max(0.05 * t[-1], t[min(49, t.size - 1)])
     sel = t <= window * (1.0 + 1e-12)
     if sel.sum() < 10:
@@ -516,20 +509,15 @@ def _ensemble_result(time_off: np.ndarray, n_off: np.ndarray,
     """Pool the (B, periods, R) relaxation segments and fit the rate."""
     segments = n_off.reshape(-1, n_off.shape[-1])
     mean_phonon = segments.mean(axis=0)
-    result = EnsembleResult(
-        time_grid=time_off, mean_phonon=mean_phonon,
-        per_trajectory_n0=segments[:, 0].copy(),
-        fitted_rate=math.nan, fitted_rate_err=math.nan,
-        fitted_gamma_eff=math.nan,
-        n_osc=math.nan, omega_ref=omega_ref,
-        n_segments=segments.shape[0], fit_intercept=math.nan)
-    slope = fit_decoherence_rate(result)
+    slope = fit_decoherence_rate(time_off, mean_phonon)
     _, _, gamma_fit = _fit_exponential(time_off, mean_phonon)
     n_osc = omega_ref / (TWO_PI * slope.slope) if slope.slope > 0 else math.inf
-    return replace(result, fitted_rate=slope.slope,
-                   fitted_rate_err=slope.slope_err,
-                   fitted_gamma_eff=gamma_fit, n_osc=n_osc,
-                   fit_intercept=slope.intercept)
+    return EnsembleResult(
+        time_grid=time_off, mean_phonon=mean_phonon,
+        per_trajectory_n0=segments[:, 0].copy(),
+        fitted_rate=slope.slope, fitted_rate_err=slope.slope_err,
+        fitted_gamma_eff=gamma_fit, n_osc=n_osc, omega_ref=omega_ref,
+        n_segments=segments.shape[0], fit_intercept=slope.intercept)
 
 
 def run_ensemble(config: SystemConfig, noise: NoiseEnv,

@@ -244,8 +244,8 @@ class SystemConfig:
         return replace(self, servo=replace(self.servo, g_el=g_el), raw_items=())
 
 
-def intracavity_photons(cavity: CavityParams, detuning: float | None = None) -> float:
-    """Mean intracavity photon number at the given (or configured) detuning.
+def intracavity_photons(cavity: CavityParams) -> float:
+    """Mean intracavity photon number at the cavity's detuning.
 
     The buildup is Lorentzian in the detuning, ``n0 / (1 + (Delta/kappa)^2)``.
     The peak ``n0`` is the explicit ``n_cav_peak`` when configured; otherwise
@@ -253,15 +253,13 @@ def intracavity_photons(cavity: CavityParams, detuning: float | None = None) -> 
     ``n0 = 2 kappa_in * (P / hbar omega_laser) / kappa^2`` (amplitude decay
     rates; drive on the input coupler).
     """
-    _require(cavity.kappa > 0, "kappa > 0", "kappa", cavity.kappa)
-    delta = cavity.detuning if detuning is None else detuning
     if cavity.n_cav_peak is not None:
         n0 = cavity.n_cav_peak
     else:
         flux = cavity.input_power / (HBAR * cavity.omega_laser)
         kappa_in = cavity.kappa_in_ratio * cavity.kappa
         n0 = 2.0 * kappa_in * flux / cavity.kappa**2
-    return n0 / (1.0 + (delta / cavity.kappa) ** 2)
+    return n0 / (1.0 + (cavity.detuning / cavity.kappa) ** 2)
 
 
 # --------------------------------------------------------------------------

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import (AmbiguousBranchWarning, NoConvergenceError,
                      SingularResponseError, ValidationError)
-from .model import HBAR, CavityParams, MirrorParams, ServoParams, SystemConfig
-from .model import intracavity_photons
+from .model import (HBAR, TWO_PI, CavityParams, MirrorParams, ServoParams,
+                    SystemConfig, intracavity_photons)
 from .tables import write_table
 
 # Relative magnitude below which a response denominator counts as singular.
@@ -401,7 +401,7 @@ def stability_map(config: SystemConfig, delta_values, gel_values) -> StabilityMa
 
 def write_response_csv(path, response: ComplexResponse, comment: str = ""):
     """Columns: f_Hz, re, im, mag, phase_deg."""
-    f_hz = response.grid / (2.0 * math.pi)
+    f_hz = response.grid / TWO_PI
     rows = ((f, v.real, v.imag, abs(v), math.degrees(math.atan2(v.imag, v.real)))
             for f, v in zip(f_hz, response.values))
     write_table(path, ("f_Hz", "re", "im", "mag", "phase_deg"), rows, (comment,))
@@ -409,14 +409,13 @@ def write_response_csv(path, response: ComplexResponse, comment: str = ""):
 
 def write_map_csv(path, smap: StabilityMap, comment: str = ""):
     """Columns: delta_Hz, gel, f_eff_Hz, gamma_eff_Hz, stable."""
-    two_pi = 2.0 * math.pi
     rows = []
     for i, d in enumerate(smap.deltas):
         for j, ge in enumerate(smap.gels):
             ok = smap.converged[i, j]
-            rows.append((d / two_pi, ge,
-                         smap.omega_eff[i, j] / two_pi if ok else math.nan,
-                         smap.gamma_eff[i, j] / two_pi if ok else math.nan,
+            rows.append((d / TWO_PI, ge,
+                         smap.omega_eff[i, j] / TWO_PI if ok else math.nan,
+                         smap.gamma_eff[i, j] / TWO_PI if ok else math.nan,
                          int(ok and smap.stable[i, j])))
     write_table(path, ("delta_Hz", "gel", "f_eff_Hz", "gamma_eff_Hz", "stable"),
                 rows, (comment,))

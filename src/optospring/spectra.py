@@ -16,18 +16,21 @@ import numpy as np
 
 from .errors import (FitError, InstabilityError, InsufficientDataError,
                      SingularResponseError, SpectrumBandError, ValidationError)
-from .model import HBAR, K_B, C_LIGHT, MirrorParams, NoiseEnv, SystemConfig
+from .model import (HBAR, K_B, C_LIGHT, TWO_PI, MirrorParams, NoiseEnv,
+                    SystemConfig)
 from .response import ComplexResponse, _loop
 from .tables import write_table
-
-TWO_PI = 2.0 * math.pi
 
 # Fraction of a Lorentzian living within +-3 half-widths of its center;
 # band-limited integrals are divided by this so a clean peak integrates to
 # its full area.
 LORENTZIAN_3SIGMA_FRACTION = 2.0 / math.pi * math.atan(3.0)
 
-SPECTRUM_KINDS = ("displacement", "voltage", "frequency-noise")
+GRID_F_MIN, GRID_F_MAX = 0.1, 1e5  # Hz, span of the master frequency grid
+
+# Each spectrum kind and the unit of its values.
+SPECTRUM_UNITS = {"displacement": "m^2/Hz", "voltage": "V^2/Hz",
+                  "frequency-noise": "Hz^2/Hz"}
 
 
 @dataclass(frozen=True)
@@ -37,15 +40,14 @@ class Spectrum:
     grid: np.ndarray    # Hz, strictly increasing
     values: np.ndarray  # units per `unit`
     kind: str           # displacement | voltage | frequency-noise
-    unit: str = "m^2/Hz"
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        if self.kind not in SPECTRUM_KINDS:
-            raise ValidationError(f"kind in {SPECTRUM_KINDS}", "kind", self.kind)
+        if self.kind not in SPECTRUM_UNITS:
+            raise ValidationError(f"kind in {tuple(SPECTRUM_UNITS)}", "kind", self.kind)
         if grid.size != values.size or grid.size < 2:
             raise ValidationError("grid and values have equal length >= 2",
                                   "grid", grid.size)
@@ -53,6 +55,10 @@ class Spectrum:
             raise ValidationError("grid strictly increasing", "grid", None)
         if np.any(values < 0) or not np.all(np.isfinite(values)):
             raise ValidationError("values >= 0 and finite", "values", None)
+
+    @property
+    def unit(self) -> str:
+        return SPECTRUM_UNITS[self.kind]
 
     def variance(self) -> float:
         """Integral over the grid; equals the process variance."""
@@ -69,8 +75,7 @@ class ModeTemperature:
     integration_band: tuple[float, float]  # Hz
 
 
-def build_frequency_grid(f_min: float = 0.1, f_max: float = 1e5,
-                         n_base: int = 4096,
+def build_frequency_grid(n_base: int = 4096,
                          peaks: tuple[tuple[float, float], ...] = ()) -> np.ndarray:
     """Log-spaced master grid with each (f_peak, gamma) resonance resolved.
 
@@ -79,7 +84,7 @@ def build_frequency_grid(f_min: float = 0.1, f_max: float = 1e5,
     trapezoid integrals over the grid capture the peak area to well below
     a percent.
     """
-    pieces = [np.geomspace(f_min, f_max, n_base)]
+    pieces = [np.geomspace(GRID_F_MIN, GRID_F_MAX, n_base)]
     for f_peak, gamma in peaks:
         if f_peak <= 0:
             continue
@@ -89,8 +94,7 @@ def build_frequency_grid(f_min: float = 0.1, f_max: float = 1e5,
         wings = np.geomspace(10 * w, u_max, 240)
         pieces += [core, f_peak + wings, f_peak - wings]
     grid = np.concatenate(pieces)
-    grid = np.unique(grid[(grid >= f_min) & (grid <= f_max)])
-    return grid
+    return np.unique(grid[(grid >= GRID_F_MIN) & (grid <= GRID_F_MAX)])
 
 
 def thermal_spectrum(temperature: float, mirror: MirrorParams,
@@ -127,37 +131,36 @@ def freqnoise_spectrum(noise: NoiseEnv, config: SystemConfig,
                     kind="displacement")
 
 
-def calibration_factor(config: SystemConfig, omega_eff: float,
-                       eta: float | None = None) -> float:
+def calibration_factor(config: SystemConfig, omega_eff: float) -> float:
     """Displacement-to-voltage amplitude factor for the reflection readout.
 
     sqrt(S_V) = sqrt(S_x) * (2*pi*c*m1 / (finesse*zeta1))
                 * (1 - kappa_in/kappa) * omega_eff^2 * eta
+    with eta the config's detector_eta.
     """
     cav = config.cavity
-    if eta is None:
-        eta = config.detector_eta
     return (TWO_PI * C_LIGHT * config.mirror1.mass / (cav.finesse * cav.zeta1)
-            * (1.0 - cav.kappa_in_ratio) * omega_eff**2 * eta)
+            * (1.0 - cav.kappa_in_ratio) * omega_eff**2 * config.detector_eta)
 
 
 def displacement_to_voltage(s_x: Spectrum, config: SystemConfig,
-                            omega_eff: float, eta: float | None = None) -> Spectrum:
-    factor = calibration_factor(config, omega_eff, eta)
+                            omega_eff: float) -> Spectrum:
+    factor = calibration_factor(config, omega_eff)
     return Spectrum(grid=s_x.grid, values=s_x.values * factor**2,
-                    kind="voltage", unit="V^2/Hz")
+                    kind="voltage")
 
 
 def voltage_to_displacement(s_v: Spectrum, config: SystemConfig,
-                            omega_eff: float, eta: float | None = None) -> Spectrum:
-    factor = calibration_factor(config, omega_eff, eta)
+                            omega_eff: float) -> Spectrum:
+    factor = calibration_factor(config, omega_eff)
     return Spectrum(grid=s_v.grid, values=s_v.values / factor**2,
-                    kind="displacement", unit="m^2/Hz")
+                    kind="displacement")
 
 
 def welch_psd(series, dt: float, segment_length: int | None = None,
-              overlap: int | None = None, kind: str = "displacement") -> Spectrum:
-    """One-sided Welch estimate (Hann window, mean removed per segment)."""
+              kind: str = "displacement") -> Spectrum:
+    """One-sided Welch estimate (Hann window, half-overlapping segments,
+    mean removed per segment)."""
     from scipy.signal import welch
 
     x = np.asarray(series, dtype=float)
@@ -166,14 +169,10 @@ def welch_psd(series, dt: float, segment_length: int | None = None,
     if x.size < 2 * segment_length:
         raise InsufficientDataError(
             f"need at least 2 segments of {segment_length}, got {x.size} samples")
-    if overlap is None:
-        overlap = segment_length // 2
-    unit = {"displacement": "m^2/Hz", "voltage": "V^2/Hz",
-            "frequency-noise": "Hz^2/Hz"}[kind]
     f, p = welch(x, fs=1.0 / dt, window="hann", nperseg=segment_length,
-                 noverlap=overlap, detrend="constant")
+                 noverlap=segment_length // 2, detrend="constant")
     # drop the DC bin so the grid stays strictly positive / log-plottable
-    return Spectrum(grid=f[1:], values=p[1:], kind=kind, unit=unit)
+    return Spectrum(grid=f[1:], values=p[1:], kind=kind)
 
 
 def _lorentzian(f, s0, f0, width):
@@ -260,7 +259,8 @@ def occupations(config: SystemConfig, noise: NoiseEnv, mode,
 
 
 def write_spectrum_csv(path, spectrum: Spectrum, comment: str = ""):
-    """Columns: f_Hz, value, unit; header comments carry kind/normalization."""
+    """Columns: f_Hz, value, unit; header comments carry kind/normalization.
+    The unit column follows from the kind, so reading ignores it."""
     rows = ((f, v, spectrum.unit) for f, v in zip(spectrum.grid, spectrum.values))
     write_table(path, ("f_Hz", "value", "unit"), rows,
                 (f"kind: {spectrum.kind}",
@@ -270,15 +270,14 @@ def write_spectrum_csv(path, spectrum: Spectrum, comment: str = ""):
 
 def read_spectrum_csv(path) -> Spectrum:
     kind = "displacement"
-    grid, values, unit = [], [], "m^2/Hz"
+    grid, values = [], []
     for line in Path(path).read_text().splitlines():
         if line.startswith("# kind:"):
             kind = line.split(":", 1)[1].strip()
             continue
         if line.startswith("#") or line.startswith("f_Hz") or not line.strip():
             continue
-        f, v, unit = line.split(",")
+        f, v, _ = line.split(",")
         grid.append(float(f))
         values.append(float(v))
-    return Spectrum(grid=np.array(grid), values=np.array(values),
-                    kind=kind, unit=unit)
+    return Spectrum(grid=np.array(grid), values=np.array(values), kind=kind)

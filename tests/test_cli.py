@@ -103,7 +103,22 @@ def test_map_single_point_matches_extract_mode(tmp_path, ideal_config):
 def test_spectrum_zero_temperature_zero_noise(tmp_path):
     out = tmp_path / "s"
     rc = main(["spectrum", "--config", "experiment", "--temperature", "0",
-               "--noise-model", "off", "--out-dir", str(out)])
+               "--noise-amp", "0", "--out-dir", str(out)])
+    assert rc == 0
+    for name in ("thermal", "freqnoise", "total", "voltage"):
+        rows = _read_csv(out / f"spectrum_{name}.csv", ["value"])
+        assert all(float(r["value"]) == 0.0 for r in rows)
+
+
+def test_spectrum_noise_amp_replaces_noise_table(tmp_path):
+    """--noise-amp sets the 1/f model in place of a configured table, so an
+    amplitude of 0 at 0 K leaves every spectrum exactly 0."""
+    (tmp_path / "table.csv").write_text("10, 0.4\n1e4, 0.4\n")
+    path = _preset_with(tmp_path, "label", "table")
+    path.write_text(path.read_text() + "freq_noise_table_csv = table.csv\n")
+    out = tmp_path / "s"
+    rc = main(["spectrum", "--config", str(path), "--noise-amp", "0",
+               "--temperature", "0", "--out-dir", str(out)])
     assert rc == 0
     for name in ("thermal", "freqnoise", "total", "voltage"):
         rows = _read_csv(out / f"spectrum_{name}.csv", ["value"])

@@ -11,7 +11,7 @@ from optospring.errors import (InstabilityError, InsufficientDataError,
                                ValidationError)
 from optospring.model import HBAR, K_B, TWO_PI
 from optospring.response import extract_mode
-from optospring.dynamics import (EnsembleResult, PhaseMap, SimPlan,
+from optospring.dynamics import (PhaseMap, SimPlan,
                                  detuning_scan, fit_decoherence_rate,
                                  off_state_mode, predicted_rate,
                                  reduced_model, run_ensemble,
@@ -375,12 +375,7 @@ def test_fitted_gamma_matches_pole_damping(experiment_config, thermal_only_noise
 def test_slope_fit_exact_line():
     t = np.linspace(0.0, 1.0, 200)
     n = 3.0 + 42.0 * t
-    result = EnsembleResult(time_grid=t, mean_phonon=n,
-                            per_trajectory_n0=np.array([3.0]),
-                            fitted_rate=0.0, fitted_rate_err=0.0,
-                            fitted_gamma_eff=0.0, n_osc=0.0, omega_ref=1.0,
-                            n_segments=1, fit_intercept=0.0)
-    fit = fit_decoherence_rate(result)
+    fit = fit_decoherence_rate(t, n)
     assert fit.slope == pytest.approx(42.0, rel=1e-12)
     assert fit.intercept == pytest.approx(3.0, rel=1e-12)
 
@@ -391,24 +386,14 @@ def test_slope_fit_exponential_oracle():
     n0, n_inf, gamma = 1e3, 5e9, 1.0
     t = np.linspace(0.0, 0.5, 5001)
     n = n_inf + (n0 - n_inf) * np.exp(-gamma * t)
-    result = EnsembleResult(time_grid=t, mean_phonon=n,
-                            per_trajectory_n0=np.array([n0]),
-                            fitted_rate=0.0, fitted_rate_err=0.0,
-                            fitted_gamma_eff=0.0, n_osc=0.0, omega_ref=1.0,
-                            n_segments=1, fit_intercept=0.0)
-    fit = fit_decoherence_rate(result)
+    fit = fit_decoherence_rate(t, n)
     assert fit.slope == pytest.approx((n_inf - n0) * gamma, rel=0.02)
 
 
 def test_slope_fit_needs_points():
     t = np.linspace(0.0, 1.0, 5)
-    result = EnsembleResult(time_grid=t, mean_phonon=np.ones(5),
-                            per_trajectory_n0=np.array([1.0]),
-                            fitted_rate=0.0, fitted_rate_err=0.0,
-                            fitted_gamma_eff=0.0, n_osc=0.0, omega_ref=1.0,
-                            n_segments=1, fit_intercept=0.0)
     with pytest.raises(InsufficientDataError):
-        fit_decoherence_rate(result)
+        fit_decoherence_rate(t, np.ones(5))
 
 
 def test_phonon_floor(experiment_config, cold_noise):

@@ -394,11 +394,13 @@ def test_spectrum_rejects_unsorted_grid():
 
 def test_spectrum_csv_round_trip(tmp_path):
     grid = np.geomspace(1.0, 100.0, 17)
-    s = Spectrum(grid=grid, values=grid * 1e-20, kind="voltage", unit="V^2/Hz")
-    path = tmp_path / "s.csv"
-    write_spectrum_csv(path, s, comment="round trip")
-    again = read_spectrum_csv(path)
-    assert again.kind == "voltage"
-    assert again.unit == "V^2/Hz"
-    np.testing.assert_array_equal(again.grid, s.grid)
-    np.testing.assert_array_equal(again.values, s.values)
+    for kind, unit in (("voltage", "V^2/Hz"), ("frequency-noise", "Hz^2/Hz")):
+        s = Spectrum(grid=grid, values=grid * 1e-20, kind=kind)
+        assert s.unit == unit
+        path = tmp_path / f"{kind}.csv"
+        write_spectrum_csv(path, s, comment="round trip")
+        again = read_spectrum_csv(path)
+        assert again.kind == kind
+        assert again.unit == unit
+        np.testing.assert_array_equal(again.grid, s.grid)
+        np.testing.assert_array_equal(again.values, s.values)
