@@ -20,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from .coherence import config_budget, feasibility_budget
-from .dynamics import (SimPlan, detuning_scan, off_state_mode, predicted_rate,
+from .dynamics import (SimPlan, detuning_scan, exact_mean_phonon,
+                       fit_decoherence_rate, off_state_mode, predicted_rate,
                        reduced_model, run_ensemble, write_ensemble_csv,
                        write_scan_csv)
 from .errors import ConfigParseError, OptospringError, ValidationError
@@ -225,6 +226,8 @@ def cmd_retherm(args) -> int:
     out = _out_dir(args)
     plan = _plan_from_args(args)
     result = run_ensemble(config, config.noise, plan)
+    exact_rate = fit_decoherence_rate(
+        *exact_mean_phonon(config, config.noise, plan)).slope
     mode_off = off_state_mode(config, config.noise)
     total_pred, thermal_pred, trap_pred = predicted_rate(config, config.noise,
                                                          mode_off)
@@ -235,6 +238,8 @@ def cmd_retherm(args) -> int:
     fit_path.write_text(json.dumps({
         "fitted_rate": result.fitted_rate,
         "fitted_rate_err": result.fitted_rate_err,
+        "segment_rate_err": result.segment_rate_err,
+        "exact_rate": exact_rate,
         "fitted_gamma_eff": result.fitted_gamma_eff,
         "n_osc": result.n_osc,
         "f_ref_Hz": result.omega_ref / TWO_PI,
@@ -247,8 +252,8 @@ def cmd_retherm(args) -> int:
                     plan.master_seed,
                     {"plan": _plan_record(plan, result.omega_ref)})
     print(f"retherm: rate = {result.fitted_rate:.4g} +- "
-          f"{result.fitted_rate_err:.2g} /s (predicted {total_pred:.4g}) "
-          f"-> {csv_path}")
+          f"{result.segment_rate_err:.2g} /s (exact {exact_rate:.4g}, "
+          f"predicted {total_pred:.4g}) -> {csv_path}")
     return 0
 
 

@@ -20,21 +20,24 @@ constant coefficients, so the exact Gaussian map over any interval
 (transition matrix and process-noise covariance from the Van Loan block
 exponential) advances it.  That makes the integrator unconditionally
 stable, exactly energy-conserving in the noise-free limit, and exact for
-the stationary statistics at any step size; dt only sets the sampling
-resolution.
+the statistics at any step size; dt only sets the sampling resolution.
 
 Each kernel step spans one recorded interval, ``record_stride`` steps of
-dt: it applies Phi^s and projects the 3s normals those s steps would draw
-(three per step of dt, in step order), so a run at any stride is the same
-realisation as at stride 1, sampled every s-th state, up to rounding.  A
-phase is R - 1 such strides, R = ceil(steps/s), then one remainder step to
-the phase end.  Within a phase the map is a linear filter, so
-``PhaseMap.run`` advances all trajectories by up to DRAW_BLOCK // s strides
-per call (``scipy.signal.lfilter``), whose normals fill a (B, 3*DRAW_BLOCK)
-buffer at most.  Every trajectory draws from its own counter-based RNG
-stream derived from (master_seed, trajectory index), and chunk edges depend
-only on the plan, so results are bit-identical no matter how trajectories
-are batched.
+dt, and draws its three normals from the exact law of that interval
+(Phi^s and the covariance of s steps' noise).  A phase is R - 1 such
+strides, R = ceil(steps/s), then one remainder step to the phase end.
+There is no burn-in: each trajectory starts with one exact draw from the
+cooled phase's stationary covariance, the first three normals of its
+stream.  Within a phase the map is a linear filter, so ``PhaseMap.run``
+advances all trajectories by up to DRAW_BLOCK // s strides per call
+(``scipy.signal.lfilter``).  Every trajectory draws from its own
+counter-based RNG stream derived from (master_seed, trajectory index), and
+chunk edges depend only on the plan, so results are bit-identical no
+matter how trajectories are batched.  Runs at different strides sample
+the same law, not the same realisation.
+
+``exact_mean_phonon`` is the sampling-free oracle: it carries the state's
+second moment through the same maps, M <- Phi M Phi^T + Q.
 """
 
 from __future__ import annotations
@@ -53,8 +56,9 @@ from .response import (EffectiveMode, adiabatic_spring, cancellation_gain,
 from .tables import write_table
 
 # Steps of dt per kernel call at most (DRAW_BLOCK // record_stride whole
-# strides); chunks are counted from each phase start, never from the batch.
-DRAW_BLOCK = 1024
+# strides, three normals each); chunks are counted from each phase start,
+# never from the batch.
+DRAW_BLOCK = 2048
 
 # Trap-noise shaping-filter corner sits this far below the trapped resonance
 # (keeps the synthesized force PSD within 5% of the 1/f^2 target from
@@ -72,10 +76,11 @@ class SimPlan:
     ``duration`` counts from the first cooling switch-off and must cover at
     least one full switch period.  ``dt=None`` resolves to 1/(200*f_ref)
     (``resolve_dt``), f_ref the servo-off trapped frequency.
-    ``initial_state`` (x0, v0) skips the cooled burn-in; otherwise each
-    trajectory equilibrates for ``burn_in`` seconds (default: 10 times the
-    slower of the cooled damping time and the trap-noise filter correlation
-    time) before the first switch-off.
+    ``initial_state`` (x0, v0) starts every trajectory there, with no
+    trap-noise force; otherwise each trajectory starts from one exact draw
+    of the cooled phase's stationary state.  Every ``record_stride``-th
+    state is recorded, and the Monte Carlo steps straight from one record
+    to the next.
     """
 
     duration: float
@@ -84,7 +89,6 @@ class SimPlan:
     dt: float | None = None
     record_stride: int = 10
     initial_state: tuple[float, float] | None = None
-    burn_in: float | None = None
 
     def __post_init__(self):
         if self.n_trajectories < 1:
@@ -97,8 +101,6 @@ class SimPlan:
                                   "record_stride", self.record_stride)
         if self.dt is not None and not 0 < self.dt < math.inf:
             raise ValidationError("dt finite and > 0", "dt", self.dt)
-        if self.burn_in is not None and not math.isfinite(self.burn_in):
-            raise ValidationError("burn_in finite", "burn_in", self.burn_in)
         if self.initial_state is not None and not all(
                 math.isfinite(c) for c in self.initial_state):
             raise ValidationError("initial_state finite",
@@ -117,7 +119,8 @@ class EnsembleResult:
     mean_phonon: np.ndarray        # <n(t)> over all segments
     per_trajectory_n0: np.ndarray  # phonon number at each segment start
     fitted_rate: float             # phonons/s, initial-slope fit
-    fitted_rate_err: float
+    fitted_rate_err: float         # OLS standard error of the mean curve's fit
+    segment_rate_err: float        # spread of per-segment slopes / sqrt(n)
     fitted_gamma_eff: float        # rad/s, from the exponential fit
     n_osc: float                   # omega_ref / (2*pi*fitted_rate)
     omega_ref: float               # rad/s, servo-off trapped frequency
@@ -140,6 +143,7 @@ class ScanRow:
     rate_measured: float
     rate_measured_err: float
     rate_predicted: float
+    rate_exact: float       # initial slope of exact_mean_phonon
     n_osc: float
     ok: bool
     error: str = ""
@@ -203,16 +207,26 @@ def reduced_model(config: SystemConfig, noise: NoiseEnv) -> ReducedModel:
                         ou_force_var=ou_force_var)
 
 
-class PhaseMap:
-    """Exact Gaussian map z -> Phi z + C xi over ``substeps`` steps of dt of
-    one servo phase.
+def _factor(cov: np.ndarray) -> np.ndarray:
+    """A 3x3 N with N N^T = cov for a positive semidefinite cov.
 
-    State z = (x, v, F_trap).  One step has Phi1 = expm(A dt) and a
-    step-noise covariance from the Van Loan block exponential, factored once
-    as N.  Over s substeps Phi = Phi1^s, and the 3s normals those steps
-    would draw, in step order, enter through the (3, 3s) projection
-    C = [Phi1^(s-1) N, ..., Phi1 N, N].  One step of the map therefore gives
-    the state that s single steps on the same normals give, up to rounding.
+    Each eigenvector's sign is fixed (its largest entry is positive), so a
+    change of cov at rounding level cannot flip the sampled realisation."""
+    evals, evecs = np.linalg.eigh(cov)
+    evecs = evecs * np.sign(evecs[np.abs(evecs).argmax(axis=0), np.arange(3)])
+    return evecs * np.sqrt(np.clip(evals, 0.0, None))
+
+
+class PhaseMap:
+    """Exact Gaussian map z -> Phi z + N xi over ``substeps`` steps of dt of
+    one servo phase, driven by three standard normals xi per map step.
+
+    State z = (x, v, F_trap).  One step of dt has Phi1 = expm(A dt) and a
+    noise covariance Q1 from the Van Loan block exponential.  Over s
+    substeps Phi = Phi1^s, built by repeated left-multiplication, and the
+    noise covariance is ``cov`` = Q = sum_{k<s} Phi1^k Q1 Phi1^k^T, factored
+    once as N.  One map step therefore samples the exact law of the state
+    s steps of dt later.
     """
 
     def __init__(self, mass: float, omega_sq: float, gamma: float,
@@ -232,32 +246,44 @@ class PhaseMap:
         block[3:, 3:] = -a.T
         eb = expm(block * dt)
         phi1 = eb[:3, :3]
-        sigma = eb[:3, 3:] @ phi1.T
-        sigma = 0.5 * (sigma + sigma.T)
-        # powers[k] = Phi1^k for k = 0..substeps
-        powers = [np.eye(3)]
+        q1 = eb[:3, 3:] @ phi1.T
+        q1 = 0.5 * (q1 + q1.T)
+        phi, cov = np.eye(3), np.zeros((3, 3))
         for _ in range(substeps):
-            powers.append(phi1 @ powers[-1])
-        self.phi = powers[substeps]
-        if s_th == 0.0 and s_ou == 0.0:
-            self.noise = None
-        else:
-            evals, evecs = np.linalg.eigh(sigma)
-            n1 = evecs * np.sqrt(np.clip(evals, 0.0, None))
-            self.noise = np.hstack([powers[k] @ n1
-                                    for k in range(substeps - 1, -1, -1)])
+            cov = cov + phi @ q1 @ phi.T
+            phi = phi1 @ phi
+        self.phi = phi
+        self.cov = 0.5 * (cov + cov.T)
+        self.noise = None if s_th == 0.0 and s_ou == 0.0 else _factor(self.cov)
         self.dt = dt
+        self._sde = (a, lmat)
+
+    def stationary(self) -> np.ndarray:
+        """Stationary covariance of the phase's SDE: the Sigma with
+        A Sigma + Sigma A^T + L L^T = 0, solved in its 9x9 vec form.  Only
+        a damped phase has one."""
+        a, lmat = self._sde
+        # (x, v, F) in units of (1, omega, m omega^2) puts every entry of A
+        # at the trap frequency's scale
+        omega = math.sqrt(-a[1, 0])
+        d = np.array([1.0, omega, omega**2 / a[1, 2]])
+        a = a * d[None, :] / d[:, None]
+        lam = lmat / d[:, None]
+        eye = np.eye(3)
+        sigma = np.linalg.solve(np.kron(eye, a) + np.kron(a, eye),
+                                -(lam @ lam.T).ravel()).reshape(3, 3)
+        return 0.5 * (sigma + sigma.T) * np.outer(d, d)
 
     def run(self, z: tuple, steps: int, xi: np.ndarray | None = None) -> tuple:
         """Advance a state (x, v, F) of (B,) arrays by ``steps`` steps of
         the map (each one of ``substeps`` steps of dt).
 
-        ``xi`` holds the (B, steps, 3*substeps) standard normals of the
-        steps (None without noise).  Returns (B, steps) arrays of x, v and
+        ``xi`` holds the (B, steps, 3) standard normals of the steps (None
+        without noise).  Returns (B, steps) arrays of x, v and
         F after each step.  The force row of Phi is (0, 0, Phi[2, 2]), so F
         is a first-order recursion; (x, v) is a second-order section with
         denominator [1, -tr, det] of Phi[:2, :2], driven by Phi[:2, 2]*F
-        plus the noise.  The noise projection is one einsum (its own loops,
+        plus the noise.  The noise product is one einsum (its own loops,
         no BLAS) and every other operation is elementwise with a fixed
         association order; lfilter runs each row on its own, so a
         trajectory's numbers do not depend on the batch.
@@ -302,27 +328,47 @@ def _phase_steps(config: SystemConfig, dt: float) -> int:
     return max(1, int(round(half_period / dt)))
 
 
-def _initial_state(plan: SimPlan, model: ReducedModel, dt: float, b: int):
-    """Starting state of ``b`` trajectories and the cooled burn-in steps that
-    prepare it (none when the plan gives the state)."""
-    if plan.initial_state is not None:
-        z = (np.full(b, float(plan.initial_state[0])),
-             np.full(b, float(plan.initial_state[1])),
-             np.zeros(b))
-        return z, 0
+def _schedule(config: SystemConfig, plan: SimPlan,
+              model: ReducedModel) -> tuple[float, int, int]:
+    """The plan's checked time grid: (dt, steps per servo half-period,
+    switch periods)."""
+    dt = plan.resolve_dt(model.omega_ref)
+    if dt * model.omega_ref >= 0.1:
+        raise ValidationError("dt * omega_eff < 0.1", "dt", dt)
+    period = 1.0 / config.servo.switch_frequency
+    if plan.duration < period * (1.0 - 1e-9):
+        raise ValidationError("duration covers >= 1 full switch period",
+                              "duration", plan.duration)
+    return dt, _phase_steps(config, dt), max(1, int(round(plan.duration / period)))
+
+
+def _phase_maps(model: ReducedModel, dt: float):
+    """A cached ``phase_map(gamma, substeps)`` for one model and dt."""
+    maps = {}
+
+    def phase_map(gamma: float, substeps: int) -> PhaseMap:
+        if (gamma, substeps) not in maps:
+            maps[gamma, substeps] = PhaseMap(
+                mass=model.mass, omega_sq=model.omega_trap_sq, gamma=gamma,
+                s_f_thermal=model.s_f_thermal, ou_corner=model.ou_corner,
+                ou_force_var=model.ou_force_var, dt=dt, substeps=substeps)
+        return maps[gamma, substeps]
+    return phase_map
+
+
+def _cooled_covariance(model: ReducedModel, cooled: PhaseMap) -> np.ndarray:
+    """Stationary covariance of the cooled phase, where every run starts."""
     if model.gamma_on <= 0:
         raise InstabilityError(
             f"cooled phase is not damped (gamma_on = {model.gamma_on:.4g} rad/s); "
             "cannot prepare the initial state")
-    t_burn = plan.burn_in
-    if t_burn is None:
-        # the shaped trap-noise force equilibrates on 1/ou_corner, which
-        # is far slower than the cooled mechanical relaxation; both must
-        # be stationary before the first switch-off
-        t_burn = 10.0 * max(1.0 / model.gamma_on,
-                            1.0 / model.ou_corner if model.ou_force_var > 0
-                            else 0.0)
-    return (np.zeros(b), np.zeros(b), np.zeros(b)), int(math.ceil(t_burn / dt))
+    return cooled.stationary()
+
+
+def _phonon(model: ReducedModel, x, v):
+    """Phonon number of amplitudes x and v (RMS amplitudes give <n>)."""
+    e = 0.5 * model.mass * (v ** 2 + model.omega_trap_sq * x ** 2)
+    return e / (HBAR * model.omega_ref) - 0.5
 
 
 def _run_batch(config: SystemConfig, noise: NoiseEnv, plan: SimPlan, indices):
@@ -332,36 +378,33 @@ def _run_batch(config: SystemConfig, noise: NoiseEnv, plan: SimPlan, indices):
     the (t, x, v, n) timeline of the first trajectory.
     """
     model = reduced_model(config, noise)
-    dt = plan.resolve_dt(model.omega_ref)
-    if dt * model.omega_ref >= 0.1:
-        raise ValidationError("dt * omega_eff < 0.1", "dt", dt)
-    steps_half = _phase_steps(config, dt)
-    period = 1.0 / config.servo.switch_frequency
-    if plan.duration < period * (1.0 - 1e-9):
-        raise ValidationError("duration covers >= 1 full switch period",
-                              "duration", plan.duration)
-    n_periods = max(1, int(round(plan.duration / period)))
-
+    dt, steps_half, n_periods = _schedule(config, plan, model)
     b = len(indices)
-    z, burn_steps = _initial_state(plan, model, dt, b)
     stride = plan.record_stride
-    common = dict(mass=model.mass, omega_sq=model.omega_trap_sq,
-                  s_f_thermal=model.s_f_thermal, ou_corner=model.ou_corner,
-                  ou_force_var=model.ou_force_var, dt=dt)
-    maps = {}
-
-    def phase_map(gamma, substeps):
-        if (gamma, substeps) not in maps:
-            maps[gamma, substeps] = PhaseMap(gamma=gamma, substeps=substeps,
-                                             **common)
-        return maps[gamma, substeps]
+    phase_map = _phase_maps(model, dt)
+    cooled = phase_map(model.gamma_on, stride)
 
     gens = _trajectory_generators(plan.master_seed, indices)
-    # whole strides per kernel call; their normals fill at most
-    # 3*DRAW_BLOCK of each trajectory's draw buffer
-    per_chunk = max(1, DRAW_BLOCK // stride)
-    xi_buf = (np.empty((b, 3 * per_chunk * stride))
-              if phase_map(model.gamma_on, stride).noise is not None else None)
+    per_chunk = max(1, DRAW_BLOCK // stride)  # whole strides per kernel call
+    xi_buf = np.empty((b, 3 * per_chunk)) if cooled.noise is not None else None
+
+    def draw(n):
+        """Normals of n map steps, (B, n, 3), each row from its own stream."""
+        if xi_buf is None:
+            return None
+        draws = xi_buf[:, :3 * n]
+        for g, row in zip(gens, draws):
+            g.standard_normal(out=row)
+        return draws.reshape(b, n, 3)
+
+    if plan.initial_state is not None:
+        z = (np.full(b, float(plan.initial_state[0])),
+             np.full(b, float(plan.initial_state[1])), np.zeros(b))
+    else:
+        root = _factor(_cooled_covariance(model, cooled))
+        xi = draw(1)
+        z = tuple(np.zeros((3, b)) if xi is None
+                  else np.einsum("ij,bj->ib", root, xi[:, 0]))
 
     # runaway guard scale: thermal RMS of the trapped mode at the bath
     # temperature, with the zero-point amplitude as a floor for cold runs
@@ -382,10 +425,6 @@ def _run_batch(config: SystemConfig, noise: NoiseEnv, plan: SimPlan, indices):
                 f"non-finite during {label} (trajectory {indices[row]}, "
                 f"x = {x[bad][0]:.3e} m)")
 
-    def phonon(x, v):
-        e = 0.5 * model.mass * (v ** 2 + model.omega_trap_sq * x ** 2)
-        return e / (HBAR * model.omega_ref) - 0.5
-
     n_rec = (steps_half + stride - 1) // stride
     time_off = dt * stride * np.arange(n_rec)
     n_off = np.empty((b, n_periods, n_rec))
@@ -395,60 +434,103 @@ def _run_batch(config: SystemConfig, noise: NoiseEnv, plan: SimPlan, indices):
     full_t, full_x, full_v = np.empty(n_full), np.empty(n_full), np.empty(n_full)
     filled = 0
 
-    def run_phase(z, gamma, steps, label, t0=None, n_out=None):
-        """Advance ``steps`` >= 1 steps of dt of one servo phase: R - 1
-        whole strides, R = ceil(steps / stride), in kernel calls of at most
-        ``per_chunk`` strides, then one remainder step to the phase end.
-        Chunk edges depend on the plan only, never on the batch.  The state
-        before each stride (record r at step r*stride) goes to ``n_out``
-        (B, R) as a phonon number and, in a timed phase, to the timeline at
-        t0 + r*stride*dt.  The runaway guard checks every state."""
-        rec = -(-steps // stride)
-        chunks = [(stride, min(per_chunk, rec - 1 - j))
-                  for j in range(0, rec - 1, per_chunk)]
-        chunks.append((steps - (rec - 1) * stride, 1))
+    def run_phase(z, gamma, label, t0, n_out=None):
+        """Advance one servo phase of ``steps_half`` >= 1 steps of dt: R - 1
+        whole strides, R = n_rec, in kernel calls of at most ``per_chunk``
+        strides, then one remainder step to the phase end.  Chunk edges
+        depend on the plan only, never on the batch.  The state before each
+        stride (record r at step r*stride) goes to the timeline at
+        t0 + r*stride*dt and, for a relaxation phase, to ``n_out`` (B, R)
+        as a phonon number.  The runaway guard checks every state."""
+        chunks = [(stride, min(per_chunk, n_rec - 1 - j))
+                  for j in range(0, n_rec - 1, per_chunk)]
+        chunks.append((steps_half - (n_rec - 1) * stride, 1))
 
         def record(r, x, v):
             # x, v: (B, m) states of records r .. r + m - 1
             nonlocal filled
             m = x.shape[1]
             if n_out is not None:
-                n_out[:, r:r + m] = phonon(x, v)
-            if t0 is not None:
-                full_t[filled:filled + m] = t0 + stride * np.arange(r, r + m) * dt
-                full_x[filled:filled + m], full_v[filled:filled + m] = x[0], v[0]
-                filled += m
+                n_out[:, r:r + m] = _phonon(model, x, v)
+            full_t[filled:filled + m] = t0 + stride * np.arange(r, r + m) * dt
+            full_x[filled:filled + m], full_v[filled:filled + m] = x[0], v[0]
+            filled += m
 
         record(0, z[0][:, None], z[1][:, None])
         r = 0  # map steps run so far
         for sub, n in chunks:
-            xi = None
-            if xi_buf is not None:
-                draws = xi_buf[:, :3 * sub * n]
-                for g, row in zip(gens, draws):
-                    g.standard_normal(out=row)
-                xi = draws.reshape(b, n, 3 * sub)
-            x, v, f = phase_map(gamma, sub).run(z, n, xi)
+            x, v, f = phase_map(gamma, sub).run(z, n, draw(n))
             check_blowup(x, label)
-            m = min(n, rec - 1 - r)  # states after these steps that are records
+            m = min(n, n_rec - 1 - r)  # states after these steps that are records
             if m > 0:
                 record(r + 1, x[:, :m], v[:, :m])
             z = (x[:, -1], v[:, -1], f[:, -1])
             r += n
         return z
 
-    if burn_steps:
-        z = run_phase(z, model.gamma_on, burn_steps, "burn-in")
     t0 = 0.0
     for p in range(n_periods):
-        z = run_phase(z, model.gamma_off, steps_half, "relaxation", t0,
-                      n_off[:, p])
+        z = run_phase(z, model.gamma_off, "relaxation", t0, n_off[:, p])
         t0 += steps_half * dt
         if p < n_periods - 1:
-            z = run_phase(z, model.gamma_on, steps_half, "re-cooling", t0)
+            z = run_phase(z, model.gamma_on, "re-cooling", t0)
             t0 += steps_half * dt
 
-    return time_off, n_off, (full_t, full_x, full_v, phonon(full_x, full_v)), model
+    return (time_off, n_off,
+            (full_t, full_x, full_v, _phonon(model, full_x, full_v)),
+            model)
+
+
+def _powers(phi: np.ndarray, n: int) -> np.ndarray:
+    """Phi^0 .. Phi^(n-1) as an (n, 3, 3) array, by doubling."""
+    p = np.empty((n, 3, 3))
+    p[0] = np.eye(3)
+    k = 1
+    while k < n:
+        m = min(k, n - k)
+        p[k:k + m] = (p[k - 1] @ phi) @ p[:m]
+        k += m
+    return p
+
+
+def exact_mean_phonon(config: SystemConfig, noise: NoiseEnv,
+                      plan: SimPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Exact <n(t)> of ``run_ensemble``'s protocol, free of sampling noise.
+
+    The state's second moment M = <z z^T> obeys M <- Phi M Phi^T + Q over
+    each stride and remainder step, with the Monte Carlo's own Phi and Q,
+    so after r strides of a phase M_r = Phi^r M_0 Phi^r^T
+    + sum_{j<r} Phi^j Q Phi^j^T.  It starts from the cooled stationary
+    covariance (or z0 z0^T for a plan with an ``initial_state``), runs the
+    same phases on the same time grid, and averages the relaxation records
+    over the switch periods as the ensemble averages its segments.
+    Returns (time_grid, mean_n).
+    """
+    model = reduced_model(config, noise)
+    dt, steps_half, n_periods = _schedule(config, plan, model)
+    stride = plan.record_stride
+    phase_map = _phase_maps(model, dt)
+    if plan.initial_state is not None:
+        z0 = np.array([*plan.initial_state, 0.0], dtype=float)
+        moment = np.outer(z0, z0)
+    else:
+        moment = _cooled_covariance(model, phase_map(model.gamma_on, stride))
+    n_rec = (steps_half + stride - 1) // stride
+    last = steps_half - (n_rec - 1) * stride
+    n_sum = np.zeros(n_rec)
+    for p in range(2 * n_periods - 1):
+        gamma = model.gamma_on if p % 2 else model.gamma_off
+        step, end = phase_map(gamma, stride), phase_map(gamma, last)
+        pw = _powers(step.phi, n_rec)
+        pt = pw.transpose(0, 2, 1)
+        added = np.zeros((n_rec, 3, 3))
+        np.cumsum((pw @ step.cov @ pt)[:-1], axis=0, out=added[1:])
+        records = pw @ moment @ pt + added
+        if p % 2 == 0:
+            n_sum += _phonon(model, np.sqrt(records[:, 0, 0]),
+                             np.sqrt(records[:, 1, 1]))
+        moment = end.phi @ records[-1] @ end.phi.T + end.cov
+    return dt * stride * np.arange(n_rec), n_sum / n_periods
 
 
 def simulate_trajectory(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
@@ -504,9 +586,27 @@ def _fit_exponential(t: np.ndarray, n: np.ndarray) -> tuple[float, float, float]
     return float(popt[0]), float(popt[1]), float(popt[2])
 
 
+def _segment_rate_err(t: np.ndarray, segments: np.ndarray,
+                      window: float) -> float:
+    """Standard error of the initial slope from its spread over segments.
+
+    Each segment's own OLS slope on the fit window (their mean is the slope
+    of the mean curve) counts as one sample.  Segments are independent:
+    trajectories draw from their own streams, and each re-cooling phase
+    lasts thousands of cooled damping times and trap-noise correlation
+    times.  NaN for a single segment."""
+    if segments.shape[0] < 2:
+        return math.nan
+    sel = t <= window * (1.0 + 1e-12)
+    span = t[sel] - t[sel].mean()
+    slopes = np.einsum("sk,k->s", segments[:, sel], span) / np.dot(span, span)
+    return float(np.std(slopes, ddof=1) / math.sqrt(slopes.size))
+
+
 def _ensemble_result(time_off: np.ndarray, n_off: np.ndarray,
                      omega_ref: float) -> EnsembleResult:
-    """Pool the (B, periods, R) relaxation segments and fit the rate."""
+    """Pool the (B, periods, R) relaxation segments, in trajectory-index
+    order, and fit the rate."""
     segments = n_off.reshape(-1, n_off.shape[-1])
     mean_phonon = segments.mean(axis=0)
     slope = fit_decoherence_rate(time_off, mean_phonon)
@@ -516,6 +616,7 @@ def _ensemble_result(time_off: np.ndarray, n_off: np.ndarray,
         time_grid=time_off, mean_phonon=mean_phonon,
         per_trajectory_n0=segments[:, 0].copy(),
         fitted_rate=slope.slope, fitted_rate_err=slope.slope_err,
+        segment_rate_err=_segment_rate_err(time_off, segments, slope.window),
         fitted_gamma_eff=gamma_fit, n_osc=n_osc, omega_ref=omega_ref,
         n_segments=segments.shape[0], fit_intercept=slope.intercept)
 
@@ -568,19 +669,23 @@ def detuning_scan(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
             mode_off = off_state_mode(cfg, noise)
             total_pred, _, _ = predicted_rate(cfg, noise, mode_off)
             result = run_ensemble(cfg, noise, plan)
+            rate_exact = fit_decoherence_rate(
+                *exact_mean_phonon(cfg, noise, plan)).slope
             n_osc = mode_off.omega_eff / (TWO_PI * result.fitted_rate) \
                 if result.fitted_rate > 0 else math.inf
             rows.append(ScanRow(
                 delta=float(delta), omega_eff=mode_off.omega_eff,
                 rate_measured=result.fitted_rate,
                 rate_measured_err=result.fitted_rate_err,
-                rate_predicted=total_pred, n_osc=n_osc, ok=True))
+                rate_predicted=total_pred, rate_exact=rate_exact,
+                n_osc=n_osc, ok=True))
         except (OptospringError, np.linalg.LinAlgError,
                 ArithmeticError) as exc:  # per-cell failure, keep scanning
             rows.append(ScanRow(
                 delta=float(delta), omega_eff=math.nan,
                 rate_measured=math.nan, rate_measured_err=math.nan,
-                rate_predicted=math.nan, n_osc=math.nan, ok=False,
+                rate_predicted=math.nan, rate_exact=math.nan,
+                n_osc=math.nan, ok=False,
                 error=f"{type(exc).__name__}: {exc}"))
     return rows
 
@@ -598,9 +703,11 @@ def write_ensemble_csv(path, result: EnsembleResult, comment: str = ""):
 
 
 def write_scan_csv(path, rows: list[ScanRow], comment: str = ""):
-    """Columns: delta_Hz, f_eff_Hz, rate_measured, rate_predicted, rate_err, n_osc."""
+    """Columns: delta_Hz, f_eff_Hz, rate_measured, rate_predicted, rate_err,
+    n_osc, rate_exact."""
     write_table(path, ("delta_Hz", "f_eff_Hz", "rate_measured",
-                       "rate_predicted", "rate_err", "n_osc"),
+                       "rate_predicted", "rate_err", "n_osc", "rate_exact"),
                 ((r.delta / TWO_PI, r.omega_eff / TWO_PI, r.rate_measured,
-                  r.rate_predicted, r.rate_measured_err, r.n_osc) for r in rows),
+                  r.rate_predicted, r.rate_measured_err, r.n_osc,
+                  r.rate_exact) for r in rows),
                 (comment,))

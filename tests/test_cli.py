@@ -205,6 +205,10 @@ def test_retherm_deterministic_across_runs(tmp_path):
     fit = json.loads((out1 / "retherm_fit.json").read_text())
     assert fit["fitted_rate"] > 0
     assert fit["predicted_rate"] > 0
+    # the exact oracle's rate sits within 1% of the rate law; the segment
+    # error is the honest one, well above the OLS error of 8 segments
+    assert fit["exact_rate"] == pytest.approx(fit["predicted_rate"], rel=0.01)
+    assert fit["segment_rate_err"] > 5.0 * fit["fitted_rate_err"]
 
 
 def test_manifest_reproduces_outputs(tmp_path):
@@ -256,11 +260,13 @@ def test_scan_writes_rows(tmp_path):
     assert rc == 0
     rows = _read_csv(out / "scan.csv",
                      ["delta_Hz", "f_eff_Hz", "rate_measured",
-                      "rate_predicted", "rate_err", "n_osc"])
+                      "rate_predicted", "rate_err", "n_osc", "rate_exact"])
     assert len(rows) == 2
     for r in rows:
         assert float(r["rate_measured"]) > 0
         assert float(r["rate_predicted"]) > 0
+        assert float(r["rate_exact"]) == pytest.approx(
+            float(r["rate_predicted"]), rel=0.05)
         assert float(r["n_osc"]) > 0
 
 

@@ -110,80 +110,286 @@ def test_kernel_matches_step_by_step_map(experiment_config, regime, b):
 @pytest.mark.parametrize("b", [1, 5])
 @pytest.mark.parametrize("regime", REGIMES)
 def test_strided_map_matches_fine_steps(experiment_config, regime, b, substeps):
-    """A map over ``substeps`` steps of dt, fed the normals of those steps in
-    step order, lands on every substeps-th state of the one-step oracle."""
+    """A map over ``substeps`` steps of dt is the law of those steps: Phi is
+    Phi1^s bit for bit, and N N^T = sum_{k<s} Phi1^k Q1 Phi1^k^T.  The
+    kernel runs the strided map as the plain matrix recursion does."""
     model = reduced_model(experiment_config, experiment_config.noise)
     omega = model.omega_ref
     dt = 1.0 / (200.0 * omega / TWO_PI)
     overrides = _regime_overrides(model, regime)
     fine = _phase_map(model, dt, **overrides)
     whole = _phase_map(model, dt, substeps=substeps, **overrides)
+    phi = np.eye(3)
+    for _ in range(substeps):
+        phi = fine.phi @ phi
+    np.testing.assert_array_equal(whole.phi, phi)
+    powers = [np.linalg.matrix_power(fine.phi, k) for k in range(substeps)]
+    cov = sum(pk @ fine.cov @ pk.T for pk in powers)
+    if regime == "undamped-quiet":
+        assert whole.noise is None
+        np.testing.assert_array_equal(whole.cov, 0.0)
+        return
+    np.testing.assert_allclose(whole.noise @ whole.noise.T, cov,
+                               rtol=1e-12, atol=0.0)
+
     rng = np.random.Generator(np.random.Philox(12))
     x_rms = math.sqrt(K_B * 300.0 / (model.mass * model.omega_trap_sq))
     scales = (x_rms, omega * x_rms, math.sqrt(model.ou_force_var))
     z0 = tuple(s * rng.standard_normal(b) for s in scales)
     strides = 2 * (dynamics.DRAW_BLOCK // substeps) + 43
-    xi = rng.standard_normal((b, strides * substeps, 3))
-    got = _kernel_states(whole, z0, strides,
-                         xi.reshape(b, strides, 3 * substeps),
+    xi = rng.standard_normal((b, strides, 3))
+    got = _kernel_states(whole, z0, strides, xi,
                          chunk=dynamics.DRAW_BLOCK // substeps)
-    want = _reference_states(fine, z0, strides * substeps, xi)
-    want = want[..., substeps - 1::substeps]
+    want = _reference_states(whole, z0, strides, xi)
     for g, w in zip(got, want):
         assert g.shape == (b, strides)
         assert np.max(np.abs(g - w)) <= 1e-9 * np.max(np.abs(w))
 
 
-def test_record_stride_keeps_the_realisation(experiment_config):
-    """Same seed, same normals: the run at record_stride=10 is the stride-1
-    run sampled every 10th state, burn-in and phase switches included."""
-    from optospring.dynamics import _run_batch
+def _switch_config(config, switch_hz):
+    servo = dataclasses.replace(config.servo, switch_frequency=switch_hz)
+    return dataclasses.replace(config, servo=servo, raw_items=())
 
-    servo = dataclasses.replace(experiment_config.servo, switch_frequency=20.0)
-    cfg = dataclasses.replace(experiment_config, servo=servo, raw_items=())
-    runs = {}
-    for stride in (1, 10):
-        plan = SimPlan(duration=0.1, n_trajectories=4, master_seed=9,
-                       record_stride=stride)
-        runs[stride] = _run_batch(cfg, cfg.noise, plan, list(range(4)))
-    t1, n1, _, _ = runs[1]
-    t10, n10, _, _ = runs[10]
-    assert n10.shape == (4, 2, t10.size)
-    np.testing.assert_allclose(t10, t1[::10], rtol=1e-12)
-    np.testing.assert_allclose(n10, n1[..., ::10], rtol=1e-9)
+
+def test_record_stride_samples_the_exact_curve(experiment_config):
+    """The exact <n(t)> at strides 10 and 7 (whose phases end in a shorter
+    remainder step) is the stride-1 curve sampled every 10th and 7th
+    point, phase switches included."""
+    cfg = _switch_config(experiment_config, 20.0)
+    curves = {stride: dynamics.exact_mean_phonon(
+        cfg, cfg.noise, SimPlan(duration=0.1, n_trajectories=1, master_seed=9,
+                                record_stride=stride))
+        for stride in (1, 7, 10)}
+    t1, n1 = curves[1]
+    for stride in (7, 10):
+        t, n = curves[stride]
+        assert t.size == -(-t1.size // stride)
+        np.testing.assert_allclose(t, t1[::stride], rtol=1e-12)
+        np.testing.assert_allclose(n, n1[::stride], rtol=1e-9)
 
 
 @pytest.mark.parametrize("stride", [1, 7])
 def test_engine_timeline_matches_step_by_step_map(experiment_config, stride):
-    """simulate_trajectory (chunking, RNG stream, phase switching, stride
-    recording) against the oracle map run over the same normals."""
-    servo = dataclasses.replace(experiment_config.servo, switch_frequency=50.0)
-    cfg = dataclasses.replace(experiment_config, servo=servo, raw_items=())
+    """simulate_trajectory (stationary start, chunking, RNG stream, phase
+    switching, stride and remainder steps) against the oracle map run over
+    the same normals: the first three normals draw the start from the
+    cooled stationary covariance, then three per map step."""
+    cfg = _switch_config(experiment_config, 50.0)
     plan = SimPlan(duration=0.04, n_trajectories=1, master_seed=8,
-                   record_stride=stride, burn_in=0.005)
+                   record_stride=stride)
     t, x, v, _ = simulate_trajectory(cfg, cfg.noise, plan, 3)
 
     model = reduced_model(cfg, cfg.noise)
     dt = 1.0 / (200.0 * model.omega_ref / TWO_PI)
     half = dynamics._phase_steps(cfg, dt)
-    burn = math.ceil(plan.burn_in / dt)
-    pm_on = _phase_map(model, dt, gamma=model.gamma_on)
-    pm_off = _phase_map(model, dt)
+    rec = -(-half // stride)
+    last = half - (rec - 1) * stride
+    maps = {gamma: [_phase_map(model, dt, gamma=gamma, substeps=stride)]
+            * (rec - 1) + [_phase_map(model, dt, gamma=gamma, substeps=last)]
+            for gamma in (model.gamma_on, model.gamma_off)}
     xi = dynamics._trajectory_generators(8, [3])[0].standard_normal(
-        (burn + 3 * half, 3))[None]
-    z = _reference_states(pm_on, np.zeros((3, 1)), burn, xi)[..., -1]
-    states = []
-    for i, pm in enumerate((pm_off, pm_on, pm_off)):
-        run = _reference_states(pm, z, half, xi[:, burn + i * half:])
-        # record the state before each step
-        states.append(np.concatenate((z[..., None], run[..., :-1]), axis=-1))
-        z = run[..., -1]
-    want = np.concatenate([s[:, 0, ::stride] for s in states], axis=-1)
+        (1 + 3 * rec, 3))
+    root = dynamics._factor(maps[model.gamma_on][0].stationary())
+    z, k, want = root @ xi[0], 1, []
+    for gamma in (model.gamma_off, model.gamma_on, model.gamma_off):
+        for pm in maps[gamma]:
+            want.append(z)  # record the state before each step
+            z = pm.phi @ z + pm.noise @ xi[k]
+            k += 1
+    want = np.array(want).T
     np.testing.assert_allclose(t, dt * np.concatenate(
         [p * half + np.arange(0, half, stride) for p in range(3)]), rtol=1e-12)
     for got, ref in ((x, want[0]), (v, want[1])):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+# --------------------------------------------------------------------------
+# exact moment oracle
+# --------------------------------------------------------------------------
+
+def _drift_and_diffusion(model, gamma):
+    """A and L L^T of the phase's SDE, and the (1, omega, m omega^2) scale
+    that puts every entry of A at the trap frequency."""
+    a = np.array([[0.0, 1.0, 0.0],
+                  [-model.omega_trap_sq, -gamma, 1.0 / model.mass],
+                  [0.0, 0.0, -model.ou_corner]])
+    ll = np.diag([0.0, model.s_f_thermal / 2.0 / model.mass**2,
+                  2.0 * model.ou_corner * model.ou_force_var])
+    w = model.omega_ref
+    return a, ll, np.array([1.0, w, model.mass * w * w])
+
+
+def test_exact_mean_phonon_matches_naive_covariance_loop(experiment_config):
+    """The oracle against a plain loop of Sigma <- Phi1 Sigma Phi1^T + Q1,
+    one step of dt at a time, started from scipy's Bartels-Stewart solution
+    of the cooled Lyapunov equation, on two switch periods at stride 10."""
+    from scipy.linalg import solve_continuous_lyapunov
+
+    cfg = _switch_config(experiment_config, 50.0)
+    plan = SimPlan(duration=0.04, n_trajectories=1, master_seed=1)
+    t, n = dynamics.exact_mean_phonon(cfg, cfg.noise, plan)
+
+    model = reduced_model(cfg, cfg.noise)
+    dt = 1.0 / (200.0 * model.omega_ref / TWO_PI)
+    half = dynamics._phase_steps(cfg, dt)
+    a, ll, d = _drift_and_diffusion(model, model.gamma_on)
+    sigma = solve_continuous_lyapunov(a * d[None, :] / d[:, None],
+                                      -ll / np.outer(d, d)) * np.outer(d, d)
+    steps = {g: _phase_map(model, dt, gamma=g)
+             for g in (model.gamma_on, model.gamma_off)}
+    rec = np.zeros(-(-half // 10))
+    for p in range(3):
+        pm = steps[model.gamma_on if p % 2 else model.gamma_off]
+        for k in range(half):
+            if p % 2 == 0 and k % 10 == 0:
+                e = 0.5 * model.mass * (sigma[1, 1]
+                                        + model.omega_trap_sq * sigma[0, 0])
+                rec[k // 10] += e / (HBAR * model.omega_ref) - 0.5
+            sigma = pm.phi @ sigma @ pm.phi.T + pm.cov
+    np.testing.assert_allclose(t, 10 * dt * np.arange(rec.size), rtol=1e-12)
+    np.testing.assert_allclose(n, rec / 2, rtol=1e-9)
+
+
+def test_exact_rate_matches_rate_law(experiment_config):
+    """The oracle's initial-slope rate sits within 2% of the rate law (the
+    reduction and the rate law agree to about 1%)."""
+    plan = SimPlan(duration=1.0, n_trajectories=1, master_seed=1)
+    cfg, noise = experiment_config, experiment_config.noise
+    exact = fit_decoherence_rate(*dynamics.exact_mean_phonon(cfg, noise, plan))
+    mode = off_state_mode(cfg, noise)
+    total, _, _ = predicted_rate(cfg, noise, mode)
+    assert exact.slope == pytest.approx(total, rel=0.02)
+
+
+def test_stationary_start_matches_lyapunov_solution(experiment_config,
+                                                    monkeypatch):
+    """Sigma_inf solves A S + S A^T + L L^T = 0 and is invariant under the
+    cooled stride map; the engine's 20k starting states have it as their
+    sample covariance (each entry within 4 standard errors)."""
+    cfg = _switch_config(experiment_config, 2000.0)
+    model = reduced_model(cfg, cfg.noise)
+    dt = 1.0 / (200.0 * model.omega_ref / TWO_PI)
+    cooled = _phase_map(model, dt, gamma=model.gamma_on, substeps=10)
+    sigma = cooled.stationary()
+    a, ll, d = _drift_and_diffusion(model, model.gamma_on)
+    resid = (a @ sigma + sigma @ a.T + ll) / np.outer(d, d)
+    assert np.max(np.abs(resid)) <= 1e-10 * np.max(np.abs(ll / np.outer(d, d)))
+    # <x v> = 0 in a stationary state, so compare on the scale of the
+    # diagonal: sqrt(S_ii S_jj)
+    scale = np.sqrt(np.outer(np.diag(sigma), np.diag(sigma)))
+    mapped = cooled.phi @ sigma @ cooled.phi.T + cooled.cov
+    assert np.all(np.abs(mapped - sigma) <= 1e-9 * scale)
+
+    starts = []
+    run = PhaseMap.run
+
+    def spy(self, z, steps, xi=None):
+        if not starts:
+            starts.append(np.array(z))
+        return run(self, z, steps, xi)
+
+    monkeypatch.setattr(PhaseMap, "run", spy)
+    n = 20_000
+    dynamics._run_batch(cfg, cfg.noise,
+                        SimPlan(duration=5e-4, n_trajectories=n, master_seed=41,
+                                record_stride=100), range(n))
+    sample = np.cov(starts[0])
+    assert np.all(np.abs(sample - sigma) <= 4.0 * math.sqrt(2.0 / n) * scale)
+
+
+def test_noise_factor_is_stable_under_rounding(experiment_config):
+    """Eigenvectors are defined up to sign; the factor fixes it, so the
+    cooled covariance from another Lyapunov solver (equal to rounding)
+    keeps its factor, and with it every seeded realisation."""
+    from scipy.linalg import solve_continuous_lyapunov
+
+    model = reduced_model(experiment_config, experiment_config.noise)
+    dt = 1.0 / (200.0 * model.omega_ref / TWO_PI)
+    sigma = _phase_map(model, dt, gamma=model.gamma_on).stationary()
+    a, ll, d = _drift_and_diffusion(model, model.gamma_on)
+    other = solve_continuous_lyapunov(a * d[None, :] / d[:, None],
+                                      -ll / np.outer(d, d)) * np.outer(d, d)
+    other = 0.5 * (other + other.T)
+    scale = np.sqrt(np.diag(sigma))[:, None]
+    assert np.all(np.abs(other - sigma) <= 1e-13 * scale * scale.T)
+    np.testing.assert_allclose(dynamics._factor(other) / scale,
+                               dynamics._factor(sigma) / scale, atol=1e-9)
+
+
+def _mc_against_exact(config, plan):
+    """(slope z-score, record-mean z-score) of a seeded ensemble against the
+    exact curve, each in units of its segment-level standard error."""
+    noise = config.noise
+    t, n_off, _, model = dynamics._run_batch(config, noise, plan,
+                                             range(plan.n_trajectories))
+    result = dynamics._ensemble_result(t, n_off, model.omega_ref)
+    t_exact, n_exact = dynamics.exact_mean_phonon(config, noise, plan)
+    np.testing.assert_array_equal(t_exact, t)
+    slope_z = ((result.fitted_rate - fit_decoherence_rate(t, n_exact).slope)
+               / result.segment_rate_err)
+    level = n_off.reshape(-1, t.size).mean(axis=1)
+    level_z = ((level.mean() - n_exact.mean())
+               / (level.std(ddof=1) / math.sqrt(level.size)))
+    return slope_z, level_z
+
+
+def _segment_z_scores(config, master_seed, n_ensembles=20, size=32):
+    """(fitted - exact) / segment_rate_err of ``n_ensembles`` disjoint
+    ensembles of ``size`` trajectories of one master seed, and their OLS
+    errors in the same units, on 0.1 s relaxation records."""
+    config = _switch_config(config, 5.0)
+    plan = SimPlan(duration=0.2, n_trajectories=n_ensembles * size,
+                   master_seed=master_seed)
+    exact = fit_decoherence_rate(
+        *dynamics.exact_mean_phonon(config, config.noise, plan)).slope
+    z, ols = [], []
+    for k in range(n_ensembles):
+        t, n_off, _, _ = dynamics._run_batch(
+            config, config.noise, plan, range(k * size, (k + 1) * size))
+        segments = n_off.reshape(-1, t.size)
+        fit = fit_decoherence_rate(t, segments.mean(axis=0))
+        err = dynamics._segment_rate_err(t, segments, fit.window)
+        z.append((fit.slope - exact) / err)
+        ols.append(fit.slope_err / err)
+    return np.array(z), np.array(ols)
+
+
+def test_segment_error_matches_seed_to_seed_spread(experiment_config):
+    """The segment-level error is the honest one: over 20 disjoint
+    32-trajectory ensembles the spread of (fitted - exact) in its units is
+    1 (a calibrated error passes 0.5..1.5 with ~99.8% power; master seeds
+    1-20 read 0.60-1.33, all pass), while the OLS error reads about five
+    times smaller on this 50-point window."""
+    z, ols = _segment_z_scores(experiment_config, master_seed=3)
+    assert 0.5 < z.std(ddof=1) < 1.5
+    assert abs(z.mean()) < 3.0 * z.std(ddof=1) / math.sqrt(z.size)
+    assert np.median(ols) < 0.3
+
+
+def test_segment_error_is_the_spread_of_segment_slopes():
+    """segment_rate_err against each segment fitted on its own."""
+    rng = np.random.Generator(np.random.Philox(3))
+    t = np.linspace(0.0, 1.0, 400)
+    segments = 5.0 + 40.0 * t + rng.standard_normal((2, 3, t.size)).cumsum(-1)
+    result = dynamics._ensemble_result(t, segments, 1.0)
+    slopes = [fit_decoherence_rate(t, seg).slope
+              for seg in segments.reshape(6, -1)]
+    assert result.segment_rate_err == pytest.approx(
+        np.std(slopes, ddof=1) / math.sqrt(6), rel=1e-12)
+    assert result.fitted_rate == pytest.approx(np.mean(slopes), rel=1e-12)
+    one = dynamics._ensemble_result(t, segments[:1, :1], 1.0)
+    assert math.isnan(one.segment_rate_err)
+
+
+def test_monte_carlo_mean_matches_exact_curve(experiment_config):
+    """A seeded 100 x 1 s ensemble against the exact oracle: the initial
+    slope and the record-mean phonon number each within 3 segment-level
+    standard errors (about 99.7% power per gate for an unbiased sampler)."""
+    plan = SimPlan(duration=1.0, n_trajectories=100, master_seed=1000)
+    slope_z, level_z = _mc_against_exact(experiment_config, plan)
+    assert abs(slope_z) <= 3.0
+    assert abs(level_z) <= 3.0
 
 
 def test_energy_conservation_gate():
@@ -456,8 +662,10 @@ def test_oscillation_number_improvement(experiment_config):
 
 
 def test_monte_carlo_slope_against_rate_law(experiment_config):
-    """Ensemble initial slope vs the analytic heating rate (15%, 1 sigma)."""
-    plan = SimPlan(duration=1.0, n_trajectories=64, master_seed=6)
+    """Ensemble initial slope vs the analytic heating rate within 15%.  At
+    768 trajectories the seed-to-seed spread is 3.7% (seeds 1-20, all pass)
+    and the reduction sits 0.8% below the rate law, so 15% is 3.8 sigma."""
+    plan = SimPlan(duration=1.0, n_trajectories=768, master_seed=6)
     result = run_ensemble(experiment_config, experiment_config.noise, plan)
     mode = off_state_mode(experiment_config, experiment_config.noise)
     total, _, _ = predicted_rate(experiment_config, experiment_config.noise, mode)
@@ -515,9 +723,11 @@ def test_scan_single_point_matches_pipeline(experiment_config):
 def test_scan_finds_interior_rate_minimum(experiment_config):
     """Walking the trap down the far branch, the predicted rate bottoms out
     where bath and trap-noise heating balance, and the measured rates track
-    it within Monte Carlo scatter."""
+    it within Monte Carlo scatter: at 128 trajectories each detuning's
+    seed-to-seed spread is 8-10% (seeds 1-20, all pass) and the reduction
+    sits within 2.2% of the rate law, so rel 0.4 is at least 3.7 sigma."""
     deltas = np.linspace(0.88e6, 2.6e6, 5) * TWO_PI
-    plan = SimPlan(duration=1.0, n_trajectories=16, master_seed=44)
+    plan = SimPlan(duration=1.0, n_trajectories=128, master_seed=44)
     rows = detuning_scan(experiment_config, experiment_config.noise, plan,
                          deltas)
     assert all(r.ok for r in rows)
@@ -615,7 +825,7 @@ def test_plan_validation(experiment_config):
                      SimPlan(duration=0.3, n_trajectories=1, master_seed=1))
 
 
-@pytest.mark.parametrize("field", ["duration", "dt", "burn_in"])
+@pytest.mark.parametrize("field", ["duration", "dt"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_plan_rejects_nonfinite_values(field, value):
     """NaN slips past a `<= 0` check; each non-finite value is named."""

@@ -1,8 +1,10 @@
-"""Regression oracle for the response layer.
+"""Regression oracle for the response layer and the Monte Carlo.
 
 The CSVs under ``golden/`` were written by an earlier revision of the
 toolkit.  Rerunning the same commands must reproduce their header, row
-count, ``stable`` column and NaN cells exactly, and every float to 1e-12.
+count, ``stable`` column (where there is one) and NaN cells exactly, and
+every float to 1e-12.  The rethermalization file pins one seeded
+realisation of the ensemble.
 """
 
 from pathlib import Path
@@ -21,7 +23,11 @@ CASES = {
     "map_ideal_auto.csv": ["map", "--config", "ideal"],
     "cool_experiment_14_560_14.csv": ["cool", "--config", "experiment",
                                       "--gel-range", "14:560:14"],
+    "retherm_experiment_8x1_seed20.csv": ["retherm", "--config", "experiment",
+                                          "--n-trajectories", "8",
+                                          "--duration", "1", "--seed", "20"],
 }
+OUTPUT = {"retherm": "retherm_mean_n.csv"}
 
 
 def _read(path):
@@ -36,10 +42,11 @@ def test_matches_golden(tmp_path, golden):
     argv = CASES[golden]
     assert main(argv + ["--out-dir", str(tmp_path)]) == 0
     header, want = _read(GOLDEN / golden)
-    got_header, got = _read(tmp_path / f"{argv[0]}.csv")
+    got_header, got = _read(tmp_path / OUTPUT.get(argv[0], f"{argv[0]}.csv"))
     assert got_header == header
     assert got.shape == want.shape
-    stable = header.index("stable")
-    np.testing.assert_array_equal(got[:, stable], want[:, stable])
+    if "stable" in header:
+        stable = header.index("stable")
+        np.testing.assert_array_equal(got[:, stable], want[:, stable])
     np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

@@ -201,7 +201,7 @@ def test_welch_matches_thermal_spectrum_for_simulated_pendulum(experiment_config
 
     n_traj, t_len = 4, 400.0
     plan = SimPlan(duration=t_len, n_trajectories=n_traj, master_seed=99,
-                   record_stride=1, burn_in=300.0)
+                   record_stride=1)
     psds = []
     for idx in range(n_traj):
         t, x, v, n = simulate_trajectory(cfg, noise, plan, idx)
