@@ -4,7 +4,7 @@
 The scan walks the trap along the far side of the buildup resonance (the
 side where the parked servo leaves the mode weakly damped).  Expect the
 measured curve to track the rate law and to bottom out well below the bare
-pendulum value.  With --fast only the predicted curve is evaluated.
+pendulum value.  --fast runs 8 trajectories per detuning instead of 50.
 """
 
 import sys

@@ -12,9 +12,10 @@ from .response import (ComplexResponse, EffectiveMode, cancellation_gain,
 from .spectra import (ModeTemperature, Spectrum, displacement_to_voltage,
                       freqnoise_spectrum, mode_temperature, occupations,
                       thermal_spectrum, welch_psd)
-from .dynamics import (EnsembleResult, SimPlan, detuning_scan,
-                       exact_mean_phonon, fit_decoherence_rate,
-                       predicted_rate, run_ensemble, simulate_trajectory)
+from .dynamics import (EnsembleResult, RateMeasurement, SimPlan,
+                       detuning_scan, exact_mean_phonon, fit_decoherence_rate,
+                       measure_rate, predicted_rate, run_ensemble,
+                       simulate_trajectory)
 from .coherence import (CoherenceBudget, check_condition, feasibility_budget,
                         single_photon_coupling)
 
@@ -27,8 +28,8 @@ __all__ = [
     "ModeTemperature", "Spectrum", "displacement_to_voltage",
     "freqnoise_spectrum", "mode_temperature", "occupations",
     "thermal_spectrum", "welch_psd",
-    "EnsembleResult", "SimPlan", "detuning_scan", "exact_mean_phonon",
-    "fit_decoherence_rate",
+    "EnsembleResult", "RateMeasurement", "SimPlan", "detuning_scan",
+    "exact_mean_phonon", "fit_decoherence_rate", "measure_rate",
     "predicted_rate", "run_ensemble", "simulate_trajectory",
     "CoherenceBudget", "check_condition", "feasibility_budget",
     "single_photon_coupling",

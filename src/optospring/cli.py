@@ -20,11 +20,10 @@ import numpy as np
 
 from . import __version__
 from .coherence import config_budget, feasibility_budget
-from .dynamics import (SimPlan, detuning_scan, exact_mean_phonon,
-                       fit_decoherence_rate, off_state_mode, predicted_rate,
-                       reduced_model, run_ensemble, write_ensemble_csv,
-                       write_scan_csv)
-from .errors import ConfigParseError, OptospringError, ValidationError
+from .dynamics import (SimPlan, detuning_scan, measure_rate, off_state_mode,
+                       reduced_model, write_ensemble_csv, write_scan_csv)
+from .errors import (ConfigParseError, InstabilityError, OptospringError,
+                     ValidationError)
 from .model import TWO_PI, load_config, resolve_config_path
 from .response import (cancellation_gain, closed_loop_response, extract_mode,
                        stability_map, write_map_csv, write_response_csv)
@@ -181,14 +180,17 @@ def cmd_cool(args) -> int:
         cfg = config.with_gain(gel)
         mode, chi_eff, s_th, s_fr, total = _spectrum_bundle(cfg, config.noise.temperature)
         try:
-            temp = mode_temperature(total, mode.omega_eff, mode.gamma_eff,
-                                    config.mirror1)
-            cells = (temp.t_eff * 1e3,) + occupations(cfg, config.noise, mode, s_fr)
+            t_eff = mode_temperature(total, mode.omega_eff, mode.gamma_eff,
+                                     config.mirror1).t_eff * 1e3
         except OptospringError as exc:
-            cells = (np.nan,) * 4
+            t_eff = np.nan
             print(f"gel = {gel:.4g}: {exc}", file=sys.stderr)
-        rows.append((gel, mode.omega_eff / TWO_PI, mode.gamma_eff / TWO_PI)
-                    + cells + (int(mode.stable),))
+        try:
+            occ = occupations(cfg, config.noise, mode, s_fr)
+        except InstabilityError:  # an undamped mode has none
+            occ = (np.nan,) * 3
+        rows.append((gel, mode.omega_eff / TWO_PI, mode.gamma_eff / TWO_PI,
+                     t_eff) + occ + (int(mode.stable),))
     csv_path = out / "cool.csv"
     write_table(csv_path, ("gel", "f_eff_Hz", "gamma_eff_Hz", "T_eff_mK",
                            "n_th_prime", "n_freq", "n_th_bare", "stable"), rows)
@@ -225,35 +227,30 @@ def cmd_retherm(args) -> int:
     config, path = _load(args)
     out = _out_dir(args)
     plan = _plan_from_args(args)
-    result = run_ensemble(config, config.noise, plan)
-    exact_rate = fit_decoherence_rate(
-        *exact_mean_phonon(config, config.noise, plan)).slope
-    mode_off = off_state_mode(config, config.noise)
-    total_pred, thermal_pred, trap_pred = predicted_rate(config, config.noise,
-                                                         mode_off)
+    m = measure_rate(config, config.noise, plan)
     csv_path = out / "retherm_mean_n.csv"
-    write_ensemble_csv(csv_path, result, comment=f"rethermalization, "
+    write_ensemble_csv(csv_path, m.ensemble, comment=f"rethermalization, "
                        f"{config.label}, seed {plan.master_seed}")
     fit_path = out / "retherm_fit.json"
     fit_path.write_text(json.dumps({
-        "fitted_rate": result.fitted_rate,
-        "fitted_rate_err": result.fitted_rate_err,
-        "segment_rate_err": result.segment_rate_err,
-        "exact_rate": exact_rate,
-        "fitted_gamma_eff": result.fitted_gamma_eff,
-        "n_osc": result.n_osc,
-        "f_ref_Hz": result.omega_ref / TWO_PI,
-        "n_segments": result.n_segments,
-        "predicted_rate": total_pred,
-        "predicted_thermal": thermal_pred,
-        "predicted_trap": trap_pred,
+        "fitted_rate": m.rate_measured,
+        "fitted_rate_err": m.rate_ols_err,
+        "segment_rate_err": m.rate_segment_err,
+        "exact_rate": m.rate_exact,
+        "fitted_gamma_eff": m.ensemble.fitted_gamma_eff,
+        "n_osc": m.n_osc,
+        "f_ref_Hz": m.ensemble.omega_ref / TWO_PI,
+        "n_segments": m.ensemble.n_segments,
+        "predicted_rate": m.rate_predicted,
+        "predicted_thermal": m.rate_thermal,
+        "predicted_trap": m.rate_trap,
     }, indent=2, sort_keys=True) + "\n")
     _write_manifest(out, "retherm", args, path, [csv_path, fit_path],
                     plan.master_seed,
-                    {"plan": _plan_record(plan, result.omega_ref)})
-    print(f"retherm: rate = {result.fitted_rate:.4g} +- "
-          f"{result.segment_rate_err:.2g} /s (exact {exact_rate:.4g}, "
-          f"predicted {total_pred:.4g}) -> {csv_path}")
+                    {"plan": _plan_record(plan, m.ensemble.omega_ref)})
+    print(f"retherm: rate = {m.rate_measured:.4g} +- "
+          f"{m.rate_segment_err:.2g} /s (exact {m.rate_exact:.4g}, "
+          f"predicted {m.rate_predicted:.4g}) -> {csv_path}")
     return 0
 
 
@@ -270,13 +267,10 @@ def cmd_scan(args) -> int:
                     {"deltas_hz": [float(d) / TWO_PI for d in deltas],
                      "plans": [_plan_record(plan, _omega_ref_or_none(
                          config.with_detuning(float(d)))) for d in deltas]})
-    n_fail = sum(1 for r in rows if not r.ok)
-    print(f"scan: {len(rows)} detunings ({n_fail} failed) -> {csv_path}")
-    if n_fail:
-        for r in rows:
-            if not r.ok:
-                print(f"  delta = {r.delta / TWO_PI:.4g} Hz: {r.error}",
-                      file=sys.stderr)
+    failed = [r for r in rows if not r.ok]
+    print(f"scan: {len(rows)} detunings ({len(failed)} failed) -> {csv_path}")
+    for r in failed:
+        print(f"  delta = {r.delta / TWO_PI:.4g} Hz: {r.error}", file=sys.stderr)
     return 0
 
 

@@ -26,18 +26,19 @@ Each kernel step spans one recorded interval, ``record_stride`` steps of
 dt, and draws its three normals from the exact law of that interval
 (Phi^s and the covariance of s steps' noise).  A phase is R - 1 such
 strides, R = ceil(steps/s), then one remainder step to the phase end.
-There is no burn-in: each trajectory starts with one exact draw from the
-cooled phase's stationary covariance, the first three normals of its
-stream.  Within a phase the map is a linear filter, so ``PhaseMap.run``
-advances all trajectories by up to DRAW_BLOCK // s strides per call
-(``scipy.signal.lfilter``).  Every trajectory draws from its own
+There is no burn-in: every run starts cooled, each trajectory with one
+exact draw from the cooled phase's stationary covariance, the first three
+normals of its stream.  Within a phase the map is a linear filter, so
+``PhaseMap.run`` advances all trajectories by up to DRAW_BLOCK // s strides
+per call (``scipy.signal.lfilter``).  Every trajectory draws from its own
 counter-based RNG stream derived from (master_seed, trajectory index), and
 chunk edges depend only on the plan, so results are bit-identical no
 matter how trajectories are batched.  Runs at different strides sample
 the same law, not the same realisation.
 
 ``exact_mean_phonon`` is the sampling-free oracle: it carries the state's
-second moment through the same maps, M <- Phi M Phi^T + Q.
+second moment through the same maps, M <- Phi M Phi^T + Q.  ``measure_rate``
+fits both and sets them beside the rate law at the servo-off pole.
 """
 
 from __future__ import annotations
@@ -75,12 +76,9 @@ class SimPlan:
 
     ``duration`` counts from the first cooling switch-off and must cover at
     least one full switch period.  ``dt=None`` resolves to 1/(200*f_ref)
-    (``resolve_dt``), f_ref the servo-off trapped frequency.
-    ``initial_state`` (x0, v0) starts every trajectory there, with no
-    trap-noise force; otherwise each trajectory starts from one exact draw
-    of the cooled phase's stationary state.  Every ``record_stride``-th
-    state is recorded, and the Monte Carlo steps straight from one record
-    to the next.
+    (``resolve_dt``), f_ref the servo-off trapped frequency.  Every
+    ``record_stride``-th state is recorded, and the Monte Carlo steps
+    straight from one record to the next.
     """
 
     duration: float
@@ -88,7 +86,6 @@ class SimPlan:
     master_seed: int
     dt: float | None = None
     record_stride: int = 10
-    initial_state: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.n_trajectories < 1:
@@ -101,10 +98,6 @@ class SimPlan:
                                   "record_stride", self.record_stride)
         if self.dt is not None and not 0 < self.dt < math.inf:
             raise ValidationError("dt finite and > 0", "dt", self.dt)
-        if self.initial_state is not None and not all(
-                math.isfinite(c) for c in self.initial_state):
-            raise ValidationError("initial_state finite",
-                                  "initial_state", self.initial_state)
 
     def resolve_dt(self, omega_ref: float) -> float:
         """The step size: ``dt``, or 1/(200*f_ref) when it is None."""
@@ -117,15 +110,12 @@ class EnsembleResult:
 
     time_grid: np.ndarray          # s, t = 0 at switch-off
     mean_phonon: np.ndarray        # <n(t)> over all segments
-    per_trajectory_n0: np.ndarray  # phonon number at each segment start
     fitted_rate: float             # phonons/s, initial-slope fit
     fitted_rate_err: float         # OLS standard error of the mean curve's fit
     segment_rate_err: float        # spread of per-segment slopes / sqrt(n)
     fitted_gamma_eff: float        # rad/s, from the exponential fit
-    n_osc: float                   # omega_ref / (2*pi*fitted_rate)
     omega_ref: float               # rad/s, servo-off trapped frequency
     n_segments: int
-    fit_intercept: float
 
 
 @dataclass(frozen=True)
@@ -137,16 +127,27 @@ class SlopeFit:
 
 
 @dataclass(frozen=True)
-class ScanRow:
-    delta: float            # rad/s
-    omega_eff: float        # rad/s (nan on failure)
-    rate_measured: float
-    rate_measured_err: float
-    rate_predicted: float
-    rate_exact: float       # initial slope of exact_mean_phonon
-    n_osc: float
-    ok: bool
+class RateMeasurement:
+    """One rethermalization measurement beside its predictions, at the
+    config's detuning.  Rates are phonons/s; every number is NaN, and
+    ``error`` says why, where the run failed."""
+
+    delta: float                      # rad/s, cavity detuning
+    omega_eff: float = math.nan       # rad/s, servo-off pole
+    rate_measured: float = math.nan   # ensemble initial slope
+    rate_ols_err: float = math.nan    # its OLS standard error
+    rate_segment_err: float = math.nan  # its error from the segment spread
+    rate_exact: float = math.nan      # initial slope of exact_mean_phonon
+    rate_predicted: float = math.nan  # rate law at omega_eff: thermal + trap
+    rate_thermal: float = math.nan
+    rate_trap: float = math.nan
+    n_osc: float = math.nan           # f_eff / rate_measured
+    ensemble: EnsembleResult | None = None
     error: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return not self.error
 
 
 # --------------------------------------------------------------------------
@@ -397,23 +398,16 @@ def _run_batch(config: SystemConfig, noise: NoiseEnv, plan: SimPlan, indices):
             g.standard_normal(out=row)
         return draws.reshape(b, n, 3)
 
-    if plan.initial_state is not None:
-        z = (np.full(b, float(plan.initial_state[0])),
-             np.full(b, float(plan.initial_state[1])), np.zeros(b))
-    else:
-        root = _factor(_cooled_covariance(model, cooled))
-        xi = draw(1)
-        z = tuple(np.zeros((3, b)) if xi is None
-                  else np.einsum("ij,bj->ib", root, xi[:, 0]))
+    root = _factor(_cooled_covariance(model, cooled))
+    xi = draw(1)
+    z = tuple(np.zeros((3, b)) if xi is None
+              else np.einsum("ij,bj->ib", root, xi[:, 0]))
 
     # runaway guard scale: thermal RMS of the trapped mode at the bath
     # temperature, with the zero-point amplitude as a floor for cold runs
     x_scale = max(
         math.sqrt(K_B * noise.temperature / (model.mass * model.omega_trap_sq)),
         math.sqrt(HBAR / (2.0 * model.mass * model.omega_ref)))
-    if plan.initial_state is not None:
-        x_scale = max(x_scale, abs(plan.initial_state[0]),
-                      abs(plan.initial_state[1]) / model.omega_ref)
 
     def check_blowup(x, label):
         # NaN fails the comparison, so a non-finite state is a runaway too
@@ -501,20 +495,16 @@ def exact_mean_phonon(config: SystemConfig, noise: NoiseEnv,
     each stride and remainder step, with the Monte Carlo's own Phi and Q,
     so after r strides of a phase M_r = Phi^r M_0 Phi^r^T
     + sum_{j<r} Phi^j Q Phi^j^T.  It starts from the cooled stationary
-    covariance (or z0 z0^T for a plan with an ``initial_state``), runs the
-    same phases on the same time grid, and averages the relaxation records
-    over the switch periods as the ensemble averages its segments.
+    covariance, runs the same phases on the same time grid, and averages
+    the relaxation records over the switch periods as the ensemble
+    averages its segments.
     Returns (time_grid, mean_n).
     """
     model = reduced_model(config, noise)
     dt, steps_half, n_periods = _schedule(config, plan, model)
     stride = plan.record_stride
     phase_map = _phase_maps(model, dt)
-    if plan.initial_state is not None:
-        z0 = np.array([*plan.initial_state, 0.0], dtype=float)
-        moment = np.outer(z0, z0)
-    else:
-        moment = _cooled_covariance(model, phase_map(model.gamma_on, stride))
+    moment = _cooled_covariance(model, phase_map(model.gamma_on, stride))
     n_rec = (steps_half + stride - 1) // stride
     last = steps_half - (n_rec - 1) * stride
     n_sum = np.zeros(n_rec)
@@ -611,14 +601,12 @@ def _ensemble_result(time_off: np.ndarray, n_off: np.ndarray,
     mean_phonon = segments.mean(axis=0)
     slope = fit_decoherence_rate(time_off, mean_phonon)
     _, _, gamma_fit = _fit_exponential(time_off, mean_phonon)
-    n_osc = omega_ref / (TWO_PI * slope.slope) if slope.slope > 0 else math.inf
     return EnsembleResult(
         time_grid=time_off, mean_phonon=mean_phonon,
-        per_trajectory_n0=segments[:, 0].copy(),
         fitted_rate=slope.slope, fitted_rate_err=slope.slope_err,
         segment_rate_err=_segment_rate_err(time_off, segments, slope.window),
-        fitted_gamma_eff=gamma_fit, n_osc=n_osc, omega_ref=omega_ref,
-        n_segments=segments.shape[0], fit_intercept=slope.intercept)
+        fitted_gamma_eff=gamma_fit, omega_ref=omega_ref,
+        n_segments=segments.shape[0])
 
 
 def run_ensemble(config: SystemConfig, noise: NoiseEnv,
@@ -658,35 +646,40 @@ def off_state_mode(config: SystemConfig, noise: NoiseEnv) -> EffectiveMode:
     return extract_mode(config, gel=model.off_gain)
 
 
+def measure_rate(config: SystemConfig, noise: NoiseEnv,
+                 plan: SimPlan) -> RateMeasurement:
+    """Measure the rethermalization rate and predict it: the ensemble's
+    initial slope with its OLS and segment errors, the exact oracle's
+    slope, and the rate law at the servo-off pole f_eff, which also sets
+    n_osc = f_eff / rate_measured."""
+    mode = off_state_mode(config, noise)
+    total, thermal, trap = predicted_rate(config, noise, mode)
+    result = run_ensemble(config, noise, plan)
+    rate = result.fitted_rate
+    return RateMeasurement(
+        delta=config.cavity.detuning, omega_eff=mode.omega_eff,
+        rate_measured=rate, rate_ols_err=result.fitted_rate_err,
+        rate_segment_err=result.segment_rate_err,
+        rate_exact=fit_decoherence_rate(
+            *exact_mean_phonon(config, noise, plan)).slope,
+        rate_predicted=total, rate_thermal=thermal, rate_trap=trap,
+        n_osc=mode.omega_eff / (TWO_PI * rate) if rate > 0 else math.inf,
+        ensemble=result)
+
+
 def detuning_scan(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
-                  delta_values) -> list[ScanRow]:
-    """Full measure-and-predict pipeline per detuning; toolkit and numerical
-    failures are recorded per row and the scan continues."""
+                  delta_values) -> list[RateMeasurement]:
+    """``measure_rate`` per detuning; toolkit and numerical failures are
+    recorded per row and the scan continues."""
     rows = []
     for delta in np.atleast_1d(np.asarray(delta_values, dtype=float)):
-        cfg = config.with_detuning(float(delta))
         try:
-            mode_off = off_state_mode(cfg, noise)
-            total_pred, _, _ = predicted_rate(cfg, noise, mode_off)
-            result = run_ensemble(cfg, noise, plan)
-            rate_exact = fit_decoherence_rate(
-                *exact_mean_phonon(cfg, noise, plan)).slope
-            n_osc = mode_off.omega_eff / (TWO_PI * result.fitted_rate) \
-                if result.fitted_rate > 0 else math.inf
-            rows.append(ScanRow(
-                delta=float(delta), omega_eff=mode_off.omega_eff,
-                rate_measured=result.fitted_rate,
-                rate_measured_err=result.fitted_rate_err,
-                rate_predicted=total_pred, rate_exact=rate_exact,
-                n_osc=n_osc, ok=True))
+            rows.append(measure_rate(config.with_detuning(float(delta)),
+                                     noise, plan))
         except (OptospringError, np.linalg.LinAlgError,
                 ArithmeticError) as exc:  # per-cell failure, keep scanning
-            rows.append(ScanRow(
-                delta=float(delta), omega_eff=math.nan,
-                rate_measured=math.nan, rate_measured_err=math.nan,
-                rate_predicted=math.nan, rate_exact=math.nan,
-                n_osc=math.nan, ok=False,
-                error=f"{type(exc).__name__}: {exc}"))
+            rows.append(RateMeasurement(
+                delta=float(delta), error=f"{type(exc).__name__}: {exc}"))
     return rows
 
 
@@ -702,12 +695,12 @@ def write_ensemble_csv(path, result: EnsembleResult, comment: str = ""):
                           f"f_ref_Hz: {float(result.omega_ref / TWO_PI)!r}"))
 
 
-def write_scan_csv(path, rows: list[ScanRow], comment: str = ""):
-    """Columns: delta_Hz, f_eff_Hz, rate_measured, rate_predicted, rate_err,
-    n_osc, rate_exact."""
+def write_scan_csv(path, rows: list[RateMeasurement], comment: str = ""):
+    """Columns: delta_Hz, f_eff_Hz, rate_measured, rate_predicted, rate_err
+    (the segment error), n_osc, rate_exact."""
     write_table(path, ("delta_Hz", "f_eff_Hz", "rate_measured",
                        "rate_predicted", "rate_err", "n_osc", "rate_exact"),
                 ((r.delta / TWO_PI, r.omega_eff / TWO_PI, r.rate_measured,
-                  r.rate_predicted, r.rate_measured_err, r.n_osc,
+                  r.rate_predicted, r.rate_segment_err, r.n_osc,
                   r.rate_exact) for r in rows),
                 (comment,))

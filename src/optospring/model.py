@@ -376,8 +376,12 @@ def resolve_config_path(name_or_path: str | Path) -> Path:
 def load_config(path: str | Path) -> SystemConfig:
     """Load, validate, and complete a system configuration file."""
     path = resolve_config_path(path)
+    return _build_config(_parse_items(path.read_text(), str(path)), path)
+
+
+def _build_config(items, path: Path) -> SystemConfig:
+    """The config of the file ``path`` holding ``items``."""
     origin = str(path)
-    items = _parse_items(path.read_text(), origin)
     mapping = {}
     for key, value in items:
         if key not in _KNOWN_KEYS:
@@ -434,7 +438,7 @@ def load_config(path: str | Path) -> SystemConfig:
         warnings.warn(
             f"{origin}: kappa = {kappa:.4g} rad/s differs from pi*c/(L*finesse) "
             f"= {cavity.kappa_expected:.4g} rad/s by more than "
-            f"{KAPPA_CONSISTENCY_TOL:.0%}", ConsistencyWarning, stacklevel=2)
+            f"{KAPPA_CONSISTENCY_TOL:.0%}", ConsistencyWarning, stacklevel=3)
 
     off_gain_raw = mapping.get("off_gain_Ns_per_m", "auto").strip().lower()
     off_gain = None if off_gain_raw == "auto" else _parse_float(
@@ -474,12 +478,13 @@ def load_config(path: str | Path) -> SystemConfig:
 def save_config(config: SystemConfig, path: str | Path) -> None:
     """Write a config back to disk.
 
-    Configs that came from a file keep their original key/value text, so a
-    load/save/load round trip preserves every field bit-exactly.  Configs
-    built programmatically are serialized from their SI fields.
+    A config whose original key/value text loads back to it at ``path``
+    keeps that text, so a load/save/load round trip preserves every field
+    bit-exactly.  Configs built programmatically, or changed since they
+    were loaded, are serialized from their SI fields.
     """
     path = Path(path)
-    if config.raw_items:
+    if config.raw_items and _build_config(config.raw_items, path) == config:
         lines = [f"{k} = {v}" for k, v in config.raw_items]
     else:
         m1, m2, cav, servo, noise = (config.mirror1, config.mirror2,

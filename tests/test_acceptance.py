@@ -68,7 +68,7 @@ def test_acceptance_2_sixtyfold_reduction(experiment_config):
         cfg = experiment_config
         m1 = cfg.mirror1
         bare = K_B * 300.0 / (HBAR * m1.omega0) * m1.gamma0
-        assert bare == pytest.approx(2.2e11, rel=0.10), f"bare rate {bare:.3e}"
+        assert bare == pytest.approx(2.2e11, rel=0.10, abs=0), f"bare rate {bare:.3e}"
         kappa = cfg.cavity.kappa
         rates = []
         for delta in np.geomspace(kappa / 50.0, 3.0 * kappa, 121):
@@ -90,7 +90,7 @@ def test_acceptance_3_monte_carlo_rate(experiment_config):
         assert result.omega_ref / TWO_PI == pytest.approx(950.0, abs=5.0)
         mode = off_state_mode(experiment_config, experiment_config.noise)
         total, _, _ = predicted_rate(experiment_config, experiment_config.noise, mode)
-        assert result.fitted_rate == pytest.approx(total, rel=0.15), \
+        assert result.fitted_rate == pytest.approx(total, rel=0.15, abs=0), \
             f"slope {result.fitted_rate:.3e} vs predicted {total:.3e}"
 
 
@@ -108,7 +108,7 @@ def test_acceptance_4_equipartition(experiment_config):
         spectrum = thermal_spectrum(300.0, m1, ComplexResponse(grid=w, values=chi))
         got = spectrum.variance()
         want = K_B * 300.0 / (m1.mass * w_eff**2)
-        assert got == pytest.approx(want, rel=0.01), \
+        assert got == pytest.approx(want, rel=0.01, abs=0), \
             f"variance off by {got / want - 1:+.2%}"
 
 
@@ -205,7 +205,7 @@ def test_acceptance_8_temperature_pipeline(experiment_config, thermal_only_noise
                                cfg.mirror1)
         model = reduced_model(cfg, thermal_only_noise)
         want = 300.0 * cfg.mirror1.gamma0 / model.gamma_on
-        assert got.t_eff == pytest.approx(want, rel=0.10), \
+        assert got.t_eff == pytest.approx(want, rel=0.10, abs=0), \
             f"T_eff {got.t_eff * 1e3:.1f} mK vs analytic {want * 1e3:.1f} mK"
 
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from optospring.cli import main
-from optospring.dynamics import reduced_model
+from optospring.dynamics import (SimPlan, detuning_scan, off_state_mode,
+                                 reduced_model)
 from optospring.model import TWO_PI, load_config, resolve_config_path
 from optospring.response import extract_mode
 
@@ -40,8 +41,8 @@ def test_map_zero_detuning_column(tmp_path, ideal_config):
     zero_col = [r for r in rows if float(r["delta_Hz"]) == 0.0]
     assert len(zero_col) == 3
     for r in zero_col:
-        assert float(r["f_eff_Hz"]) == pytest.approx(1.0, rel=1e-3)
-        assert float(r["gamma_eff_Hz"]) == pytest.approx(1e-6, rel=1e-3)
+        assert float(r["f_eff_Hz"]) == pytest.approx(1.0, rel=1e-3, abs=0)
+        assert float(r["gamma_eff_Hz"]) == pytest.approx(1e-6, rel=1e-3, abs=0)
         assert r["stable"] == "1"
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "map"
@@ -58,8 +59,8 @@ def test_map_default_ranges(tmp_path):
     zero_col = [r for r in rows if float(r["delta_Hz"]) == 0.0]
     assert zero_col
     for r in zero_col:
-        assert float(r["f_eff_Hz"]) == pytest.approx(1.0, rel=1e-3)
-        assert float(r["gamma_eff_Hz"]) == pytest.approx(1e-6, rel=1e-3)
+        assert float(r["f_eff_Hz"]) == pytest.approx(1.0, rel=1e-3, abs=0)
+        assert float(r["gamma_eff_Hz"]) == pytest.approx(1e-6, rel=1e-3, abs=0)
 
 
 def test_map_reports_cell_counts(tmp_path, capsys):
@@ -91,9 +92,9 @@ def test_map_single_point_matches_extract_mode(tmp_path, ideal_config):
     assert len(rows) == 1
     mode = extract_mode(ideal_config.with_detuning(TWO_PI * delta_hz), gel=gel)
     assert float(rows[0]["f_eff_Hz"]) == pytest.approx(
-        mode.omega_eff / TWO_PI, rel=1e-12)
+        mode.omega_eff / TWO_PI, rel=1e-12, abs=0)
     assert float(rows[0]["gamma_eff_Hz"]) == pytest.approx(
-        mode.gamma_eff / TWO_PI, rel=1e-12)
+        mode.gamma_eff / TWO_PI, rel=1e-12, abs=0)
 
 
 # --------------------------------------------------------------------------
@@ -167,15 +168,18 @@ def test_cool_reports_millikelvin_temperatures(tmp_path):
 
 
 def test_cool_summary_counts_nan_rows(tmp_path, capsys):
-    """The 560 N*s/m gain has no fittable peak: its row is NaN, the run
-    still exits 0, and the summary line says how many rows are NaN."""
+    """The 560 N*s/m gain has no fittable peak: its T_eff is NaN, the run
+    still exits 0, and the summary line says how many rows are NaN.  The
+    occupations do not hang on the fit and stay finite."""
     out = tmp_path / "c"
     rc = main(["cool", "--config", "experiment", "--gel-range", "14:560:2",
                "--out-dir", str(out)])
     assert rc == 0
     assert "cool: 2 gain point(s), 1 with T_eff = NaN ->" in capsys.readouterr().out
-    rows = _read_csv(out / "cool.csv", ["T_eff_mK"])
+    occupations = ["n_th_prime", "n_freq", "n_th_bare"]
+    rows = _read_csv(out / "cool.csv", ["T_eff_mK"] + occupations)
     assert [math.isnan(float(r["T_eff_mK"])) for r in rows] == [False, True]
+    assert all(math.isfinite(float(r[k])) for r in rows for k in occupations)
 
 
 # --------------------------------------------------------------------------
@@ -207,8 +211,27 @@ def test_retherm_deterministic_across_runs(tmp_path):
     assert fit["predicted_rate"] > 0
     # the exact oracle's rate sits within 1% of the rate law; the segment
     # error is the honest one, well above the OLS error of 8 segments
-    assert fit["exact_rate"] == pytest.approx(fit["predicted_rate"], rel=0.01)
+    assert fit["exact_rate"] == pytest.approx(fit["predicted_rate"], rel=0.01, abs=0)
     assert fit["segment_rate_err"] > 5.0 * fit["fitted_rate_err"]
+
+
+def test_retherm_and_scan_report_one_n_osc(tmp_path):
+    """n_osc is f_eff / rate_measured, with f_eff the servo-off pole, in
+    retherm_fit.json and in a one-row scan of the same config, plan and
+    seed."""
+    plan_args = ["--config", "experiment", "--n-trajectories", "8",
+                 "--duration", "1.0", "--seed", "20"]
+    assert main(["retherm", *plan_args, "--out-dir", str(tmp_path / "r")]) == 0
+    assert main(["scan", *plan_args, "--deltas", "9.1e5:9.1e5:1",
+                 "--out-dir", str(tmp_path / "s")]) == 0
+    fit = json.loads((tmp_path / "r" / "retherm_fit.json").read_text())
+    config = load_config("experiment")
+    f_eff = off_state_mode(config, config.noise).omega_eff / TWO_PI
+    assert fit["n_osc"] == pytest.approx(f_eff / fit["fitted_rate"],
+                                         rel=1e-12, abs=0)
+    [row] = _read_csv(tmp_path / "s" / "scan.csv", ["n_osc", "rate_measured"])
+    assert float(row["rate_measured"]) == fit["fitted_rate"]
+    assert float(row["n_osc"]) == pytest.approx(fit["n_osc"], rel=1e-12, abs=0)
 
 
 def test_manifest_reproduces_outputs(tmp_path):
@@ -234,8 +257,8 @@ def test_manifest_records_resolved_step(tmp_path):
     plan = json.loads((out / "manifest.json").read_text())["plan"]
     f_ref = json.loads((out / "retherm_fit.json").read_text())["f_ref_Hz"]
     assert plan["record_stride"] == 10
-    assert plan["dt"] == pytest.approx(1.0 / (200.0 * f_ref), rel=1e-12)
-    assert plan["kernel_step"] == pytest.approx(10 * plan["dt"], rel=1e-15)
+    assert plan["dt"] == pytest.approx(1.0 / (200.0 * f_ref), rel=1e-12, abs=0)
+    assert plan["kernel_step"] == pytest.approx(10 * plan["dt"], rel=1e-15, abs=0)
 
     out = tmp_path / "s"
     assert main(["scan", "--config", "experiment", "--deltas", "7e5:1.1e6:2",
@@ -248,8 +271,8 @@ def test_manifest_records_resolved_step(tmp_path):
         cfg = config.with_detuning(float(delta))
         omega_ref = reduced_model(cfg, cfg.noise).omega_ref
         assert p["dt"] == pytest.approx(1.0 / (200.0 * omega_ref / TWO_PI),
-                                        rel=1e-12)
-        assert p["kernel_step"] == pytest.approx(4 * p["dt"], rel=1e-15)
+                                        rel=1e-12, abs=0)
+        assert p["kernel_step"] == pytest.approx(4 * p["dt"], rel=1e-15, abs=0)
     assert plans[0]["dt"] != plans[1]["dt"]
 
 
@@ -266,8 +289,16 @@ def test_scan_writes_rows(tmp_path):
         assert float(r["rate_measured"]) > 0
         assert float(r["rate_predicted"]) > 0
         assert float(r["rate_exact"]) == pytest.approx(
-            float(r["rate_predicted"]), rel=0.05)
+            float(r["rate_predicted"]), rel=0.05, abs=0)
         assert float(r["n_osc"]) > 0
+    # rate_err is the honest segment error, well above the OLS error
+    config = load_config("experiment")
+    plan = SimPlan(duration=1.0, n_trajectories=4, master_seed=5)
+    measured = detuning_scan(config, config.noise, plan,
+                             np.linspace(7e5, 1.1e6, 2) * TWO_PI)
+    for r, m in zip(rows, measured):
+        assert float(r["rate_err"]) == m.rate_segment_err
+        assert m.rate_segment_err > 5.0 * m.rate_ols_err
 
 
 # --------------------------------------------------------------------------

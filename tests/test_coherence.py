@@ -42,7 +42,7 @@ def test_coupling_scales_with_mass(experiment_config):
                                     mass=4.0 * experiment_config.mirror1.mass),
         raw_items=())
     assert single_photon_coupling(heavy, w_eff) == pytest.approx(g0 / 2.0,
-                                                                 rel=1e-12)
+                                                                 rel=1e-12, abs=0)
 
 
 def test_coupling_is_pull_times_zero_point(experiment_config):
@@ -51,7 +51,7 @@ def test_coupling_is_pull_times_zero_point(experiment_config):
     m1 = experiment_config.mirror1.mass
     oracle = experiment_config.cavity.g_pull * math.sqrt(HBAR / (2.0 * m1 * w_eff))
     assert single_photon_coupling(experiment_config, w_eff) == pytest.approx(
-        oracle, rel=1e-14)
+        oracle, rel=1e-14, abs=0)
 
 
 def test_coupling_vanishes_without_pull(experiment_config):
@@ -74,7 +74,7 @@ def test_condition_boundary_is_strict():
     w_eff = TWO_PI * 1e3
     g0 = 1.5
     ok, margin = check_condition(_FixedNoise(g0**2 / w_eff), g0, w_eff)
-    assert margin == pytest.approx(1.0, rel=1e-15)
+    assert margin == pytest.approx(1.0, rel=1e-15, abs=0)
     assert not ok
     ok_below, _ = check_condition(_FixedNoise(0.999 * g0**2 / w_eff), g0, w_eff)
     assert ok_below
@@ -88,7 +88,7 @@ def test_condition_for_prospective_parameters():
     noise = _FixedNoise((4e-3) ** 2)
     ok, margin = check_condition(noise, budget.g0, REF["omega_eff"])
     assert ok
-    assert margin == pytest.approx(budget.condition_margin, rel=1e-12)
+    assert margin == pytest.approx(budget.condition_margin, rel=1e-12, abs=0)
 
 
 # --------------------------------------------------------------------------
@@ -102,33 +102,33 @@ def test_budget_reference_point():
     assert budget.n_osc == pytest.approx(1.0894, abs=3e-4)
     # the condition margin is the trap share divided by pi
     assert budget.condition_margin == pytest.approx(
-        budget.inv_n_osc_trap / math.pi, rel=1e-12)
+        budget.inv_n_osc_trap / math.pi, rel=1e-12, abs=0)
 
 
 def test_budget_power_laws():
     base = feasibility_budget(**REF)
     doubled = feasibility_budget(**{**REF, "omega_eff": 2.0 * REF["omega_eff"]})
     assert doubled.inv_n_osc_thermal == pytest.approx(
-        base.inv_n_osc_thermal / 4.0, rel=1e-12)
+        base.inv_n_osc_thermal / 4.0, rel=1e-12, abs=0)
     assert doubled.inv_n_osc_trap == pytest.approx(
-        base.inv_n_osc_trap * 4.0, rel=1e-12)
+        base.inv_n_osc_trap * 4.0, rel=1e-12, abs=0)
     heavier = feasibility_budget(**{**REF, "m1": 2.0 * REF["m1"]})
     assert heavier.inv_n_osc_trap == pytest.approx(
-        base.inv_n_osc_trap * 2.0, rel=1e-12)
+        base.inv_n_osc_trap * 2.0, rel=1e-12, abs=0)
     assert heavier.inv_n_osc_thermal == base.inv_n_osc_thermal
     longer = feasibility_budget(**{**REF, "length": 2.0 * REF["length"]})
     assert longer.inv_n_osc_trap == pytest.approx(
-        base.inv_n_osc_trap * 4.0, rel=1e-12)
+        base.inv_n_osc_trap * 4.0, rel=1e-12, abs=0)
     quieter = feasibility_budget(**{**REF, "noise_amp_at_omega_eff": 2e-3})
     assert quieter.inv_n_osc_trap == pytest.approx(
-        base.inv_n_osc_trap / 4.0, rel=1e-12)
+        base.inv_n_osc_trap / 4.0, rel=1e-12, abs=0)
 
 
 def test_budget_single_term_reduction():
     budget = feasibility_budget(**{**REF, "noise_amp_at_omega_eff": 0.0})
     assert budget.inv_n_osc_trap == 0.0
     assert budget.n_osc == pytest.approx(1.0 / budget.inv_n_osc_thermal,
-                                         rel=1e-12)
+                                         rel=1e-12, abs=0)
     assert budget.n_osc == pytest.approx(1.25, abs=0.08)
 
 
@@ -174,12 +174,12 @@ def test_budget_agrees_with_rate_law(experiment_config, tmp_path):
                          "--json-out", str(json_out)]) == 0
             assert json.loads(json_out.read_text()) == json.loads(budget.to_json())
         scale = TWO_PI / mode.omega_eff
-        assert budget.inv_n_osc_thermal == pytest.approx(scale * thermal, rel=1e-2)
-        assert budget.inv_n_osc_trap == pytest.approx(scale * trap, rel=1e-2)
+        assert budget.inv_n_osc_thermal == pytest.approx(scale * thermal, rel=1e-2, abs=0)
+        assert budget.inv_n_osc_trap == pytest.approx(scale * trap, rel=1e-2, abs=0)
         _, margin = check_condition(cfg.noise,
                                     single_photon_coupling(cfg, mode.omega_eff),
                                     mode.omega_eff)
-        assert budget.condition_margin == pytest.approx(margin, rel=1e-12)
+        assert budget.condition_margin == pytest.approx(margin, rel=1e-12, abs=0)
 
 
 def test_verdict_line_mentions_n_osc():

@@ -79,8 +79,8 @@ def test_intracavity_photons_from_power(experiment_config):
                               n_cav_peak=None, detuning=0.0)
     flux = 0.82e-3 / (HBAR * cav.omega_laser)
     expected = 2.0 * (0.19 * cav.kappa) * flux / cav.kappa**2
-    assert intracavity_photons(cav) == pytest.approx(expected, rel=1e-12)
-    assert expected == pytest.approx(2.970e8, rel=1e-3)  # frozen magnitude
+    assert intracavity_photons(cav) == pytest.approx(expected, rel=1e-12, abs=0)
+    assert expected == pytest.approx(2.970e8, rel=1e-3, abs=0)  # frozen magnitude
 
 
 def test_intracavity_photons_even_and_peaked(experiment_config):
@@ -150,7 +150,7 @@ def test_kappa_derived_from_finesse(tmp_path):
     p.write_text(text)
     cfg = load_config(p)
     expected = math.pi * 299792458.0 / (0.087 * 1980.0)
-    assert cfg.cavity.kappa == pytest.approx(expected, rel=1e-12)
+    assert cfg.cavity.kappa == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_save_load_round_trip_is_exact(tmp_path):
@@ -181,13 +181,26 @@ def test_round_trip_property(tmp_path_factory, m1_mg):
     assert again.cavity == cfg.cavity
 
 
+def test_save_changed_config_writes_its_fields(tmp_path, experiment_config):
+    """A loaded config changed with dataclasses.replace keeps its source
+    text, which no longer describes it: save writes the SI form instead."""
+    cfg = dataclasses.replace(experiment_config, noise=dataclasses.replace(
+        experiment_config.noise, temperature=4.0))
+    assert cfg.raw_items
+    out = tmp_path / "changed.cfg"
+    save_config(cfg, out)
+    again = load_config(out)
+    assert again.noise.temperature == 4.0
+    assert again.cavity == cfg.cavity
+
+
 def test_programmatic_save_round_trip(tmp_path, experiment_config):
     cfg = experiment_config.with_detuning(12345.678)  # drops the raw text
     assert not cfg.raw_items
     out = tmp_path / "prog.cfg"
     save_config(cfg, out)
     again = load_config(out)
-    assert again.cavity.detuning == pytest.approx(cfg.cavity.detuning, rel=1e-15)
+    assert again.cavity.detuning == pytest.approx(cfg.cavity.detuning, rel=1e-15, abs=0)
     assert again.mirror1 == cfg.mirror1
 
 
@@ -216,7 +229,7 @@ def test_noise_table_overrides_and_matches_model():
                          freq_noise_table=table)
     # model and generated table agree at every tabulated point
     for f, v in table:
-        assert tabulated.sqrt_sphidot(f) == pytest.approx(v, rel=1e-12)
+        assert tabulated.sqrt_sphidot(f) == pytest.approx(v, rel=1e-12, abs=0)
     # and log-log interpolation stays on the 1/f law between points
     mids = np.sqrt(freqs[:-1] * freqs[1:])
     np.testing.assert_allclose(tabulated.sqrt_sphidot(mids),
@@ -238,7 +251,7 @@ def test_noise_table_loaded_from_csv(tmp_path):
     cfg = load_config(cfg_file)
     assert cfg.noise.freq_noise_table == ((10.0, 0.4), (100.0, 0.04),
                                           (1000.0, 0.004))
-    assert cfg.noise.sqrt_sphidot(1000.0) == pytest.approx(4e-3, rel=1e-12)
+    assert cfg.noise.sqrt_sphidot(1000.0) == pytest.approx(4e-3, rel=1e-12, abs=0)
 
 
 def test_mirror_invariants():

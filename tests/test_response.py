@@ -33,8 +33,8 @@ def test_dc_compliance(experiment_config):
     m1 = experiment_config.mirror1
     chi = mech_susceptibility(m1, 0.0)
     assert chi.imag == 0.0
-    assert chi.real == pytest.approx(1.0 / (m1.mass * m1.omega0**2), rel=1e-12)
-    assert chi.real == pytest.approx(1.106e3, rel=1e-3)
+    assert chi.real == pytest.approx(1.0 / (m1.mass * m1.omega0**2), rel=1e-12, abs=0)
+    assert chi.real == pytest.approx(1.106e3, rel=1e-3, abs=0)
 
 
 def test_resonance_phase(experiment_config):
@@ -42,7 +42,7 @@ def test_resonance_phase(experiment_config):
     chi = mech_susceptibility(m1, m1.omega0)
     assert chi.real == pytest.approx(0.0, abs=1e-18)
     q1 = m1.quality_factor
-    assert abs(chi) == pytest.approx(q1 / (m1.mass * m1.omega0**2), rel=1e-12)
+    assert abs(chi) == pytest.approx(q1 / (m1.mass * m1.omega0**2), rel=1e-12, abs=0)
 
 
 def test_susceptibility_against_driven_ode():
@@ -73,7 +73,7 @@ def test_susceptibility_against_driven_ode():
         chi_measured = 2.0 * np.trapezoid(
             x * np.exp(-1j * w_drive * sol.t), sol.t) / span / f0
         chi = mech_susceptibility(mirror, w_drive)
-        assert abs(chi_measured) == pytest.approx(abs(chi), rel=1e-3)
+        assert abs(chi_measured) == pytest.approx(abs(chi), rel=1e-3, abs=0)
         dphase = cmath.phase(chi_measured / chi)
         assert abs(dphase) < 1e-3
 
@@ -94,7 +94,7 @@ def test_spring_dc_value_at_delta_kappa(ideal_config):
     expected = HBAR * cav.g_pull**2 * n_cav / cav.kappa
     k = optical_spring(cav, 0.0)
     assert k.imag == 0.0
-    assert k.real == pytest.approx(expected, rel=1e-12)
+    assert k.real == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_spring_against_direct_complex_arithmetic(ideal_config):
@@ -105,7 +105,7 @@ def test_spring_against_direct_complex_arithmetic(ideal_config):
     n_cav = 8.5e5 / (1.0 + 0.25)
     oracle = (2.0 * HBAR * cav.g_pull**2 * n_cav * cav.detuning
               / ((cav.kappa + 1j * w) ** 2 + cav.detuning**2))
-    assert optical_spring(cav, w) == pytest.approx(oracle, rel=1e-12)
+    assert optical_spring(cav, w) == pytest.approx(oracle, rel=1e-12, abs=0)
 
 
 def test_spring_signs(experiment_config):
@@ -124,7 +124,7 @@ def test_adiabatic_expansion_matches_full_spring(experiment_config):
     k0, c1 = adiabatic_spring(cav)
     w = TWO_PI * 950.0
     approx = k0 * (1.0 - 1j * c1 * w)
-    assert optical_spring(cav, w) == pytest.approx(approx, rel=2e-6)
+    assert optical_spring(cav, w) == pytest.approx(approx, rel=2e-6, abs=0)
 
 
 # --------------------------------------------------------------------------
@@ -173,7 +173,7 @@ def test_spring_only_reduction():
     z1 = 1.56
     expected = chi1 / (1.0 + z1**2 * chi1 * k)
     assert effective_susceptibility(chi1, 9 - 1j, k, 0.0, z1, 1.0) \
-        == pytest.approx(expected, rel=1e-14)
+        == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 def test_matches_signal_flow_solve():
@@ -244,10 +244,10 @@ def test_open_loop_carries_zeta2(experiment_config):
     cfg = experiment_config.with_detuning(0.0)
     expected = cfg.cavity.zeta2 * mech_susceptibility(cfg.mirror2, w) \
         * servo_response(cfg.servo, w)
-    assert open_loop_gain(cfg, w) == pytest.approx(expected, rel=1e-14)
+    assert open_loop_gain(cfg, w) == pytest.approx(expected, rel=1e-14, abs=0)
     doubled = dataclasses.replace(
         cfg, cavity=dataclasses.replace(cfg.cavity, zeta2=2.0), raw_items=())
-    assert open_loop_gain(doubled, w) == pytest.approx(2.0 * expected, rel=1e-14)
+    assert open_loop_gain(doubled, w) == pytest.approx(2.0 * expected, rel=1e-14, abs=0)
 
 
 def test_open_loop_inversion_round_trip(experiment_config):
@@ -266,10 +266,10 @@ def test_bare_pendulum_mode(experiment_config):
     cfg = experiment_config.with_detuning(0.0)
     mode = extract_mode(cfg, gel=0.0)
     m1 = experiment_config.mirror1
-    assert mode.omega_eff == pytest.approx(m1.omega0, rel=1e-4)
-    assert mode.gamma_eff == pytest.approx(m1.gamma0, rel=1e-9)
+    assert mode.omega_eff == pytest.approx(m1.omega0, rel=1e-4, abs=0)
+    assert mode.gamma_eff == pytest.approx(m1.gamma0, rel=1e-9, abs=0)
     assert mode.stable
-    assert mode.pole.real == pytest.approx(-m1.gamma0 / 2.0, rel=1e-9)
+    assert mode.pole.real == pytest.approx(-m1.gamma0 / 2.0, rel=1e-9, abs=0)
 
 
 def test_stiff_spring_quadratic_oracle(experiment_config):
@@ -281,8 +281,8 @@ def test_stiff_spring_quadratic_oracle(experiment_config):
     expected_w = math.sqrt(m1.omega0**2 + cav.zeta1**2 * k0 / m1.mass)
     expected_g = m1.gamma0 - cav.zeta1**2 * k0 * c1 / m1.mass
     mode = extract_mode(cfg, gel=0.0)
-    assert mode.omega_eff == pytest.approx(expected_w, rel=1e-3)
-    assert mode.gamma_eff == pytest.approx(expected_g, rel=1e-3)
+    assert mode.omega_eff == pytest.approx(expected_w, rel=1e-3, abs=0)
+    assert mode.gamma_eff == pytest.approx(expected_g, rel=1e-3, abs=0)
     assert mode.gamma_eff < 0 and not mode.stable
 
 
@@ -310,7 +310,7 @@ def test_ambiguous_branch_warns_on_degenerate_pendulums(ideal_config):
     with pytest.warns(AmbiguousBranchWarning):
         mode = extract_mode(ideal_config.with_detuning(0.0), gel=0.0)
     # the high-Q mirror wins the tie-break
-    assert mode.gamma_eff == pytest.approx(ideal_config.mirror1.gamma0, rel=1e-6)
+    assert mode.gamma_eff == pytest.approx(ideal_config.mirror1.gamma0, rel=1e-6, abs=0)
 
 
 def test_sectioned_servo_shapes_the_pole(experiment_config):
@@ -328,7 +328,7 @@ def test_sectioned_servo_shapes_the_pole(experiment_config):
     expected = (m1.gamma0 - gamma_opt
                 + cav.zeta2 * 10.0 / m2.mass * section.response(w_eff).real)
     mode = extract_mode(cfg)
-    assert mode.gamma_eff == pytest.approx(expected, rel=0.02)
+    assert mode.gamma_eff == pytest.approx(expected, rel=0.02, abs=0)
     plain = extract_mode(dataclasses.replace(
         cfg, servo=dataclasses.replace(servo, sections=()), raw_items=()))
     assert mode.gamma_eff < plain.gamma_eff  # the lowpass weakens the damping
@@ -374,8 +374,8 @@ def test_cancellation_gain_formula(ideal_config):
     g = cancellation_gain(ideal_config, TWO_PI * 1e3)
     # m2 * w^2 / kappa = 0.1 * (2 pi 1e3)^2 / (2 pi 2e6) = pi/10
     assert g == pytest.approx(0.1 * (TWO_PI * 1e3) ** 2
-                              / ideal_config.cavity.kappa, rel=1e-15)
-    assert g == pytest.approx(math.pi / 10.0, rel=1e-12)
+                              / ideal_config.cavity.kappa, rel=1e-15, abs=0)
+    assert g == pytest.approx(math.pi / 10.0, rel=1e-12, abs=0)
 
 
 def test_cancellation_marginality_and_sign_flip(experiment_config):
@@ -529,11 +529,11 @@ def test_response_csv_columns(tmp_path, experiment_config):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     assert lines[0] == "f_Hz,re,im,mag,phase_deg"
     cells = lines[1].split(",")
-    assert float(cells[0]) == pytest.approx(10.0, rel=1e-12)
+    assert float(cells[0]) == pytest.approx(10.0, rel=1e-12, abs=0)
     re_, im_, mag = float(cells[1]), float(cells[2]), float(cells[3])
-    assert mag == pytest.approx(math.hypot(re_, im_), rel=1e-12)
+    assert mag == pytest.approx(math.hypot(re_, im_), rel=1e-12, abs=0)
     assert float(cells[4]) == pytest.approx(
-        math.degrees(math.atan2(im_, re_)), rel=1e-9)
+        math.degrees(math.atan2(im_, re_)), rel=1e-9, abs=0)
 
 
 def test_complex_response_rejects_nan():

@@ -54,7 +54,7 @@ def test_thermal_equipartition_bare_pendulum(experiment_config):
     chi = ComplexResponse(grid=w, values=mech_susceptibility(m1, w))
     s = thermal_spectrum(300.0, m1, chi)
     expected = K_B * 300.0 / (m1.mass * m1.omega0**2)
-    assert s.variance() == pytest.approx(expected, rel=1e-2)
+    assert s.variance() == pytest.approx(expected, rel=1e-2, abs=0)
 
 
 def test_thermal_peak_value(experiment_config):
@@ -63,7 +63,7 @@ def test_thermal_peak_value(experiment_config):
     s = thermal_spectrum(300.0, m1, chi)
     idx = np.argmin(np.abs(chi.grid - w_eff))
     expected = 4.0 * K_B * 300.0 * m1.gamma0 * m1.mass * abs(chi.values[idx]) ** 2
-    assert s.values[idx] == pytest.approx(expected, rel=1e-12)
+    assert s.values[idx] == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 # --------------------------------------------------------------------------
@@ -110,7 +110,7 @@ def test_freqnoise_against_independent_transfer(experiment_config):
     # response peaks near the trapped resonance
     mode = extract_mode(cfg)
     f_peak = grid_hz[np.argmax(s.values)]
-    assert f_peak == pytest.approx(mode.omega_eff / TWO_PI, rel=0.2)
+    assert f_peak == pytest.approx(mode.omega_eff / TWO_PI, rel=0.2, abs=0)
 
 
 # --------------------------------------------------------------------------
@@ -127,7 +127,7 @@ def test_calibration_zero_maps_to_zero(experiment_config):
 def test_calibration_scales_with_mode_frequency_squared(experiment_config):
     f1 = calibration_factor(experiment_config, TWO_PI * 500.0)
     f2 = calibration_factor(experiment_config, TWO_PI * 1000.0)
-    assert f2 == pytest.approx(4.0 * f1, rel=1e-12)
+    assert f2 == pytest.approx(4.0 * f1, rel=1e-12, abs=0)
 
 
 def test_calibration_factor_direct_formula(experiment_config):
@@ -137,7 +137,7 @@ def test_calibration_factor_direct_formula(experiment_config):
     oracle = (TWO_PI * c_light * 5e-6 / (1980.0 * 1.56)) * (1.0 - 0.19) \
         * w_eff**2 * 1.0
     assert calibration_factor(experiment_config, w_eff) == pytest.approx(
-        oracle, rel=1e-12)
+        oracle, rel=1e-12, abs=0)
 
 
 def test_calibration_round_trip(experiment_config):
@@ -166,7 +166,7 @@ def test_welch_sine_peak_power():
     s = welch_psd(x, 1.0 / fs, segment_length=nperseg)
     sel = np.abs(s.grid - f_sine) <= 5.0 * fs / nperseg
     power = np.trapezoid(s.values[sel], s.grid[sel])
-    assert power == pytest.approx(a**2 / 2.0, rel=0.02)
+    assert power == pytest.approx(a**2 / 2.0, rel=0.02, abs=0)
 
 
 def test_welch_white_noise_level_and_variance():
@@ -176,8 +176,8 @@ def test_welch_white_noise_level_and_variance():
     x = rng.normal(0.0, sigma, size=1 << 17)
     s = welch_psd(x, 1.0 / fs, segment_length=2048)
     # flat level = variance / f_Nyquist
-    assert s.values.mean() == pytest.approx(sigma**2 / (fs / 2.0), rel=0.05)
-    assert s.variance() == pytest.approx(x.var(), rel=0.02)
+    assert s.values.mean() == pytest.approx(sigma**2 / (fs / 2.0), rel=0.05, abs=0)
+    assert s.variance() == pytest.approx(x.var(), rel=0.02, abs=0)
 
 
 def test_welch_needs_two_segments():
@@ -219,7 +219,7 @@ def test_welch_matches_thermal_spectrum_for_simulated_pendulum(experiment_config
     sel = (grid > 0.5 * f0) & (grid < 2.0 * f0)
     got = np.trapezoid(mean_psd[sel], grid[sel])
     want = np.trapezoid(analytic.values[sel], grid[sel])
-    assert got == pytest.approx(want, rel=0.35)
+    assert got == pytest.approx(want, rel=0.35, abs=0)
 
 
 # --------------------------------------------------------------------------
@@ -237,11 +237,11 @@ def test_mode_temperature_synthetic_lorentzian(experiment_config):
     w_eff = TWO_PI * f0
     mt = mode_temperature(s, w_eff, sigma * 4.0 * math.pi, m1)
     area = math.pi * s0 * sigma
-    assert mt.mean_square_x == pytest.approx(area, rel=0.05)
-    assert mt.t_eff == pytest.approx(m1.mass * w_eff**2 * area / K_B, rel=0.05)
+    assert mt.mean_square_x == pytest.approx(area, rel=0.05, abs=0)
+    assert mt.t_eff == pytest.approx(m1.mass * w_eff**2 * area / K_B, rel=0.05, abs=0)
     lo, hi = mt.integration_band
-    assert lo == pytest.approx(f0 - 3 * sigma, rel=1e-3)
-    assert hi == pytest.approx(f0 + 3 * sigma, rel=1e-3)
+    assert lo == pytest.approx(f0 - 3 * sigma, rel=1e-3, abs=0)
+    assert hi == pytest.approx(f0 + 3 * sigma, rel=1e-3, abs=0)
 
 
 def test_mode_temperature_recovers_bath_temperature(experiment_config):
@@ -252,7 +252,7 @@ def test_mode_temperature_recovers_bath_temperature(experiment_config):
     chi = ComplexResponse(grid=w, values=mech_susceptibility(m1, w))
     s = thermal_spectrum(300.0, m1, chi)
     mt = mode_temperature(s, m1.omega0, m1.gamma0, m1)
-    assert mt.t_eff == pytest.approx(300.0, rel=0.10)
+    assert mt.t_eff == pytest.approx(300.0, rel=0.10, abs=0)
 
 
 def test_mode_temperature_grid_refinement(experiment_config):
@@ -280,7 +280,7 @@ def test_mode_temperature_band_outside_grid(experiment_config):
 
 def test_lorentzian_band_fraction_constant():
     assert LORENTZIAN_3SIGMA_FRACTION == pytest.approx(
-        2.0 / math.pi * math.atan(3.0), rel=1e-15)
+        2.0 / math.pi * math.atan(3.0), rel=1e-15, abs=0)
 
 
 def test_cooled_mode_temperature_order_ten_millikelvin(experiment_config):
@@ -326,7 +326,7 @@ def test_welch_integral_matches_sample_variance(experiment_config,
                    record_stride=1)
     t, x, v, n = simulate_trajectory(cfg, thermal_only_noise, plan, 0)
     spec = welch_psd(x, float(t[1] - t[0]), segment_length=1 << 13)
-    assert spec.variance() == pytest.approx(float(np.var(x)), rel=0.03)
+    assert spec.variance() == pytest.approx(float(np.var(x)), rel=0.03, abs=0)
 
 
 # --------------------------------------------------------------------------
@@ -355,8 +355,8 @@ def test_occupation_bare_pendulum_magnitude(experiment_config):
                          stable=True, pole=complex(-0.3, TWO_PI * 950.0))
     _, _, n_bare = occupations(experiment_config, noise, mode, _quiet_spectrum())
     oracle = K_B * 300.0 / (HBAR * experiment_config.mirror1.omega0)
-    assert n_bare == pytest.approx(oracle, rel=1e-12)
-    assert n_bare == pytest.approx(2.9e12, rel=0.02)
+    assert n_bare == pytest.approx(oracle, rel=1e-12, abs=0)
+    assert n_bare == pytest.approx(2.9e12, rel=0.02, abs=0)
 
 
 def test_occupation_identity(experiment_config):
@@ -366,7 +366,7 @@ def test_occupation_identity(experiment_config):
                                _quiet_spectrum())
     m1 = experiment_config.mirror1
     assert n_th_p * mode.gamma_eff == pytest.approx(
-        K_B * 300.0 * m1.gamma0 / (HBAR * mode.omega_eff), rel=1e-12)
+        K_B * 300.0 * m1.gamma0 / (HBAR * mode.omega_eff), rel=1e-12, abs=0)
 
 
 def test_occupations_reject_undamped_mode(experiment_config):
