@@ -13,6 +13,7 @@ import dataclasses
 import datetime
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -37,13 +38,15 @@ from .tables import write_table
 def _parse_range(text: str, name: str) -> np.ndarray:
     try:
         start, stop, count = text.split(":")
-        values = np.linspace(float(start), float(stop), int(count))
+        start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
         raise ValidationError(f"{name} parses as start:stop:count",
                               name, text) from exc
-    if values.size < 1:
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValidationError(f"{name} start and stop finite", name, text)
+    if count < 1:
         raise ValidationError(f"{name} nonempty", name, text)
-    return values
+    return np.linspace(start, stop, count)
 
 
 def _config_hash(path: Path) -> str:

@@ -129,13 +129,15 @@ def feasibility_budget(m1: float, omega_eff: float,
     """
     for name, val in (("m1", m1), ("omega_eff", omega_eff), ("L", length),
                       ("Q1", q1), ("omega1", omega1)):
-        if val <= 0:
-            raise ValidationError(f"{name} > 0", name, val)
-    if temperature < 0:
-        raise ValidationError("T >= 0", "temperature", temperature)
-    if noise_amp_at_omega_eff < 0:
-        raise ValidationError("noise amp >= 0", "noise_amp_at_omega_eff",
-                              noise_amp_at_omega_eff)
+        if not 0 < val < math.inf:
+            raise ValidationError(f"{name} > 0 and finite", name, val)
+    if not 0 <= temperature < math.inf:
+        raise ValidationError("T >= 0 and finite", "temperature", temperature)
+    if not 0 <= noise_amp_at_omega_eff < math.inf:
+        raise ValidationError("noise amp >= 0 and finite",
+                              "noise_amp_at_omega_eff", noise_amp_at_omega_eff)
+    if g_pull is not None and not math.isfinite(g_pull):
+        raise ValidationError("g_pull finite", "g_pull", g_pull)
 
     g = DEFAULT_OMEGA_LASER / length if g_pull is None else g_pull
     f_eff = omega_eff / TWO_PI

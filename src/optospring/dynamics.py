@@ -36,8 +36,11 @@ chunk edges depend only on the plan, so results are bit-identical no
 matter how trajectories are batched.  Runs at different strides sample
 the same law, not the same realisation.
 
-``exact_mean_phonon`` is the sampling-free oracle: it carries the state's
-second moment through the same maps, M <- Phi M Phi^T + Q.  ``measure_rate``
+``_protocol`` derives the switch protocol from a plan once, and ``_walk``
+runs it, yielding each kernel call's records to ``run_ensemble`` (the
+relaxation phonon numbers) or ``simulate_trajectory`` (one timeline).
+``exact_mean_phonon``, the sampling-free oracle, walks the same phases
+with the state's second moment, M <- Phi M Phi^T + Q.  ``measure_rate``
 fits both and sets them beside the rate law at the servo-off pole.
 """
 
@@ -255,7 +258,7 @@ class PhaseMap:
             phi = phi1 @ phi
         self.phi = phi
         self.cov = 0.5 * (cov + cov.T)
-        self.noise = None if s_th == 0.0 and s_ou == 0.0 else _factor(self.cov)
+        self.noise = _factor(self.cov)
         self.dt = dt
         self._sde = (a, lmat)
 
@@ -275,16 +278,16 @@ class PhaseMap:
                                 -(lam @ lam.T).ravel()).reshape(3, 3)
         return 0.5 * (sigma + sigma.T) * np.outer(d, d)
 
-    def run(self, z: tuple, steps: int, xi: np.ndarray | None = None) -> tuple:
+    def run(self, z: tuple, steps: int, xi: np.ndarray) -> tuple:
         """Advance a state (x, v, F) of (B,) arrays by ``steps`` steps of
         the map (each one of ``substeps`` steps of dt).
 
-        ``xi`` holds the (B, steps, 3) standard normals of the steps (None
-        without noise).  Returns (B, steps) arrays of x, v and
-        F after each step.  The force row of Phi is (0, 0, Phi[2, 2]), so F
-        is a first-order recursion; (x, v) is a second-order section with
-        denominator [1, -tr, det] of Phi[:2, :2], driven by Phi[:2, 2]*F
-        plus the noise.  The noise product is one einsum (its own loops,
+        ``xi`` holds the (B, steps, 3) standard normals of the steps.
+        Returns (B, steps) arrays of x, v and F after each step.  The force
+        row of Phi is (0, 0, Phi[2, 2]), so F is a first-order recursion;
+        (x, v) is a second-order section with denominator [1, -tr, det] of
+        Phi[:2, :2], driven by Phi[:2, 2]*F plus the noise.  The noise
+        product is one einsum (its own loops,
         no BLAS) and every other operation is elementwise with a fixed
         association order; lfilter runs each row on its own, so a
         trajectory's numbers do not depend on the batch.
@@ -294,10 +297,7 @@ class PhaseMap:
         p = self.phi
         x0, v0, f0 = z
         b = x0.shape[0]
-        if self.noise is not None and xi is not None:
-            w = np.einsum("ij,bkj->ibk", self.noise, xi)
-        else:
-            w = np.zeros((3, b, steps))
+        w = np.einsum("ij,bkj->ibk", self.noise, xi)
         f = lfilter([1.0], [1.0, -p[2, 2]], w[2], zi=(p[2, 2] * f0)[:, None])[0]
         f_before = np.empty((b, steps))
         f_before[:, 0], f_before[:, 1:] = f0, f[:, :-1]
@@ -324,15 +324,29 @@ def _trajectory_generators(master_seed: int, indices) -> list[np.random.Generato
         for i in indices]
 
 
-def _phase_steps(config: SystemConfig, dt: float) -> int:
-    half_period = 0.5 / config.servo.switch_frequency
-    return max(1, int(round(half_period / dt)))
+@dataclass(frozen=True)
+class _Protocol:
+    """The switch protocol of one plan, derived once for every consumer."""
+
+    model: ReducedModel
+    dt: float              # s, checked
+    steps: int             # steps of dt per servo phase
+    stride: int            # steps of dt per record
+    n_rec: int             # records per phase, R = ceil(steps / stride)
+    last: int              # the remainder step, steps - (R - 1) * stride
+    periods: int           # switch periods, one relaxation phase each
+    phases: tuple          # (gamma, label, t0) per phase, in run order
+    start: np.ndarray      # cooled stationary covariance, where runs start
+    maps: dict             # (gamma, substeps) -> PhaseMap
+    time_grid: np.ndarray  # s, record times from a phase start
 
 
-def _schedule(config: SystemConfig, plan: SimPlan,
-              model: ReducedModel) -> tuple[float, int, int]:
-    """The plan's checked time grid: (dt, steps per servo half-period,
-    switch periods)."""
+def _protocol(config: SystemConfig, noise: NoiseEnv, plan: SimPlan) -> _Protocol:
+    """The plan's checked protocol: from the first switch-off, a relaxation
+    phase per switch period with a re-cooling phase between each two, each
+    phase ``steps`` steps of dt: R - 1 whole strides, then the remainder
+    step to the phase end."""
+    model = reduced_model(config, noise)
     dt = plan.resolve_dt(model.omega_ref)
     if dt * model.omega_ref >= 0.1:
         raise ValidationError("dt * omega_eff < 0.1", "dt", dt)
@@ -340,30 +354,33 @@ def _schedule(config: SystemConfig, plan: SimPlan,
     if plan.duration < period * (1.0 - 1e-9):
         raise ValidationError("duration covers >= 1 full switch period",
                               "duration", plan.duration)
-    return dt, _phase_steps(config, dt), max(1, int(round(plan.duration / period)))
-
-
-def _phase_maps(model: ReducedModel, dt: float):
-    """A cached ``phase_map(gamma, substeps)`` for one model and dt."""
-    maps = {}
-
-    def phase_map(gamma: float, substeps: int) -> PhaseMap:
-        if (gamma, substeps) not in maps:
-            maps[gamma, substeps] = PhaseMap(
-                mass=model.mass, omega_sq=model.omega_trap_sq, gamma=gamma,
-                s_f_thermal=model.s_f_thermal, ou_corner=model.ou_corner,
-                ou_force_var=model.ou_force_var, dt=dt, substeps=substeps)
-        return maps[gamma, substeps]
-    return phase_map
-
-
-def _cooled_covariance(model: ReducedModel, cooled: PhaseMap) -> np.ndarray:
-    """Stationary covariance of the cooled phase, where every run starts."""
     if model.gamma_on <= 0:
         raise InstabilityError(
             f"cooled phase is not damped (gamma_on = {model.gamma_on:.4g} rad/s); "
             "cannot prepare the initial state")
-    return cooled.stationary()
+    steps = max(1, int(round(0.5 / config.servo.switch_frequency / dt)))
+    stride = plan.record_stride
+    periods = max(1, int(round(plan.duration / period)))
+    n_rec = (steps + stride - 1) // stride
+    last = steps - (n_rec - 1) * stride
+    phases, t0 = [], 0.0
+    for p in range(2 * periods - 1):
+        phases.append((model.gamma_on, "re-cooling", t0) if p % 2
+                      else (model.gamma_off, "relaxation", t0))
+        t0 += steps * dt
+    maps = {}
+    for gamma in (model.gamma_on, model.gamma_off):
+        for substeps in (stride, last):
+            if (gamma, substeps) not in maps:
+                maps[gamma, substeps] = PhaseMap(
+                    mass=model.mass, omega_sq=model.omega_trap_sq, gamma=gamma,
+                    s_f_thermal=model.s_f_thermal, ou_corner=model.ou_corner,
+                    ou_force_var=model.ou_force_var, dt=dt, substeps=substeps)
+    return _Protocol(model=model, dt=dt, steps=steps, stride=stride,
+                     n_rec=n_rec, last=last, periods=periods,
+                     phases=tuple(phases),
+                     start=maps[model.gamma_on, stride].stationary(),
+                     maps=maps, time_grid=dt * stride * np.arange(n_rec))
 
 
 def _phonon(model: ReducedModel, x, v):
@@ -372,107 +389,76 @@ def _phonon(model: ReducedModel, x, v):
     return e / (HBAR * model.omega_ref) - 0.5
 
 
-def _run_batch(config: SystemConfig, noise: NoiseEnv, plan: SimPlan, indices):
-    """Simulate the switch protocol for the given trajectory indices.
+def _walk(protocol: _Protocol, noise: NoiseEnv, master_seed: int, indices):
+    """Run the protocol for the given trajectory indices, all in one batch.
 
-    Returns (time_off, n_off[B, periods, R], full, model) where ``full`` is
-    the (t, x, v, n) timeline of the first trajectory.
+    Each trajectory starts with one exact draw from the cooled stationary
+    covariance, then takes three normals per map step, all from its own
+    stream.  A phase runs its R - 1 strides in kernel calls of at most
+    DRAW_BLOCK // stride strides, then its remainder step; chunk edges
+    depend on the plan only, never on the batch.  Yields (p, r, x, v) at
+    each phase start and after each kernel call: the (B, m) states of
+    records r .. r + m - 1 of phase p, record r being the state before
+    stride r.  The runaway guard checks every state.
     """
-    model = reduced_model(config, noise)
-    dt, steps_half, n_periods = _schedule(config, plan, model)
-    b = len(indices)
-    stride = plan.record_stride
-    phase_map = _phase_maps(model, dt)
-    cooled = phase_map(model.gamma_on, stride)
-
-    gens = _trajectory_generators(plan.master_seed, indices)
+    stride, n_rec = protocol.stride, protocol.n_rec
+    model, b = protocol.model, len(indices)
+    gens = _trajectory_generators(master_seed, indices)
     per_chunk = max(1, DRAW_BLOCK // stride)  # whole strides per kernel call
-    xi_buf = np.empty((b, 3 * per_chunk)) if cooled.noise is not None else None
+    xi_buf = np.empty((b, 3 * per_chunk))
 
     def draw(n):
         """Normals of n map steps, (B, n, 3), each row from its own stream."""
-        if xi_buf is None:
-            return None
         draws = xi_buf[:, :3 * n]
         for g, row in zip(gens, draws):
             g.standard_normal(out=row)
         return draws.reshape(b, n, 3)
 
-    root = _factor(_cooled_covariance(model, cooled))
-    xi = draw(1)
-    z = tuple(np.zeros((3, b)) if xi is None
-              else np.einsum("ij,bj->ib", root, xi[:, 0]))
-
     # runaway guard scale: thermal RMS of the trapped mode at the bath
     # temperature, with the zero-point amplitude as a floor for cold runs
-    x_scale = max(
+    x_bound = BLOWUP_FACTOR * max(
         math.sqrt(K_B * noise.temperature / (model.mass * model.omega_trap_sq)),
         math.sqrt(HBAR / (2.0 * model.mass * model.omega_ref)))
+    chunks = [(stride, min(per_chunk, n_rec - 1 - j))
+              for j in range(0, n_rec - 1, per_chunk)]
+    chunks.append((protocol.last, 1))
 
-    def check_blowup(x, label):
-        # NaN fails the comparison, so a non-finite state is a runaway too
-        bad = ~(np.abs(x) <= BLOWUP_FACTOR * x_scale)
-        if bad.any():
-            row, _ = np.unravel_index(np.argmax(bad), bad.shape)
-            raise InstabilityError(
-                f"|x| exceeded {BLOWUP_FACTOR:.0e} x thermal RMS or went "
-                f"non-finite during {label} (trajectory {indices[row]}, "
-                f"x = {x[bad][0]:.3e} m)")
-
-    n_rec = (steps_half + stride - 1) // stride
-    time_off = dt * stride * np.arange(n_rec)
-    n_off = np.empty((b, n_periods, n_rec))
-    # t, x, v of the first trajectory, every stride steps of every
-    # relaxation and re-cooling phase
-    n_full = n_rec * (2 * n_periods - 1)
-    full_t, full_x, full_v = np.empty(n_full), np.empty(n_full), np.empty(n_full)
-    filled = 0
-
-    def run_phase(z, gamma, label, t0, n_out=None):
-        """Advance one servo phase of ``steps_half`` >= 1 steps of dt: R - 1
-        whole strides, R = n_rec, in kernel calls of at most ``per_chunk``
-        strides, then one remainder step to the phase end.  Chunk edges
-        depend on the plan only, never on the batch.  The state before each
-        stride (record r at step r*stride) goes to the timeline at
-        t0 + r*stride*dt and, for a relaxation phase, to ``n_out`` (B, R)
-        as a phonon number.  The runaway guard checks every state."""
-        chunks = [(stride, min(per_chunk, n_rec - 1 - j))
-                  for j in range(0, n_rec - 1, per_chunk)]
-        chunks.append((steps_half - (n_rec - 1) * stride, 1))
-
-        def record(r, x, v):
-            # x, v: (B, m) states of records r .. r + m - 1
-            nonlocal filled
-            m = x.shape[1]
-            if n_out is not None:
-                n_out[:, r:r + m] = _phonon(model, x, v)
-            full_t[filled:filled + m] = t0 + stride * np.arange(r, r + m) * dt
-            full_x[filled:filled + m], full_v[filled:filled + m] = x[0], v[0]
-            filled += m
-
-        record(0, z[0][:, None], z[1][:, None])
+    z = tuple(np.einsum("ij,bj->ib", _factor(protocol.start), draw(1)[:, 0]))
+    for p, (gamma, label, _) in enumerate(protocol.phases):
+        yield p, 0, z[0][:, None], z[1][:, None]
         r = 0  # map steps run so far
-        for sub, n in chunks:
-            x, v, f = phase_map(gamma, sub).run(z, n, draw(n))
-            check_blowup(x, label)
+        for substeps, n in chunks:
+            x, v, f = protocol.maps[gamma, substeps].run(z, n, draw(n))
+            # NaN fails the comparison, so a non-finite state is a runaway too
+            bad = ~(np.abs(x) <= x_bound)
+            if bad.any():
+                row, _ = np.unravel_index(np.argmax(bad), bad.shape)
+                raise InstabilityError(
+                    f"|x| exceeded {BLOWUP_FACTOR:.0e} x thermal RMS or went "
+                    f"non-finite during {label} (trajectory {indices[row]}, "
+                    f"x = {x[bad][0]:.3e} m)")
             m = min(n, n_rec - 1 - r)  # states after these steps that are records
             if m > 0:
-                record(r + 1, x[:, :m], v[:, :m])
+                yield p, r + 1, x[:, :m], v[:, :m]
             z = (x[:, -1], v[:, -1], f[:, -1])
             r += n
-        return z
 
-    t0 = 0.0
-    for p in range(n_periods):
-        z = run_phase(z, model.gamma_off, "relaxation", t0, n_off[:, p])
-        t0 += steps_half * dt
-        if p < n_periods - 1:
-            z = run_phase(z, model.gamma_on, "re-cooling", t0)
-            t0 += steps_half * dt
 
-    return (time_off, n_off,
-            (full_t, full_x, full_v, _phonon(model, full_x, full_v)),
-            model)
+def _relaxation_phonons(protocol: _Protocol, noise: NoiseEnv,
+                        master_seed: int, indices) -> np.ndarray:
+    """Phonon numbers of the relaxation records of the given trajectories,
+    (B, periods, R)."""
+    n_off = None
+    period = {}  # relaxation phase -> its switch period
+    for p, r, x, v in _walk(protocol, noise, master_seed, indices):
+        if n_off is None:
+            # after the walk's buffers: before them, glibc split the last
+            # run's freed block and repeated 100 x 2 s runs held ~10 MB more
+            n_off = np.empty((len(indices), protocol.periods, protocol.n_rec))
+        if protocol.phases[p][1] == "relaxation":
+            k = period.setdefault(p, len(period))
+            n_off[:, k, r:r + x.shape[1]] = _phonon(protocol.model, x, v)
+    return n_off
 
 
 def _powers(phi: np.ndarray, n: int) -> np.ndarray:
@@ -495,42 +481,45 @@ def exact_mean_phonon(config: SystemConfig, noise: NoiseEnv,
     each stride and remainder step, with the Monte Carlo's own Phi and Q,
     so after r strides of a phase M_r = Phi^r M_0 Phi^r^T
     + sum_{j<r} Phi^j Q Phi^j^T.  It starts from the cooled stationary
-    covariance, runs the same phases on the same time grid, and averages
+    covariance, walks the same phases on the same time grid, and averages
     the relaxation records over the switch periods as the ensemble
     averages its segments.
     Returns (time_grid, mean_n).
     """
-    model = reduced_model(config, noise)
-    dt, steps_half, n_periods = _schedule(config, plan, model)
-    stride = plan.record_stride
-    phase_map = _phase_maps(model, dt)
-    moment = _cooled_covariance(model, phase_map(model.gamma_on, stride))
-    n_rec = (steps_half + stride - 1) // stride
-    last = steps_half - (n_rec - 1) * stride
+    protocol = _protocol(config, noise, plan)
+    n_rec, moment = protocol.n_rec, protocol.start
     n_sum = np.zeros(n_rec)
-    for p in range(2 * n_periods - 1):
-        gamma = model.gamma_on if p % 2 else model.gamma_off
-        step, end = phase_map(gamma, stride), phase_map(gamma, last)
+    for gamma, label, _ in protocol.phases:
+        step = protocol.maps[gamma, protocol.stride]
+        end = protocol.maps[gamma, protocol.last]
         pw = _powers(step.phi, n_rec)
         pt = pw.transpose(0, 2, 1)
         added = np.zeros((n_rec, 3, 3))
         np.cumsum((pw @ step.cov @ pt)[:-1], axis=0, out=added[1:])
         records = pw @ moment @ pt + added
-        if p % 2 == 0:
-            n_sum += _phonon(model, np.sqrt(records[:, 0, 0]),
+        if label == "relaxation":
+            n_sum += _phonon(protocol.model, np.sqrt(records[:, 0, 0]),
                              np.sqrt(records[:, 1, 1]))
         moment = end.phi @ records[-1] @ end.phi.T + end.cov
-    return dt * stride * np.arange(n_rec), n_sum / n_periods
+    return protocol.time_grid, n_sum / protocol.periods
 
 
 def simulate_trajectory(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
                         index: int):
-    """One trajectory of the switch protocol; returns (t, x, v, n).
+    """One trajectory of the switch protocol; returns (t, x, v, n) at every
+    record of every relaxation and re-cooling phase.
 
     t = 0 is the first switch-off.  The same index inside run_ensemble
     produces bit-identical numbers.
     """
-    return _run_batch(config, noise, plan, [index])[2]
+    protocol = _protocol(config, noise, plan)
+    n_rec, stride, dt = protocol.n_rec, protocol.stride, protocol.dt
+    t, x, v = (np.empty(len(protocol.phases) * n_rec) for _ in range(3))
+    for p, r, xs, vs in _walk(protocol, noise, plan.master_seed, [index]):
+        at, m = p * n_rec + r, xs.shape[1]
+        t[at:at + m] = protocol.phases[p][2] + stride * np.arange(r, r + m) * dt
+        x[at:at + m], v[at:at + m] = xs[0], vs[0]
+    return t, x, v, _phonon(protocol.model, x, v)
 
 
 def fit_decoherence_rate(t: np.ndarray, n: np.ndarray) -> SlopeFit:
@@ -620,9 +609,10 @@ def run_ensemble(config: SystemConfig, noise: NoiseEnv,
     batch it runs in, so any split of the indices reassembles to the same
     result.
     """
-    time_off, n_off, _, model = _run_batch(config, noise, plan,
-                                           list(range(plan.n_trajectories)))
-    return _ensemble_result(time_off, n_off, model.omega_ref)
+    protocol = _protocol(config, noise, plan)
+    n_off = _relaxation_phonons(protocol, noise, plan.master_seed,
+                                range(plan.n_trajectories))
+    return _ensemble_result(protocol.time_grid, n_off, protocol.model.omega_ref)
 
 
 def predicted_rate(config: SystemConfig, noise: NoiseEnv,

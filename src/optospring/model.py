@@ -25,7 +25,8 @@ import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import ConfigParseError, ConsistencyWarning, ValidationError
+from .errors import (ConfigParseError, ConsistencyWarning, OptospringError,
+                     ValidationError)
 
 TWO_PI = 2.0 * math.pi
 
@@ -480,11 +481,18 @@ def save_config(config: SystemConfig, path: str | Path) -> None:
 
     A config whose original key/value text loads back to it at ``path``
     keeps that text, so a load/save/load round trip preserves every field
-    bit-exactly.  Configs built programmatically, or changed since they
-    were loaded, are serialized from their SI fields.
+    bit-exactly.  Configs built programmatically, changed since they were
+    loaded, or whose text reads another file at ``path`` (a noise table
+    given by a relative path) are serialized from their SI fields, with a
+    noise table written beside ``path`` as ``<stem>_noise_table.csv``.
     """
     path = Path(path)
-    if config.raw_items and _build_config(config.raw_items, path) == config:
+    try:
+        keep = bool(config.raw_items) and _build_config(config.raw_items,
+                                                        path) == config
+    except OptospringError:  # the text does not load at path
+        keep = False
+    if keep:
         lines = [f"{k} = {v}" for k, v in config.raw_items]
     else:
         m1, m2, cav, servo, noise = (config.mirror1, config.mirror2,
@@ -527,4 +535,10 @@ def save_config(config: SystemConfig, path: str | Path) -> None:
         if servo.actuation_coefficient is not None:
             lines.append("actuation_coefficient_N_per_m_per_Hz = "
                          f"{servo.actuation_coefficient!r}")
+        if noise.freq_noise_table is not None:
+            table = path.with_name(f"{path.stem}_noise_table.csv")
+            rows = "".join(f"{float(f)!r}, {float(v)!r}\n"
+                           for f, v in noise.freq_noise_table)
+            table.write_text("# f_Hz, sqrt(S_phidot) in Hz/sqrt(Hz)\n" + rows)
+            lines.append(f"freq_noise_table_csv = {table.name}")
     path.write_text("\n".join(lines) + "\n")

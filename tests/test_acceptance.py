@@ -15,9 +15,9 @@ import pytest
 from conftest import ACCEPTANCE_LINES
 
 from optospring.coherence import feasibility_budget
-from optospring.dynamics import (SimPlan, _ensemble_result, _run_batch,
-                                 off_state_mode, predicted_rate,
-                                 reduced_model, run_ensemble,
+from optospring.dynamics import (SimPlan, _ensemble_result, _protocol,
+                                 _relaxation_phonons, off_state_mode,
+                                 predicted_rate, reduced_model, run_ensemble,
                                  simulate_trajectory, write_ensemble_csv)
 from optospring.model import HBAR, K_B, TWO_PI
 from optospring.response import (adiabatic_spring, cancellation_gain,
@@ -219,16 +219,18 @@ def test_acceptance_9_determinism(experiment_config, tmp_path):
         one = tmp_path / "one.csv"
         write_ensemble_csv(one, run_ensemble(experiment_config, noise, plan),
                            comment="determinism check")
+        protocol = _protocol(experiment_config, noise, plan)
         n_off = None
         for i in range(3):
             part = indices[i::3]
-            time_off, part_n, _, model = _run_batch(experiment_config, noise,
-                                                    plan, part)
+            part_n = _relaxation_phonons(protocol, noise, plan.master_seed,
+                                         part)
             if n_off is None:
                 n_off = np.empty((len(indices),) + part_n.shape[1:])
             n_off[part] = part_n
         split = tmp_path / "split.csv"
-        write_ensemble_csv(split, _ensemble_result(time_off, n_off, model.omega_ref),
+        write_ensemble_csv(split, _ensemble_result(protocol.time_grid, n_off,
+                                                   protocol.model.omega_ref),
                            comment="determinism check")
         assert one.read_bytes() == split.read_bytes()
         # and a repeated run reproduces the same bytes

@@ -75,10 +75,24 @@ def test_map_reports_cell_counts(tmp_path, capsys):
         f"map: 13 x 9 cells (0 unconverged, 9 ambiguous) -> {out / 'map.csv'}\n")
 
 
-def test_map_empty_range_is_usage_error(tmp_path):
-    rc = main(["map", "--config", "ideal", "--delta-range", "1:2:0",
-               "--out-dir", str(tmp_path)])
+@pytest.mark.parametrize("argv, invariant", [
+    (["map", "--config", "ideal", "--delta-range", "1:2:0"], "nonempty"),
+    (["map", "--config", "ideal", "--delta-range", "nan:1e6:3"],
+     "--delta-range start and stop finite"),
+    (["scan", "--config", "experiment", "--deltas", "nan:1e6:2"],
+     "--deltas start and stop finite"),
+    (["cool", "--config", "experiment", "--gel-range", "inf:1:2"],
+     "--gel-range start and stop finite"),
+], ids=["map-empty", "map-nan", "scan-nan", "cool-inf"])
+def test_map_empty_range_is_usage_error(tmp_path, capsys, argv, invariant):
+    """An empty or non-finite range exits 2 naming the invariant, before
+    any work and without a numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv + ["--out-dir", str(tmp_path)])
     assert rc == 2
+    assert invariant in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_map_single_point_matches_extract_mode(tmp_path, ideal_config):
@@ -322,6 +336,14 @@ def test_check_zero_noise_margin(capsys):
                "--f1-hz", "1", "--temperature-k", "300"])
     assert rc == 0
     assert "margin = 0" in capsys.readouterr().out
+
+
+def test_check_nonfinite_scalar_is_usage_error(capsys):
+    rc = main(["check", "--m1-mg", "nan", "--f-eff-hz", "1000",
+               "--noise-mhz-rthz", "4", "--length-cm", "5", "--q1", "5e7",
+               "--f1-hz", "1", "--temperature-k", "300"])
+    assert rc == 2
+    assert "m1 > 0 and finite" in capsys.readouterr().err
 
 
 def test_check_missing_scalar_is_usage_error(capsys):

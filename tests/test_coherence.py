@@ -144,11 +144,21 @@ def test_margin_monotonicity(scale_s, scale_w):
     assert (faster.condition_margin >= base.condition_margin) == (scale_w >= 1.0)
 
 
-def test_budget_input_validation():
-    with pytest.raises(ValidationError, match="m1 > 0"):
-        feasibility_budget(**{**REF, "m1": 0.0})
-    with pytest.raises(ValidationError, match="Q1 > 0"):
-        feasibility_budget(**{**REF, "q1": -1.0})
+@pytest.mark.parametrize("field, value, invariant", [
+    ("m1", 0.0, "m1 > 0"),
+    ("q1", -1.0, "Q1 > 0"),
+    ("m1", math.nan, "m1 > 0 and finite"),
+    ("omega_eff", math.inf, "omega_eff > 0 and finite"),
+    ("length", math.nan, "L > 0 and finite"),
+    ("omega1", math.inf, "omega1 > 0 and finite"),
+    ("temperature", math.nan, "T >= 0 and finite"),
+    ("noise_amp_at_omega_eff", math.inf, "noise amp >= 0 and finite"),
+    ("g_pull", math.nan, "g_pull finite"),
+], ids=["m1-zero", "q1-negative", "m1-nan", "omega_eff-inf", "length-nan",
+        "omega1-inf", "temperature-nan", "noise_amp-inf", "g_pull-nan"])
+def test_budget_input_validation(field, value, invariant):
+    with pytest.raises(ValidationError, match=invariant):
+        feasibility_budget(**{**REF, field: value})
 
 
 def test_budget_agrees_with_rate_law(experiment_config, tmp_path):

@@ -34,11 +34,13 @@ def _slow_trap_config(experiment_config, off_gain, gel=30.0):
 
 def _kernel_states(pm, z, steps, xi=None, chunk=dynamics.DRAW_BLOCK):
     """(x, v, F) after each of ``steps`` steps, as (B, steps) arrays, from
-    PhaseMap.run called in chunks the way the engine calls it."""
+    PhaseMap.run called in chunks the way the engine calls it; ``xi=None``
+    runs on zero normals."""
     parts = []
     for k in range(0, steps, chunk):
         n = min(chunk, steps - k)
-        part = pm.run(z, n, None if xi is None else xi[:, k:k + n])
+        part = pm.run(z, n, np.zeros((z[0].size, n, 3)) if xi is None
+                      else xi[:, k:k + n])
         z = tuple(a[:, -1] for a in part)
         parts.append(part)
     return tuple(np.concatenate(p, axis=1) for p in zip(*parts))
@@ -50,7 +52,7 @@ def _reference_states(pm, z, steps, xi=None):
     out = np.empty(z.shape + (steps,))
     for k in range(steps):
         z = pm.phi @ z
-        if pm.noise is not None and xi is not None:
+        if xi is not None:
             z = z + pm.noise @ xi[:, k].T
         out[..., k] = z
     return out
@@ -126,7 +128,7 @@ def test_strided_map_matches_fine_steps(experiment_config, regime, b, substeps):
     powers = [np.linalg.matrix_power(fine.phi, k) for k in range(substeps)]
     cov = sum(pk @ fine.cov @ pk.T for pk in powers)
     if regime == "undamped-quiet":
-        assert whole.noise is None
+        np.testing.assert_array_equal(whole.noise, 0.0)
         np.testing.assert_array_equal(whole.cov, 0.0)
         return
     np.testing.assert_allclose(whole.noise @ whole.noise.T, cov,
@@ -144,6 +146,11 @@ def test_strided_map_matches_fine_steps(experiment_config, regime, b, substeps):
     for g, w in zip(got, want):
         assert g.shape == (b, strides)
         assert np.max(np.abs(g - w)) <= 1e-9 * np.max(np.abs(w))
+
+
+def _half_steps(config, dt):
+    """Steps of dt per servo half-period, rounded as the protocol rounds."""
+    return round(0.5 / config.servo.switch_frequency / dt)
 
 
 def _switch_config(config, switch_hz):
@@ -181,7 +188,7 @@ def test_engine_timeline_matches_step_by_step_map(experiment_config, stride):
 
     model = reduced_model(cfg, cfg.noise)
     dt = 1.0 / (200.0 * model.omega_ref / TWO_PI)
-    half = dynamics._phase_steps(cfg, dt)
+    half = _half_steps(cfg, dt)
     rec = -(-half // stride)
     last = half - (rec - 1) * stride
     maps = {gamma: [_phase_map(model, dt, gamma=gamma, substeps=stride)]
@@ -232,7 +239,7 @@ def test_exact_mean_phonon_matches_naive_covariance_loop(experiment_config):
 
     model = reduced_model(cfg, cfg.noise)
     dt = 1.0 / (200.0 * model.omega_ref / TWO_PI)
-    half = dynamics._phase_steps(cfg, dt)
+    half = _half_steps(cfg, dt)
     a, ll, d = _drift_and_diffusion(model, model.gamma_on)
     sigma = solve_continuous_lyapunov(a * d[None, :] / d[:, None],
                                       -ll / np.outer(d, d)) * np.outer(d, d)
@@ -284,16 +291,17 @@ def test_stationary_start_matches_lyapunov_solution(experiment_config,
     starts = []
     run = PhaseMap.run
 
-    def spy(self, z, steps, xi=None):
+    def spy(self, z, steps, xi):
         if not starts:
             starts.append(np.array(z))
         return run(self, z, steps, xi)
 
     monkeypatch.setattr(PhaseMap, "run", spy)
     n = 20_000
-    dynamics._run_batch(cfg, cfg.noise,
-                        SimPlan(duration=5e-4, n_trajectories=n, master_seed=41,
-                                record_stride=100), range(n))
+    plan = SimPlan(duration=5e-4, n_trajectories=n, master_seed=41,
+                   record_stride=100)
+    dynamics._relaxation_phonons(dynamics._protocol(cfg, cfg.noise, plan),
+                                 cfg.noise, plan.master_seed, range(n))
     sample = np.cov(starts[0])
     assert np.all(np.abs(sample - sigma) <= 4.0 * math.sqrt(2.0 / n) * scale)
 
@@ -321,9 +329,11 @@ def _mc_against_exact(config, plan):
     """(slope z-score, record-mean z-score) of a seeded ensemble against the
     exact curve, each in units of its segment-level standard error."""
     noise = config.noise
-    t, n_off, _, model = dynamics._run_batch(config, noise, plan,
-                                             range(plan.n_trajectories))
-    result = dynamics._ensemble_result(t, n_off, model.omega_ref)
+    protocol = dynamics._protocol(config, noise, plan)
+    t = protocol.time_grid
+    n_off = dynamics._relaxation_phonons(protocol, noise, plan.master_seed,
+                                         range(plan.n_trajectories))
+    result = dynamics._ensemble_result(t, n_off, protocol.model.omega_ref)
     t_exact, n_exact = dynamics.exact_mean_phonon(config, noise, plan)
     np.testing.assert_array_equal(t_exact, t)
     slope_z = ((result.fitted_rate - fit_decoherence_rate(t, n_exact).slope)
@@ -343,10 +353,13 @@ def _segment_z_scores(config, master_seed, n_ensembles=20, size=32):
                    master_seed=master_seed)
     exact = fit_decoherence_rate(
         *dynamics.exact_mean_phonon(config, config.noise, plan)).slope
+    protocol = dynamics._protocol(config, config.noise, plan)
+    t = protocol.time_grid
     z, ols = [], []
     for k in range(n_ensembles):
-        t, n_off, _, _ = dynamics._run_batch(
-            config, config.noise, plan, range(k * size, (k + 1) * size))
+        n_off = dynamics._relaxation_phonons(
+            protocol, config.noise, plan.master_seed,
+            range(k * size, (k + 1) * size))
         segments = n_off.reshape(-1, t.size)
         fit = fit_decoherence_rate(t, segments.mean(axis=0))
         err = dynamics._segment_rate_err(t, segments, fit.window)
@@ -413,10 +426,10 @@ def _off_phase_ringdown(config, noise, x0):
     assert plan.record_stride == 10
     model = reduced_model(config, noise)
     dt = plan.resolve_dt(model.omega_ref)
-    half = dynamics._phase_steps(config, dt)
+    half = _half_steps(config, dt)
     steps = np.arange(0, half, plan.record_stride)
     pm = _phase_map(model, dt, substeps=plan.record_stride)
-    assert pm.noise is None
+    np.testing.assert_array_equal(pm.noise, 0.0)
     z = (np.array([x0]), np.array([0.0]), np.array([0.0]))
     x, v, _ = _kernel_states(pm, z, steps.size - 1,
                              chunk=dynamics.DRAW_BLOCK // plan.record_stride)
@@ -555,14 +568,14 @@ def test_same_seed_bit_identical(experiment_config):
 
 
 def test_trajectory_independent_of_batch(experiment_config):
-    from optospring.dynamics import _run_batch
-
     noise = experiment_config.noise
     solo_plan = SimPlan(duration=1.0, n_trajectories=1, master_seed=12)
     batch_plan = SimPlan(duration=1.0, n_trajectories=6, master_seed=12)
-    _, n_solo, _, _ = _run_batch(experiment_config, noise, solo_plan, [4])
-    _, n_batch, _, _ = _run_batch(experiment_config, noise, batch_plan,
-                                  list(range(6)))
+    n_solo = dynamics._relaxation_phonons(
+        dynamics._protocol(experiment_config, noise, solo_plan), noise, 12, [4])
+    n_batch = dynamics._relaxation_phonons(
+        dynamics._protocol(experiment_config, noise, batch_plan), noise, 12,
+        list(range(6)))
     np.testing.assert_array_equal(n_solo[0], n_batch[4])
 
 
@@ -571,14 +584,23 @@ def test_trajectory_independent_of_batch(experiment_config):
 # --------------------------------------------------------------------------
 
 def test_one_trajectory_ensemble_equals_single_trajectory(experiment_config):
-    """One trajectory over one switch period is one segment: its mean curve
-    is that trajectory's relaxation record."""
+    """One trajectory over three switch periods is three segments: segment
+    k is the timeline's k-th relaxation phase, bit for bit, and the mean
+    curve is their average."""
     noise = experiment_config.noise
-    plan = SimPlan(duration=1.0, n_trajectories=1, master_seed=2)
+    plan = SimPlan(duration=3.0, n_trajectories=1, master_seed=2)
     result = run_ensemble(experiment_config, noise, plan)
+    n_off = dynamics._relaxation_phonons(
+        dynamics._protocol(experiment_config, noise, plan), noise,
+        plan.master_seed, [0])
     t, x, v, n = simulate_trajectory(experiment_config, noise, plan, 0)
-    assert result.n_segments == 1
-    np.testing.assert_array_equal(result.mean_phonon, n[t <= 0.5 - 1e-9])
+    dt = plan.resolve_dt(reduced_model(experiment_config, noise).omega_ref)
+    half = _half_steps(experiment_config, dt) * dt
+    assert result.n_segments == 3 and n_off.shape[:2] == (1, 3)
+    for k in range(3):
+        relaxing = (t > 2 * k * half - dt / 2) & (t < (2 * k + 1) * half - dt / 2)
+        np.testing.assert_array_equal(n[relaxing], n_off[0, k])
+    np.testing.assert_array_equal(result.mean_phonon, n_off[0].mean(axis=0))
 
 
 def test_fitted_gamma_matches_pole_damping(experiment_config, thermal_only_noise):
@@ -821,7 +843,7 @@ def test_runaway_guard_catches_nonfinite_state(experiment_config, cold_noise,
     """A NaN state fails |x| <= bound, so it stops the run as a runaway."""
     run = PhaseMap.run
 
-    def run_to_nan(self, z, steps, xi=None):
+    def run_to_nan(self, z, steps, xi):
         x, v, f = run(self, z, steps, xi)
         x[:, -1] = math.nan  # a state gone non-finite mid-run
         return x, v, f

@@ -194,6 +194,49 @@ def test_save_changed_config_writes_its_fields(tmp_path, experiment_config):
     assert again.cavity == cfg.cavity
 
 
+def _table_config(tmp_path):
+    """A config loaded from tmp_path/c.cfg that names a noise table by a
+    relative path."""
+    (tmp_path / "stabilized.csv").write_text("10, 4e-1\n100, 4e-2\n1000, 4e-3\n")
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text(PAPER_KEYS.format(m1_mg=5.0)
+                        + "freq_noise_table_csv = stabilized.csv\n")
+    return load_config(cfg_file)
+
+
+def test_save_changed_table_config_keeps_its_table(tmp_path):
+    """The SI form writes the table beside the config and names it, so a
+    changed or moved table config loads back with its table."""
+    cfg = _table_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    for name, changed in (
+            ("cold", dataclasses.replace(cfg, noise=dataclasses.replace(
+                cfg.noise, temperature=4.0))),
+            ("detuned", cfg.with_detuning(12345.678))):
+        save_config(changed, out / f"{name}.cfg")
+        again = load_config(out / f"{name}.cfg")
+        assert again.noise == changed.noise
+        assert again.noise.freq_noise_table == cfg.noise.freq_noise_table
+
+
+def test_save_table_config_into_another_directory(tmp_path):
+    """The source text names its table relative to the source directory:
+    it is kept where it loads back, and elsewhere the SI form is written."""
+    cfg = _table_config(tmp_path)
+    save_config(cfg, tmp_path / "same.cfg")
+    assert "freq_noise_table_csv = stabilized.csv" in (
+        tmp_path / "same.cfg").read_text()
+    other = tmp_path / "other"
+    other.mkdir()
+    save_config(cfg, other / "moved.cfg")
+    assert (other / "moved_noise_table.csv").is_file()
+    for saved in (tmp_path / "same.cfg", other / "moved.cfg"):
+        again = load_config(saved)
+        assert again.noise == cfg.noise
+        assert again.cavity == cfg.cavity
+
+
 def test_programmatic_save_round_trip(tmp_path, experiment_config):
     cfg = experiment_config.with_detuning(12345.678)  # drops the raw text
     assert not cfg.raw_items
