@@ -11,10 +11,11 @@ Conventions used throughout the toolkit:
   change (m) into a cavity frequency shift (rad/s).
 
 Config files are flat ``key = value`` text with units spelled out in the key
-names (``m1_mg``, ``kappa_over_2pi_Hz``, ...).  The full key table lives in
-the README.  Two presets ship with the package: ``experiment`` (the suspended
-5-mg-mirror experiment) and ``ideal`` (an idealized high-Q set used for
-stability-map studies).
+names (``m1_mg``, ``kappa_over_2pi_Hz``, ...).  One table below,
+``_NUMERIC_KEYS``, gives each numeric key its field, unit and default; the
+loader, its key checks and the writer all read it.  Two presets ship with
+the package: ``experiment`` (the suspended 5-mg-mirror experiment) and
+``ideal`` (an idealized high-Q set used for stability-map studies).
 """
 
 from __future__ import annotations
@@ -267,21 +268,47 @@ def intracavity_photons(cavity: CavityParams) -> float:
 # config file format
 # --------------------------------------------------------------------------
 
-_REQUIRED_KEYS = (
-    "m1_mg", "f1_Hz", "gamma1_over_2pi_Hz",
-    "m2_g", "f2_Hz", "gamma2_over_2pi_Hz",
-    "round_trip_length_cm", "kappa_in_ratio", "laser_freq_THz", "cos_beta",
+_REQUIRED = object()  # the table default of a key every config file sets
+
+# The numeric keys, one row each: (key, group, field, scales, default).
+# ``group`` is the SystemConfig part that holds ``field`` ("" for the
+# SystemConfig itself).  The loader multiplies a file value by the scales in
+# turn to get SI units; the SI writer divides by them in reverse order.
+# ``default`` (file units) stands in for an absent key.  The text keys below,
+# ``off_gain_Ns_per_m = auto`` and the finesse/kappa derivation are handled
+# in code.
+_NUMERIC_KEYS = (
+    ("m1_mg", "mirror1", "mass", (1e-6,), _REQUIRED),
+    ("f1_Hz", "mirror1", "omega0", (TWO_PI,), _REQUIRED),
+    ("gamma1_over_2pi_Hz", "mirror1", "gamma0", (TWO_PI,), _REQUIRED),
+    ("m2_g", "mirror2", "mass", (1e-3,), _REQUIRED),
+    ("f2_Hz", "mirror2", "omega0", (TWO_PI,), _REQUIRED),
+    ("gamma2_over_2pi_Hz", "mirror2", "gamma0", (TWO_PI,), _REQUIRED),
+    ("round_trip_length_cm", "cavity", "length", (1e-2,), _REQUIRED),
+    ("finesse", "cavity", "finesse", (), None),
+    ("kappa_over_2pi_Hz", "cavity", "kappa", (TWO_PI,), None),
+    ("kappa_in_ratio", "cavity", "kappa_in_ratio", (), _REQUIRED),
+    ("detuning_over_2pi_Hz", "cavity", "detuning", (TWO_PI,), 0.0),
+    ("laser_freq_THz", "cavity", "omega_laser", (TWO_PI, 1e12), _REQUIRED),
+    ("input_power_mW", "cavity", "input_power", (1e-3,), 0.0),
+    ("n_cav_peak", "cavity", "n_cav_peak", (), None),
+    ("cos_beta", "cavity", "cos_beta", (), _REQUIRED),
+    ("zeta1", "cavity", "zeta1", (), None),
+    ("zeta2", "cavity", "zeta2", (), 1.0),
+    ("g_pull_rad_per_s_per_m", "cavity", "g_pull", (), None),
+    ("gel_Ns_per_m", "servo", "g_el", (), 0.0),
+    ("off_gain_Ns_per_m", "servo", "off_gain", (), None),
+    ("switch_frequency_Hz", "servo", "switch_frequency", (), 1.0),
+    ("actuation_coefficient_N_per_m_per_Hz", "servo", "actuation_coefficient",
+     (), None),
+    ("temperature_K", "noise", "temperature", (), DEFAULT_TEMPERATURE_K),
+    ("freq_noise_amp_Hz2_per_rtHz", "noise", "freq_noise_amp", (),
+     DEFAULT_FREQ_NOISE_AMP),
+    ("eta_V_per_W", "", "detector_eta", (), 1.0),
+    ("pressure_Pa", "", "pressure_pa", (), None),
 )
 
-_KNOWN_KEYS = set(_REQUIRED_KEYS) | {
-    "label", "finesse", "kappa_over_2pi_Hz", "input_power_mW",
-    "detuning_over_2pi_Hz", "n_cav_peak", "zeta1", "zeta2",
-    "g_pull_mode", "g_pull_rad_per_s_per_m",
-    "gel_Ns_per_m", "off_gain_Ns_per_m", "switch_frequency_Hz",
-    "servo_sections", "actuation_coefficient_N_per_m_per_Hz",
-    "temperature_K", "freq_noise_amp_Hz2_per_rtHz", "freq_noise_table_csv",
-    "eta_V_per_W", "pressure_Pa",
-}
+_TEXT_KEYS = ("label", "g_pull_mode", "servo_sections", "freq_noise_table_csv")
 
 
 def _parse_items(text: str, origin: str) -> list[tuple[str, str]]:
@@ -300,9 +327,7 @@ def _parse_items(text: str, origin: str) -> list[tuple[str, str]]:
     return items
 
 
-def _parse_float(mapping, key, origin, default=None):
-    if key not in mapping:
-        return default
+def _parse_float(mapping, key, origin):
     try:
         value = float(mapping[key])
     except ValueError as exc:
@@ -312,6 +337,21 @@ def _parse_float(mapping, key, origin, default=None):
         raise ConfigParseError(f"{origin}: key {key!r}: not a finite number: "
                                f"{mapping[key]!r}")
     return value
+
+
+def _fields(mapping, group, origin) -> dict:
+    """The SI values of the numeric fields of ``group``: parsed from
+    ``mapping`` where it sets the key, else the table default."""
+    fields = {}
+    for key, row_group, name, scales, default in _NUMERIC_KEYS:
+        if row_group != group:
+            continue
+        value = _parse_float(mapping, key, origin) if key in mapping else default
+        if value is not None:
+            for scale in scales:
+                value *= scale
+        fields[name] = value
+    return fields
 
 
 def _parse_sections(raw: str, origin: str) -> tuple[FilterSection, ...]:
@@ -383,97 +423,58 @@ def load_config(path: str | Path) -> SystemConfig:
 def _build_config(items, path: Path) -> SystemConfig:
     """The config of the file ``path`` holding ``items``."""
     origin = str(path)
+    known = {row[0] for row in _NUMERIC_KEYS}.union(_TEXT_KEYS)
     mapping = {}
     for key, value in items:
-        if key not in _KNOWN_KEYS:
+        if key not in known:
             raise ConfigParseError(f"{origin}: unknown key {key!r}")
         if key in mapping:
             raise ConfigParseError(f"{origin}: duplicate key {key!r}")
         mapping[key] = value
 
-    missing = [k for k in _REQUIRED_KEYS if k not in mapping]
+    missing = [key for key, *_, default in _NUMERIC_KEYS
+               if default is _REQUIRED and key not in mapping]
     if missing:
         raise ConfigParseError(f"{origin}: missing required keys: {missing}")
     if "finesse" not in mapping and "kappa_over_2pi_Hz" not in mapping:
         raise ConfigParseError(
             f"{origin}: need at least one of finesse, kappa_over_2pi_Hz")
+    if mapping.get("off_gain_Ns_per_m", "").lower() == "auto":
+        del mapping["off_gain_Ns_per_m"]  # auto is the default, None
 
-    mirror1 = MirrorParams(
-        mass=_parse_float(mapping, "m1_mg", origin) * 1e-6,
-        omega0=TWO_PI * _parse_float(mapping, "f1_Hz", origin),
-        gamma0=TWO_PI * _parse_float(mapping, "gamma1_over_2pi_Hz", origin),
-        label="m1")
-    mirror2 = MirrorParams(
-        mass=_parse_float(mapping, "m2_g", origin) * 1e-3,
-        omega0=TWO_PI * _parse_float(mapping, "f2_Hz", origin),
-        gamma0=TWO_PI * _parse_float(mapping, "gamma2_over_2pi_Hz", origin),
-        label="m2")
+    mirror1 = MirrorParams(**_fields(mapping, "mirror1", origin), label="m1")
+    mirror2 = MirrorParams(**_fields(mapping, "mirror2", origin), label="m2")
 
-    length = _parse_float(mapping, "round_trip_length_cm", origin) * 1e-2
-    finesse = _parse_float(mapping, "finesse", origin)
-    kappa_2pi = _parse_float(mapping, "kappa_over_2pi_Hz", origin)
-    if kappa_2pi is None:
-        kappa = math.pi * C_LIGHT / (length * finesse)
-    else:
-        kappa = TWO_PI * kappa_2pi
-    if finesse is None:
-        finesse = math.pi * C_LIGHT / (length * kappa)
-
-    g_pull_explicit = _parse_float(mapping, "g_pull_rad_per_s_per_m", origin)
+    cav = _fields(mapping, "cavity", origin)
+    if cav["kappa"] is None:
+        cav["kappa"] = math.pi * C_LIGHT / (cav["length"] * cav["finesse"])
+    if cav["finesse"] is None:
+        cav["finesse"] = math.pi * C_LIGHT / (cav["length"] * cav["kappa"])
     cavity = CavityParams(
-        length=length,
-        finesse=finesse,
-        kappa=kappa,
-        kappa_in_ratio=_parse_float(mapping, "kappa_in_ratio", origin),
-        detuning=TWO_PI * _parse_float(mapping, "detuning_over_2pi_Hz", origin, 0.0),
-        omega_laser=TWO_PI * _parse_float(mapping, "laser_freq_THz", origin) * 1e12,
-        input_power=_parse_float(mapping, "input_power_mW", origin, 0.0) * 1e-3,
-        n_cav_peak=_parse_float(mapping, "n_cav_peak", origin),
-        cos_beta=_parse_float(mapping, "cos_beta", origin),
-        zeta1=_parse_float(mapping, "zeta1", origin),
-        zeta2=_parse_float(mapping, "zeta2", origin, 1.0),
-        g_pull=g_pull_explicit,
-        g_pull_mode=mapping.get("g_pull_mode", "laser_over_length"),
-    )
+        **cav, g_pull_mode=mapping.get("g_pull_mode", "laser_over_length"))
+    kappa = cavity.kappa
     if abs(cavity.kappa_expected - kappa) > KAPPA_CONSISTENCY_TOL * kappa:
         warnings.warn(
             f"{origin}: kappa = {kappa:.4g} rad/s differs from pi*c/(L*finesse) "
             f"= {cavity.kappa_expected:.4g} rad/s by more than "
             f"{KAPPA_CONSISTENCY_TOL:.0%}", ConsistencyWarning, stacklevel=3)
 
-    off_gain_raw = mapping.get("off_gain_Ns_per_m", "auto").strip().lower()
-    off_gain = None if off_gain_raw == "auto" else _parse_float(
-        mapping, "off_gain_Ns_per_m", origin)
     servo = ServoParams(
-        g_el=_parse_float(mapping, "gel_Ns_per_m", origin, 0.0),
-        sections=_parse_sections(mapping.get("servo_sections", ""), origin),
-        switch_frequency=_parse_float(mapping, "switch_frequency_Hz", origin, 1.0),
-        off_gain=off_gain,
-        actuation_coefficient=_parse_float(
-            mapping, "actuation_coefficient_N_per_m_per_Hz", origin),
-    )
+        **_fields(mapping, "servo", origin),
+        sections=_parse_sections(mapping.get("servo_sections", ""), origin))
 
     table = None
-    if "freq_noise_table_csv" in mapping and mapping["freq_noise_table_csv"].strip():
+    if mapping.get("freq_noise_table_csv"):
         table_path = Path(mapping["freq_noise_table_csv"])
         if not table_path.is_absolute():
             table_path = path.parent / table_path
         table = _load_noise_table(table_path)
-    noise = NoiseEnv(
-        temperature=_parse_float(mapping, "temperature_K", origin,
-                                 DEFAULT_TEMPERATURE_K),
-        freq_noise_amp=_parse_float(mapping, "freq_noise_amp_Hz2_per_rtHz", origin,
-                                    DEFAULT_FREQ_NOISE_AMP),
-        freq_noise_table=table,
-    )
+    noise = NoiseEnv(**_fields(mapping, "noise", origin), freq_noise_table=table)
 
     return SystemConfig(
         mirror1=mirror1, mirror2=mirror2, cavity=cavity, servo=servo, noise=noise,
-        label=mapping.get("label", path.stem),
-        detector_eta=_parse_float(mapping, "eta_V_per_W", origin, 1.0),
-        pressure_pa=_parse_float(mapping, "pressure_Pa", origin),
-        raw_items=tuple(items),
-    )
+        label=mapping.get("label", path.stem), raw_items=tuple(items),
+        **_fields(mapping, "", origin))
 
 
 def save_config(config: SystemConfig, path: str | Path) -> None:
@@ -485,6 +486,7 @@ def save_config(config: SystemConfig, path: str | Path) -> None:
     loaded, or whose text reads another file at ``path`` (a noise table
     given by a relative path) are serialized from their SI fields, with a
     noise table written beside ``path`` as ``<stem>_noise_table.csv``.
+    Raises ValidationError for a config that no file loads back as.
     """
     path = Path(path)
     try:
@@ -493,52 +495,33 @@ def save_config(config: SystemConfig, path: str | Path) -> None:
     except OptospringError:  # the text does not load at path
         keep = False
     if keep:
-        lines = [f"{k} = {v}" for k, v in config.raw_items]
-    else:
-        m1, m2, cav, servo, noise = (config.mirror1, config.mirror2,
-                                     config.cavity, config.servo, config.noise)
-        sections = ", ".join(
-            f"{s.kind}:{s.corner if s.kind == 'gain' else s.corner / TWO_PI!r}"
-            for s in servo.sections)
-        lines = [
-            f"label = {config.label}",
-            f"m1_mg = {m1.mass * 1e6!r}",
-            f"f1_Hz = {m1.omega0 / TWO_PI!r}",
-            f"gamma1_over_2pi_Hz = {m1.gamma0 / TWO_PI!r}",
-            f"m2_g = {m2.mass * 1e3!r}",
-            f"f2_Hz = {m2.omega0 / TWO_PI!r}",
-            f"gamma2_over_2pi_Hz = {m2.gamma0 / TWO_PI!r}",
-            f"round_trip_length_cm = {cav.length * 1e2!r}",
-            f"finesse = {cav.finesse!r}",
-            f"kappa_over_2pi_Hz = {cav.kappa / TWO_PI!r}",
-            f"kappa_in_ratio = {cav.kappa_in_ratio!r}",
-            f"detuning_over_2pi_Hz = {cav.detuning / TWO_PI!r}",
-            f"laser_freq_THz = {cav.omega_laser / TWO_PI / 1e12!r}",
-            f"input_power_mW = {cav.input_power * 1e3!r}",
-            f"cos_beta = {cav.cos_beta!r}",
-            f"zeta1 = {cav.zeta1!r}",
-            f"zeta2 = {cav.zeta2!r}",
-            f"g_pull_rad_per_s_per_m = {cav.g_pull!r}",
-            f"gel_Ns_per_m = {servo.g_el!r}",
-            f"off_gain_Ns_per_m = "
-            f"{'auto' if servo.off_gain is None else repr(servo.off_gain)}",
-            f"switch_frequency_Hz = {servo.switch_frequency!r}",
-            f"servo_sections = {sections}",
-            f"temperature_K = {noise.temperature!r}",
-            f"freq_noise_amp_Hz2_per_rtHz = {noise.freq_noise_amp!r}",
-            f"eta_V_per_W = {config.detector_eta!r}",
-        ]
-        if cav.n_cav_peak is not None:
-            lines.append(f"n_cav_peak = {cav.n_cav_peak!r}")
-        if config.pressure_pa is not None:
-            lines.append(f"pressure_Pa = {config.pressure_pa!r}")
-        if servo.actuation_coefficient is not None:
-            lines.append("actuation_coefficient_N_per_m_per_Hz = "
-                         f"{servo.actuation_coefficient!r}")
-        if noise.freq_noise_table is not None:
-            table = path.with_name(f"{path.stem}_noise_table.csv")
-            rows = "".join(f"{float(f)!r}, {float(v)!r}\n"
-                           for f, v in noise.freq_noise_table)
-            table.write_text("# f_Hz, sqrt(S_phidot) in Hz/sqrt(Hz)\n" + rows)
-            lines.append(f"freq_noise_table_csv = {table.name}")
+        path.write_text("".join(f"{k} = {v}\n" for k, v in config.raw_items))
+        return
+
+    label = config.label
+    _require("#" not in label and label == label.strip()
+             and len(label.splitlines()) <= 1,
+             "label has no '#', line break or surrounding whitespace",
+             "label", label)
+    lines = [f"label = {label}"]
+    for key, group, name, scales, _ in _NUMERIC_KEYS:
+        value = getattr(getattr(config, group) if group else config, name)
+        if value is None:  # an absent key loads back as None (off_gain: auto)
+            continue
+        value = float(value)
+        for scale in reversed(scales):
+            value /= scale
+        _require(math.isfinite(value), f"{key} finite", name, value)
+        lines.append(f"{key} = {value!r}")
+    sections = ", ".join(
+        f"{s.kind}:{float(s.corner if s.kind == 'gain' else s.corner / TWO_PI)!r}"
+        for s in config.servo.sections)
+    lines += [f"g_pull_mode = {config.cavity.g_pull_mode}",
+              f"servo_sections = {sections}"]
+    if config.noise.freq_noise_table is not None:
+        table = path.with_name(f"{path.stem}_noise_table.csv")
+        rows = "".join(f"{float(f)!r}, {float(v)!r}\n"
+                       for f, v in config.noise.freq_noise_table)
+        table.write_text("# f_Hz, sqrt(S_phidot) in Hz/sqrt(Hz)\n" + rows)
+        lines.append(f"freq_noise_table_csv = {table.name}")
     path.write_text("\n".join(lines) + "\n")
