@@ -30,7 +30,7 @@ class SingularResponseError(OptospringError):
 
 
 class NoConvergenceError(OptospringError):
-    """Root polishing failed to converge; carries the iteration trace."""
+    """Root polishing failed to converge; carries the first and last iterate."""
 
     def __init__(self, message, trace=()):
         self.trace = list(trace)

@@ -477,6 +477,17 @@ def _build_config(items, path: Path) -> SystemConfig:
         **_fields(mapping, "", origin))
 
 
+def _file_value(value: float, scales) -> float:
+    """The file value that loads back as the SI ``value``: the quotient by
+    ``scales`` or, where that misses, the nearest float within 4 ulps of it
+    that the loader's products (``scales`` in turn) take back to ``value``."""
+    quotient = value
+    for scale in reversed(scales):
+        quotient /= scale
+    near = (quotient + k * math.ulp(quotient) for k in (0, 1, -1, 2, -2, 3, -3, 4, -4))
+    return next((x for x in near if math.prod((x, *scales)) == value), quotient)
+
+
 def save_config(config: SystemConfig, path: str | Path) -> None:
     """Write a config back to disk.
 
@@ -490,8 +501,10 @@ def save_config(config: SystemConfig, path: str | Path) -> None:
     """
     path = Path(path)
     try:
-        keep = bool(config.raw_items) and _build_config(config.raw_items,
-                                                        path) == config
+        with warnings.catch_warnings():  # loading the config warned already
+            warnings.simplefilter("ignore", ConsistencyWarning)
+            keep = bool(config.raw_items) and _build_config(config.raw_items,
+                                                            path) == config
     except OptospringError:  # the text does not load at path
         keep = False
     if keep:
@@ -508,9 +521,7 @@ def save_config(config: SystemConfig, path: str | Path) -> None:
         value = getattr(getattr(config, group) if group else config, name)
         if value is None:  # an absent key loads back as None (off_gain: auto)
             continue
-        value = float(value)
-        for scale in reversed(scales):
-            value /= scale
+        value = _file_value(float(value), scales)
         _require(math.isfinite(value), f"{key} finite", name, value)
         lines.append(f"{key} = {value!r}")
     sections = ", ".join(

@@ -76,13 +76,14 @@ def _bare_term(mirror: MirrorParams, w):
     return mirror.omega0**2 - w**2 + 1j * mirror.gamma0 * w
 
 
-def _spring_denominator(cavity: CavityParams, w):
-    return (cavity.kappa + 1j * w) ** 2 + cavity.detuning**2
+def _spring_denominator(kappa, detuning, w):
+    return (kappa + 1j * w) ** 2 + detuning**2
 
 
-def _spring(cavity: CavityParams, denom):
+def _spring_numerator(cavity: CavityParams) -> float:
+    """2*hbar*g^2*n_cav(Delta)*Delta; the spring is this over its denominator."""
     n_cav = intracavity_photons(cavity)
-    return 2.0 * HBAR * cavity.g_pull**2 * n_cav * cavity.detuning / denom
+    return 2.0 * HBAR * cavity.g_pull**2 * n_cav * cavity.detuning
 
 
 def _servo_chain(servo: ServoParams, gain, w):
@@ -110,12 +111,12 @@ def optical_spring(cavity: CavityParams, omega):
     positive frequency (anti-damping).
     """
     w = np.asarray(omega, dtype=float)
-    denom = _spring_denominator(cavity, w)
+    denom = _spring_denominator(cavity.kappa, cavity.detuning, w)
     scale = cavity.kappa**2 + cavity.detuning**2
     if np.any(np.abs(denom) < DENOM_EPS * scale):
         raise SingularResponseError(
             f"optical spring denominator below {DENOM_EPS} * (kappa^2 + Delta^2)")
-    k = _spring(cavity, denom)
+    k = _spring_numerator(cavity) / denom
     return k if k.shape else complex(k)
 
 
@@ -127,7 +128,7 @@ def adiabatic_spring(cavity: CavityParams) -> tuple[float, float]:
     the trapped-mode band of a MHz-linewidth cavity.
     """
     s2 = cavity.kappa**2 + cavity.detuning**2
-    return _spring(cavity, s2), 2.0 * cavity.kappa / s2
+    return _spring_numerator(cavity) / s2, 2.0 * cavity.kappa / s2
 
 
 def rigid_trap_omega_sq(config: SystemConfig) -> float:
@@ -235,113 +236,118 @@ def _characteristic_roots(config: SystemConfig, deltas, gels) -> np.ndarray:
     return np.linalg.eigvals(companion).reshape(len(deltas), -1, 4)
 
 
-def _trapped_branch(config: SystemConfig, deltas, gels):
-    """Pick every cell's trapped-branch root from the quartic's roots.
-
-    Each physical mode appears as (w, -conj(w)); of the Re >= 0 copies the
-    root whose frequency is nearest the rigid-trap estimate wins.  Returns
-    (roots, best, first, second, tie): ``first`` and ``second`` are the two
-    nearest candidates, ``tie`` marks cells where both are kept and sit
-    within BRANCH_TOL of each other, and ``best`` is ``first`` or, in a
-    tie, the larger-frequency candidate.
-    """
-    roots = _characteristic_roots(config, deltas, gels)
-    guess = np.array([math.sqrt(max(rigid_trap_omega_sq(
-        config.with_detuning(float(d))), 0.0)) for d in deltas])[:, None, None]
-    keep = roots.real >= -1e-9 * np.maximum(guess, 1.0)
-    keep |= ~keep.any(axis=-1, keepdims=True)
-    dist = np.where(keep, np.abs(np.abs(roots.real) - guess), np.inf)
-    order = np.argsort(dist, axis=-1, kind="stable")
-    nearest = np.take_along_axis(roots, order[..., :2], axis=-1)
-    first, second = nearest[..., 0], nearest[..., 1]
-    a, b = np.abs(first.real), np.abs(second.real)
-    tie = (keep.sum(axis=-1) > 1) & (
-        np.abs(a - b) <= BRANCH_TOL * np.maximum(np.maximum(a, b), 1e-300))
-    best = np.where(tie & (b > a), second, first)
-    return roots, best, first, second, tie
-
-
-def _characteristic_exact(config: SystemConfig, gel: float, w: complex):
+def _characteristic_exact(config: SystemConfig, deltas, springs, gels, w):
     """Characteristic function with the full rational spring and the full
     servo chain (filter sections included, by analytic continuation):
-    m1*m2*X1*X2 times the closed-loop denominator of chi_eff."""
+    m1*m2*X1*X2 times the closed-loop denominator of chi_eff.  Per-cell
+    detunings, their ``_spring_numerator`` and gains broadcast against w."""
     m1, m2, cav = config.mirror1, config.mirror2, config.cavity
     x1, x2 = _bare_term(m1, w), _bare_term(m2, w)
-    k_opt = _spring(cav, _spring_denominator(cav, w))
-    chi_fb = _servo_chain(config.servo, gel, w)
+    k_opt = springs / _spring_denominator(cav.kappa, deltas, w)
+    chi_fb = _servo_chain(config.servo, gels, w)
     return (m1.mass * m2.mass * x1 * x2
             + cav.zeta1**2 * k_opt * m2.mass * x2
             + chi_fb * cav.zeta2 * m1.mass * x1)
 
 
-def _polish_root(config: SystemConfig, gel: float, w0: complex) -> tuple[complex, list]:
-    """Newton-polish a quartic root against the exact characteristic.
+def _trapped_poles(config: SystemConfig, deltas, gels):
+    """Pick and polish the trapped pole of every (detuning, gain) cell.
 
-    The derivative is a central difference, accurate to O(h^2) for the
-    analytic characteristic and agnostic to the servo chain's form.
+    Pick: of the quartic's Re >= 0 roots (each mode also appears as
+    -conj(w)), the one whose frequency is nearest the rigid-trap estimate;
+    in a tie (the two nearest both kept and within BRANCH_TOL) the larger.
+    Polish: Newton on the exact characteristic, all cells at once as masked
+    arrays, with a central-difference derivative (O(h^2) for the analytic
+    characteristic, whatever the servo chain), h = 1e-7*max(|w|, scale) and
+    scale = max(|w0|, omega1).  A cell converges at its first step with
+    |step| <= 1e-12*max(|w|, scale); it fails on a zero derivative, a
+    non-finite or runaway (|w| > 1e4*scale) iterate, or after 60 steps.
+
+    Returns, per cell: stable (every quartic root decays), tie, candidates
+    (|Re| of the two nearest, trailing axis), seed (the pick), root (the
+    polished pole; the last iterate on failure), failure ("" or why) and
+    moved (converged more than BRANCH_TOL from the seed).
     """
-    w = w0
-    trace = [w]
-    scale = max(abs(w0), config.mirror1.omega0)
-    for _ in range(60):
-        f = _characteristic_exact(config, gel, w)
-        h = 1e-7 * max(abs(w), scale)
-        df = (_characteristic_exact(config, gel, w + h)
-              - _characteristic_exact(config, gel, w - h)) / (2.0 * h)
-        if df == 0:
-            raise NoConvergenceError("zero derivative while polishing pole", trace)
-        step = f / df
-        w = w - step
-        trace.append(w)
-        if not np.isfinite(w.real) or not np.isfinite(w.imag) or abs(w) > 1e4 * scale:
-            raise NoConvergenceError("pole polishing diverged", trace)
-        if abs(step) <= 1e-12 * max(abs(w), scale):
-            return w, trace
-    raise NoConvergenceError("pole polishing did not converge in 60 steps", trace)
+    roots = _characteristic_roots(config, deltas, gels)
+    configs = [config.with_detuning(float(d)) for d in deltas]
+    guess = np.array([math.sqrt(max(rigid_trap_omega_sq(cfg), 0.0))
+                      for cfg in configs])[:, None, None]
+    keep = roots.real >= -1e-9 * np.maximum(guess, 1.0)
+    keep |= ~keep.any(axis=-1, keepdims=True)
+    dist = np.where(keep, np.abs(np.abs(roots.real) - guess), np.inf)
+    order = np.argsort(dist, axis=-1, kind="stable")
+    nearest = np.take_along_axis(roots, order[..., :2], axis=-1)
+    candidates = np.abs(nearest.real)
+    a, b = candidates[..., 0], candidates[..., 1]
+    tie = (keep.sum(axis=-1) > 1) & (
+        np.abs(a - b) <= BRANCH_TOL * np.maximum(np.maximum(a, b), 1e-300))
+    seed = np.where(tie & (b > a), nearest[..., 1], nearest[..., 0])
 
-
-def _polish_branch(config: SystemConfig, gel: float, best) -> tuple[complex, bool]:
-    """Polish a picked root; also report whether it moved by more than 1%."""
-    polished, _ = _polish_root(config, gel, best)
-    return polished, bool(abs(polished - best) > BRANCH_TOL * max(abs(best), 1e-300))
+    delta = np.repeat(np.asarray(deltas, dtype=float), len(gels))
+    spring = np.repeat([_spring_numerator(cfg.cavity) for cfg in configs], len(gels))
+    gel = np.tile(np.asarray(gels, dtype=float), len(configs))
+    w = seed.flatten()
+    scale = np.maximum(np.abs(w), config.mirror1.omega0)
+    failure = np.full(w.size, "pole polishing did not converge in 60 steps",
+                      dtype=object)
+    live = np.arange(w.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(60):
+            wl, sl = w[live], scale[live]
+            h = 1e-7 * np.maximum(np.abs(wl), sl)
+            f, up, down = _characteristic_exact(
+                config, delta[live], spring[live], gel[live],
+                np.stack([wl, wl + h, wl - h]))
+            df = (up - down) / (2.0 * h)
+            flat = df == 0
+            step = f / df
+            w[live] = wl = np.where(flat, wl, wl - step)
+            wild = ~flat & (~np.isfinite(wl) | (np.abs(wl) > 1e4 * sl))
+            done = ~flat & ~wild & (
+                np.abs(step) <= 1e-12 * np.maximum(np.abs(wl), sl))
+            failure[live[flat]] = "zero derivative while polishing pole"
+            failure[live[wild]] = "pole polishing diverged"
+            failure[live[done]] = ""
+            live = live[~(flat | wild | done)]
+            if not live.size:
+                break
+    root, failure = w.reshape(seed.shape), failure.reshape(seed.shape)
+    moved = (failure == "") & (
+        np.abs(root - seed) > BRANCH_TOL * np.maximum(np.abs(seed), 1e-300))
+    stable = np.all(roots.imag > 0, axis=-1)  # exp(+iwt): Im > 0 means decay
+    return stable, tie, candidates, seed, root, failure, moved
 
 
 def extract_mode(config: SystemConfig, gel: float | None = None) -> EffectiveMode:
     """Locate the trapped-mode pole and classify overall stability.
 
-    The trapped branch is the root whose frequency is nearest the rigid-trap
-    estimate sqrt(omega1^2 + zeta1^2*k0/m1); when two candidates sit within
-    1% of each other the larger frequency wins and an AmbiguousBranchWarning
-    is emitted.  Quartic roots are polished on the exact rational
-    characteristic function; a polish that moves the root by more than 1%
-    also warns.  This is the one-cell case of ``stability_map``.
+    The one-cell case of ``stability_map``.  The trapped branch is the root
+    nearest the rigid-trap estimate sqrt(omega1^2 + zeta1^2*k0/m1); a tie
+    within 1% picks the larger frequency and emits an AmbiguousBranchWarning,
+    as does a polish on the exact characteristic that moves the root by more
+    than 1%.  A polish that fails raises NoConvergenceError.
     """
-    if gel is None:
-        gel = config.servo.g_el
-    roots, best, first, second, tie = _trapped_branch(
-        config, [config.cavity.detuning], [gel])
-    best = best[0, 0]
-    if tie[0, 0]:
-        a, b = abs(first[0, 0].real), abs(second[0, 0].real)
+    gel = config.servo.g_el if gel is None else gel
+    poles = _trapped_poles(config, [config.cavity.detuning], [gel])
+    stable, tie, candidates, seed, root, failure, moved = (p[0, 0] for p in poles)
+    if tie:
         warnings.warn(
             f"two pole candidates within {BRANCH_TOL:.0%} "
-            f"(|w| = {a:.6g} and {b:.6g} rad/s); picking the larger",
-            AmbiguousBranchWarning, stacklevel=2)
-
-    polished, moved = _polish_branch(config, gel, best)
+            f"(|w| = {candidates[0]:.6g} and {candidates[1]:.6g} rad/s); "
+            "picking the larger", AmbiguousBranchWarning, stacklevel=2)
+    seed, polished = complex(seed), complex(root)
+    if failure:
+        raise NoConvergenceError(failure, [seed, polished])
     if moved:
         warnings.warn(
             f"polished pole moved by more than {BRANCH_TOL:.0%} "
-            f"({best:.6g} -> {polished:.6g})", AmbiguousBranchWarning, stacklevel=2)
+            f"({seed:.6g} -> {polished:.6g})", AmbiguousBranchWarning, stacklevel=2)
     if polished.real < 0:
         polished = -polished.conjugate()
-
-    omega_eff = float(abs(polished.real))
-    gamma_eff = float(2.0 * polished.imag)
-    stable = bool(np.all(roots.imag > 0))  # exp(+iwt): Im > 0 means decay
     pole = complex(1j * polished)  # s-plane: Re(s) = -gamma/2, Im(s) = omega
-    return EffectiveMode(omega_eff=omega_eff, gamma_eff=gamma_eff,
-                         stable=stable, pole=pole)
+    return EffectiveMode(omega_eff=float(abs(polished.real)),
+                         gamma_eff=float(2.0 * polished.imag),
+                         stable=bool(stable), pole=pole)
 
 
 def cancellation_gain(config: SystemConfig, omega_eff: float) -> float:
@@ -358,8 +364,8 @@ class StabilityMap:
     gels: np.ndarray          # N*s/m
     omega_eff: np.ndarray     # rad/s, shape (n_delta, n_gel)
     gamma_eff: np.ndarray     # rad/s
-    stable: np.ndarray        # bool
-    converged: np.ndarray     # bool; False marks per-cell pole failures
+    stable: np.ndarray        # bool; False where not converged
+    converged: np.ndarray     # bool; False marks per-cell pole failures (NaN)
     ambiguous: np.ndarray     # bool; cells where extract_mode would warn
 
 
@@ -374,25 +380,12 @@ def stability_map(config: SystemConfig, delta_values, gel_values) -> StabilityMa
     gels = np.atleast_1d(np.asarray(gel_values, dtype=float))
     if deltas.size == 0 or gels.size == 0:
         raise ValidationError("ranges nonempty", "delta_values/gel_values", None)
-    roots, best, _, _, ambiguous = _trapped_branch(config, deltas, gels)
-    shape = (deltas.size, gels.size)
-    w = np.full(shape, np.nan)
-    g = np.full(shape, np.nan)
-    ok = np.zeros(shape, dtype=bool)
-    for i, d in enumerate(deltas):
-        cfg = config.with_detuning(float(d))
-        for j, ge in enumerate(gels):
-            try:
-                polished, moved = _polish_branch(cfg, float(ge), best[i, j])
-            except NoConvergenceError:
-                continue
-            w[i, j] = abs(polished.real)
-            g[i, j] = 2.0 * polished.imag
-            ok[i, j] = True
-            ambiguous[i, j] |= moved
-    st = ok & np.all(roots.imag > 0, axis=-1)
-    return StabilityMap(deltas=deltas, gels=gels, omega_eff=w, gamma_eff=g,
-                        stable=st, converged=ok, ambiguous=ambiguous)
+    stable, tie, _, _, root, failure, moved = _trapped_poles(config, deltas, gels)
+    ok = failure == ""
+    return StabilityMap(deltas=deltas, gels=gels,
+                        omega_eff=np.where(ok, np.abs(root.real), np.nan),
+                        gamma_eff=np.where(ok, 2.0 * root.imag, np.nan),
+                        stable=ok & stable, converged=ok, ambiguous=tie | moved)
 
 
 # --------------------------------------------------------------------------
@@ -409,13 +402,8 @@ def write_response_csv(path, response: ComplexResponse, comment: str = ""):
 
 def write_map_csv(path, smap: StabilityMap, comment: str = ""):
     """Columns: delta_Hz, gel, f_eff_Hz, gamma_eff_Hz, stable."""
-    rows = []
-    for i, d in enumerate(smap.deltas):
-        for j, ge in enumerate(smap.gels):
-            ok = smap.converged[i, j]
-            rows.append((d / TWO_PI, ge,
-                         smap.omega_eff[i, j] / TWO_PI if ok else math.nan,
-                         smap.gamma_eff[i, j] / TWO_PI if ok else math.nan,
-                         int(ok and smap.stable[i, j])))
+    delta, gel = np.meshgrid(smap.deltas, smap.gels, indexing="ij")
+    columns = (delta / TWO_PI, gel, smap.omega_eff / TWO_PI, smap.gamma_eff / TWO_PI)
+    rows = zip(*(c.ravel() for c in columns), smap.stable.ravel().astype(int).tolist())
     write_table(path, ("delta_Hz", "gel", "f_eff_Hz", "gamma_eff_Hz", "stable"),
                 rows, (comment,))

@@ -75,6 +75,31 @@ def test_map_reports_cell_counts(tmp_path, capsys):
         f"map: 13 x 9 cells (0 unconverged, 9 ambiguous) -> {out / 'map.csv'}\n")
 
 
+def test_map_reports_unconverged_cells(tmp_path, capsys, monkeypatch):
+    """A detuning where the pole polish fails is counted in the manifest and
+    the summary line, its CSV row is NaN and unstable, and map exits 0."""
+    from optospring import response
+
+    exact = response._characteristic_exact
+    bad = TWO_PI * np.linspace(0.0, 1.7e6, 6)[3]
+    monkeypatch.setattr(
+        response, "_characteristic_exact",
+        lambda config, deltas, *rest: np.where(
+            np.asarray(deltas) == bad, np.nan, exact(config, deltas, *rest)))
+    out = tmp_path / "map"
+    assert main(["map", "--config", "experiment", "--delta-range", "0:1.7e6:6",
+                 "--gel-range", "0:1.5:5", "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["cells"], manifest["unconverged"]) == (30, 5)
+    assert capsys.readouterr().out.startswith(
+        "map: 6 x 5 cells (5 unconverged, 0 ambiguous)")
+    rows = _read_csv(out / "map.csv", ["delta_Hz", "f_eff_Hz", "stable"])
+    failed = [r for r in rows if math.isnan(float(r["f_eff_Hz"]))]
+    assert len(failed) == 5
+    assert {float(r["delta_Hz"]) for r in failed} == {bad / TWO_PI}
+    assert all(r["stable"] == "0" for r in failed)
+
+
 @pytest.mark.parametrize("argv, invariant", [
     (["map", "--config", "ideal", "--delta-range", "1:2:0"], "nonempty"),
     (["map", "--config", "ideal", "--delta-range", "nan:1e6:3"],

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,24 @@ def test_kappa_finesse_mismatch_warns(tmp_path):
         load_config(p)
 
 
+def test_kappa_finesse_mismatch_warns_once(tmp_path):
+    """A copy of the experiment preset with a mismatched kappa warns on
+    load and not again when saved: the kept-text check loads it silently."""
+    from optospring.model import resolve_config_path
+
+    text = resolve_config_path("experiment").read_text().replace(
+        "kappa_over_2pi_Hz = 8.4e5", "kappa_over_2pi_Hz = 2.4e6")
+    assert "2.4e6" in text
+    (tmp_path / "c.cfg").write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cfg = load_config(tmp_path / "c.cfg")
+        assert [w.category for w in caught] == [ConsistencyWarning]
+        save_config(cfg, tmp_path / "saved.cfg")
+        assert [w.category for w in caught] == [ConsistencyWarning]
+    assert "kappa_over_2pi_Hz = 2.4e6\n" in (tmp_path / "saved.cfg").read_text()
+
+
 def test_paper_preset_is_consistent(recwarn):
     load_config("experiment")
     assert not [w for w in recwarn if issubclass(w.category, ConsistencyWarning)]
@@ -273,6 +292,20 @@ def test_si_form_keeps_geometric_pull_mode(tmp_path):
     assert load_config(tmp_path / "si.cfg").cavity == cfg.cavity
 
 
+@pytest.mark.parametrize("thz", [282.1, 302.1, 514.7])
+def test_si_form_keeps_laser_frequency_bits(tmp_path, thz):
+    """Dividing omega_laser back by 1e12 and 2*pi misses these file values,
+    and the quotient loads one ulp off; the writer picks the neighbour of
+    the quotient that loads back to the same bits."""
+    (tmp_path / "c.cfg").write_text(PAPER_KEYS.format(m1_mg=5.0).replace(
+        "laser_freq_THz = 300.0", f"laser_freq_THz = {thz!r}"))
+    cfg = _warmed(load_config(tmp_path / "c.cfg"))
+    assert cfg.cavity.omega_laser / 1e12 / TWO_PI * TWO_PI * 1e12 \
+        != cfg.cavity.omega_laser
+    save_config(cfg, tmp_path / "si.cfg")
+    assert load_config(tmp_path / "si.cfg") == cfg
+
+
 def test_si_form_writes_numpy_scalars_as_numbers(tmp_path):
     cfg = load_config("experiment").with_detuning(np.float64(6e6))
     save_config(cfg, tmp_path / "np.cfg")
@@ -296,8 +329,8 @@ _POSITIVE = st.floats(min_value=1e-3, max_value=1e6)
 _NONNEGATIVE = st.floats(min_value=0.0, max_value=1e6)
 _SIGNED = st.floats(min_value=-1e6, max_value=1e6)
 
-# Every numeric key with at most one unit factor, in its file unit.
-_SINGLE_FACTOR_KEYS = {
+# Every numeric key, in its file unit.
+_FILE_VALUES = {
     "m1_mg": _POSITIVE, "f1_Hz": _POSITIVE, "gamma1_over_2pi_Hz": _POSITIVE,
     "m2_g": _POSITIVE, "f2_Hz": _POSITIVE, "gamma2_over_2pi_Hz": _POSITIVE,
     "round_trip_length_cm": _POSITIVE, "finesse": _POSITIVE,
@@ -314,23 +347,17 @@ _SINGLE_FACTOR_KEYS = {
     "actuation_coefficient_N_per_m_per_Hz": _SIGNED,
     "temperature_K": _NONNEGATIVE, "freq_noise_amp_Hz2_per_rtHz": _NONNEGATIVE,
     "eta_V_per_W": _SIGNED, "pressure_Pa": _SIGNED,
+    "laser_freq_THz": _POSITIVE,
 }
 
 
 @pytest.mark.filterwarnings("ignore::optospring.errors.ConsistencyWarning")
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(values=st.fixed_dictionaries(_SINGLE_FACTOR_KEYS))
+@given(values=st.fixed_dictionaries(_FILE_VALUES))
 def test_si_form_round_trip_property(tmp_path_factory, values):
-    """Every single-factor key survives the SI form bit-exactly.
-
-    ``laser_freq_THz`` (fixed here) is left out: the loader applies its two
-    factors in turn, 2*pi and then 1e12, and dividing back by 1e12 and then
-    2*pi misses the file value for about 0.9% of values, which then load one
-    ulp off (16% when dividing by 2*pi first).  One combined factor would
-    change the loaded bits of existing config files.
-    """
+    """Every numeric key survives the SI form bit-exactly."""
     tmp = tmp_path_factory.mktemp("cfg")
-    text = "label = drawn\nlaser_freq_THz = 300.0\n" + "".join(
+    text = "label = drawn\n" + "".join(
         f"{key} = {value if value == 'auto' else repr(value)}\n"
         for key, value in values.items())
     (tmp / "drawn.cfg").write_text(text)

@@ -11,14 +11,16 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from optospring.errors import (AmbiguousBranchWarning, SingularResponseError,
-                               ValidationError)
+from optospring import response
+from optospring.errors import (AmbiguousBranchWarning, NoConvergenceError,
+                               SingularResponseError, ValidationError)
 from optospring.model import (HBAR, TWO_PI, FilterSection, MirrorParams,
                               ServoParams, intracavity_photons)
 from optospring.cli import _auto_delta_range, _auto_gel_range
 from optospring.response import (ComplexResponse, _characteristic_exact,
-                                 _characteristic_roots, _loop, adiabatic_spring,
-                                 cancellation_gain, closed_loop_response,
+                                 _characteristic_roots, _loop, _spring_numerator,
+                                 adiabatic_spring, cancellation_gain,
+                                 closed_loop_response,
                                  effective_susceptibility, extract_mode,
                                  feedback_from_open_loop, mech_susceptibility,
                                  open_loop_gain, optical_spring,
@@ -352,7 +354,8 @@ def test_pole_solver_and_response_share_one_characteristic(experiment_config,
         x1 = 1.0 / (m1.mass * chi1)
         x2 = 1.0 / (m2.mass * chi2)
         want = m1.mass * m2.mass * x1 * x2 * denom
-        got = [_characteristic_exact(cfg, cfg.servo.g_el, complex(wi)) for wi in w]
+        got = _characteristic_exact(cfg, cav.detuning, _spring_numerator(cav),
+                                    cfg.servo.g_el, w.astype(complex))
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -508,6 +511,31 @@ def test_map_ambiguous_cells_match_extract_mode_warnings(experiment_config,
     warned = _warned_cells(cfg, deltas, gels)
     np.testing.assert_array_equal(smap.ambiguous, warned)
     assert 0 < warned.sum() < warned.size
+
+
+def test_unconverged_row_is_flagged_and_isolated(monkeypatch, experiment_config):
+    """A detuning where the polish fails leaves NaN, unconverged, unstable
+    cells in its row and every other cell bit for bit as it was;
+    extract_mode there raises NoConvergenceError naming the reason."""
+    deltas = TWO_PI * np.linspace(0.0, 1.7e6, 6)
+    gels = np.linspace(0.0, 1.5, 5)
+    want = stability_map(experiment_config, deltas, gels)
+    exact = response._characteristic_exact
+    monkeypatch.setattr(  # NaN at one detuning
+        response, "_characteristic_exact",
+        lambda config, cell_deltas, *rest: np.where(
+            np.asarray(cell_deltas) == deltas[3], np.nan,
+            exact(config, cell_deltas, *rest)))
+    got = stability_map(experiment_config, deltas, gels)
+    others = np.arange(deltas.size) != 3
+    assert not got.converged[3].any() and got.converged[others].all()
+    assert not got.stable[3].any()
+    assert np.isnan(got.omega_eff[3]).all() and np.isnan(got.gamma_eff[3]).all()
+    for name in ("omega_eff", "gamma_eff", "stable", "converged", "ambiguous"):
+        np.testing.assert_array_equal(getattr(got, name)[others],
+                                      getattr(want, name)[others])
+    with pytest.raises(NoConvergenceError, match="pole polishing diverged"):
+        extract_mode(experiment_config.with_detuning(float(deltas[3])))
 
 
 def test_map_requires_nonempty_ranges(ideal_config):
