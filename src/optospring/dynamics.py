@@ -39,9 +39,14 @@ the same law, not the same realisation.
 ``_protocol`` derives the switch protocol from a plan once, and ``_walk``
 runs it, yielding each kernel call's records to ``run_ensemble`` (the
 relaxation phonon numbers) or ``simulate_trajectory`` (one timeline).
-``exact_mean_phonon``, the sampling-free oracle, walks the same phases
-with the state's second moment, M <- Phi M Phi^T + Q.  ``measure_rate``
-fits both and sets them beside the rate law at the servo-off pole.
+``run_ensemble`` reads no re-cooling record, so it crosses each damped
+re-cooling phase in one exact jump: the whole phase's map (Phi_S, N_S),
+composed from the stride and remainder maps by squaring and doubling,
+on three normals per trajectory.  ``simulate_trajectory`` walks every
+stride of every phase.  ``exact_mean_phonon``, the sampling-free oracle,
+walks the same phases stride by stride, re-cooling included, with the
+state's second moment, M <- Phi M Phi^T + Q.  ``measure_rate`` fits both
+and sets them beside the rate law at the servo-off pole.
 """
 
 from __future__ import annotations
@@ -338,6 +343,7 @@ class _Protocol:
     phases: tuple          # (gamma, label, t0) per phase, in run order
     start: np.ndarray      # cooled stationary covariance, where runs start
     maps: dict             # (gamma, substeps) -> PhaseMap
+    jump: tuple            # (Phi_S, Q_S, N_S): a whole re-cooling phase
     time_grid: np.ndarray  # s, record times from a phase start
 
 
@@ -376,11 +382,34 @@ def _protocol(config: SystemConfig, noise: NoiseEnv, plan: SimPlan) -> _Protocol
                     mass=model.mass, omega_sq=model.omega_trap_sq, gamma=gamma,
                     s_f_thermal=model.s_f_thermal, ou_corner=model.ou_corner,
                     ou_force_var=model.ou_force_var, dt=dt, substeps=substeps)
+    on, end = maps[model.gamma_on, stride], maps[model.gamma_on, last]
+    phi, cov = _compose(_repeat((on.phi, on.cov), n_rec - 1), (end.phi, end.cov))
+    cov = 0.5 * (cov + cov.T)
     return _Protocol(model=model, dt=dt, steps=steps, stride=stride,
                      n_rec=n_rec, last=last, periods=periods,
-                     phases=tuple(phases),
-                     start=maps[model.gamma_on, stride].stationary(),
-                     maps=maps, time_grid=dt * stride * np.arange(n_rec))
+                     phases=tuple(phases), start=on.stationary(),
+                     maps=maps, jump=(phi, cov, _factor(cov)),
+                     time_grid=dt * stride * np.arange(n_rec))
+
+
+def _compose(first: tuple, then: tuple) -> tuple:
+    """The Gaussian map (Phi, Q) of map ``first`` followed by map ``then``."""
+    (pf, qf), (pt, qt) = first, then
+    return pt @ pf, pt @ qf @ pt.T + qt
+
+
+def _repeat(step: tuple, n: int) -> tuple:
+    """(Phi^n, Q_n = sum_{k<n} Phi^k Q Phi^k^T) of n steps of the map
+    (Phi, Q), by squaring and doubling (Q_2k = Q_k + Phi^k Q_k Phi^k^T):
+    O(log n) 3x3 products."""
+    result, power = (np.eye(3), np.zeros((3, 3))), step
+    while n:
+        if n & 1:
+            result = _compose(result, power)
+        n >>= 1
+        if n:
+            power = _compose(power, power)
+    return result
 
 
 def _phonon(model: ReducedModel, x, v):
@@ -389,7 +418,8 @@ def _phonon(model: ReducedModel, x, v):
     return e / (HBAR * model.omega_ref) - 0.5
 
 
-def _walk(protocol: _Protocol, noise: NoiseEnv, master_seed: int, indices):
+def _walk(protocol: _Protocol, noise: NoiseEnv, master_seed: int, indices,
+          jump: bool = False):
     """Run the protocol for the given trajectory indices, all in one batch.
 
     Each trajectory starts with one exact draw from the cooled stationary
@@ -399,7 +429,10 @@ def _walk(protocol: _Protocol, noise: NoiseEnv, master_seed: int, indices):
     depend on the plan only, never on the batch.  Yields (p, r, x, v) at
     each phase start and after each kernel call: the (B, m) states of
     records r .. r + m - 1 of phase p, record r being the state before
-    stride r.  The runaway guard checks every state.
+    stride r.  With ``jump``, for a caller that reads no re-cooling
+    records, each re-cooling phase is instead one step of its exact
+    whole-phase map (Phi_S, N_S) on the next three normals, and yields
+    nothing.  The runaway guard checks every state it computes.
     """
     stride, n_rec = protocol.stride, protocol.n_rec
     model, b = protocol.model, len(indices)
@@ -419,24 +452,37 @@ def _walk(protocol: _Protocol, noise: NoiseEnv, master_seed: int, indices):
     x_bound = BLOWUP_FACTOR * max(
         math.sqrt(K_B * noise.temperature / (model.mass * model.omega_trap_sq)),
         math.sqrt(HBAR / (2.0 * model.mass * model.omega_ref)))
+
+    def guard(x, label):
+        # NaN fails the comparison, so a non-finite state is a runaway too
+        bad = ~(np.abs(x) <= x_bound)
+        if bad.any():
+            row, _ = np.unravel_index(np.argmax(bad), bad.shape)
+            raise InstabilityError(
+                f"|x| exceeded {BLOWUP_FACTOR:.0e} x thermal RMS or went "
+                f"non-finite during {label} (trajectory {indices[row]}, "
+                f"x = {x[bad][0]:.3e} m)")
+
     chunks = [(stride, min(per_chunk, n_rec - 1 - j))
               for j in range(0, n_rec - 1, per_chunk)]
     chunks.append((protocol.last, 1))
 
     z = tuple(np.einsum("ij,bj->ib", _factor(protocol.start), draw(1)[:, 0]))
     for p, (gamma, label, _) in enumerate(protocol.phases):
+        if jump and label == "re-cooling":
+            phi, _, root = protocol.jump
+            xi = draw(1)[:, 0]
+            # elementwise in a fixed order, so no row depends on the batch
+            z = tuple(phi[i, 0] * z[0] + phi[i, 1] * z[1] + phi[i, 2] * z[2]
+                      + root[i, 0] * xi[:, 0] + root[i, 1] * xi[:, 1]
+                      + root[i, 2] * xi[:, 2] for i in range(3))
+            guard(z[0][:, None], label)
+            continue
         yield p, 0, z[0][:, None], z[1][:, None]
         r = 0  # map steps run so far
         for substeps, n in chunks:
             x, v, f = protocol.maps[gamma, substeps].run(z, n, draw(n))
-            # NaN fails the comparison, so a non-finite state is a runaway too
-            bad = ~(np.abs(x) <= x_bound)
-            if bad.any():
-                row, _ = np.unravel_index(np.argmax(bad), bad.shape)
-                raise InstabilityError(
-                    f"|x| exceeded {BLOWUP_FACTOR:.0e} x thermal RMS or went "
-                    f"non-finite during {label} (trajectory {indices[row]}, "
-                    f"x = {x[bad][0]:.3e} m)")
+            guard(x, label)
             m = min(n, n_rec - 1 - r)  # states after these steps that are records
             if m > 0:
                 yield p, r + 1, x[:, :m], v[:, :m]
@@ -449,15 +495,13 @@ def _relaxation_phonons(protocol: _Protocol, noise: NoiseEnv,
     """Phonon numbers of the relaxation records of the given trajectories,
     (B, periods, R)."""
     n_off = None
-    period = {}  # relaxation phase -> its switch period
-    for p, r, x, v in _walk(protocol, noise, master_seed, indices):
+    for p, r, x, v in _walk(protocol, noise, master_seed, indices, jump=True):
         if n_off is None:
             # after the walk's buffers: before them, glibc split the last
             # run's freed block and repeated 100 x 2 s runs held ~10 MB more
             n_off = np.empty((len(indices), protocol.periods, protocol.n_rec))
-        if protocol.phases[p][1] == "relaxation":
-            k = period.setdefault(p, len(period))
-            n_off[:, k, r:r + x.shape[1]] = _phonon(protocol.model, x, v)
+        # the walk yields relaxation records only, phase 2k of period k
+        n_off[:, p // 2, r:r + x.shape[1]] = _phonon(protocol.model, x, v)
     return n_off
 
 
@@ -473,22 +517,16 @@ def _powers(phi: np.ndarray, n: int) -> np.ndarray:
     return p
 
 
-def exact_mean_phonon(config: SystemConfig, noise: NoiseEnv,
-                      plan: SimPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Exact <n(t)> of ``run_ensemble``'s protocol, free of sampling noise.
+def _moments(protocol: _Protocol):
+    """Yields (label, M) per phase in run order, M the (R, 3, 3) exact
+    second moments <z z^T> of the phase's records.
 
-    The state's second moment M = <z z^T> obeys M <- Phi M Phi^T + Q over
-    each stride and remainder step, with the Monte Carlo's own Phi and Q,
-    so after r strides of a phase M_r = Phi^r M_0 Phi^r^T
-    + sum_{j<r} Phi^j Q Phi^j^T.  It starts from the cooled stationary
-    covariance, walks the same phases on the same time grid, and averages
-    the relaxation records over the switch periods as the ensemble
-    averages its segments.
-    Returns (time_grid, mean_n).
-    """
-    protocol = _protocol(config, noise, plan)
+    M obeys M <- Phi M Phi^T + Q over each stride and remainder step, with
+    the Monte Carlo's own Phi and Q, so after r strides of a phase
+    M_r = Phi^r M_0 Phi^r^T + sum_{j<r} Phi^j Q Phi^j^T.  The walk starts
+    from the cooled stationary covariance and steps through every phase,
+    re-cooling included, stride by stride."""
     n_rec, moment = protocol.n_rec, protocol.start
-    n_sum = np.zeros(n_rec)
     for gamma, label, _ in protocol.phases:
         step = protocol.maps[gamma, protocol.stride]
         end = protocol.maps[gamma, protocol.last]
@@ -497,10 +535,20 @@ def exact_mean_phonon(config: SystemConfig, noise: NoiseEnv,
         added = np.zeros((n_rec, 3, 3))
         np.cumsum((pw @ step.cov @ pt)[:-1], axis=0, out=added[1:])
         records = pw @ moment @ pt + added
-        if label == "relaxation":
-            n_sum += _phonon(protocol.model, np.sqrt(records[:, 0, 0]),
-                             np.sqrt(records[:, 1, 1]))
+        yield label, records
         moment = end.phi @ records[-1] @ end.phi.T + end.cov
+
+
+def exact_mean_phonon(config: SystemConfig, noise: NoiseEnv,
+                      plan: SimPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Exact <n(t)> of ``run_ensemble``'s protocol, free of sampling noise:
+    the relaxation records of ``_moments`` on the Monte Carlo's time grid,
+    averaged over the switch periods as the ensemble averages its segments.
+    Returns (time_grid, mean_n).
+    """
+    protocol = _protocol(config, noise, plan)
+    n_sum = sum(_phonon(protocol.model, np.sqrt(m[:, 0, 0]), np.sqrt(m[:, 1, 1]))
+                for label, m in _moments(protocol) if label == "relaxation")
     return protocol.time_grid, n_sum / protocol.periods
 
 
@@ -509,8 +557,10 @@ def simulate_trajectory(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
     """One trajectory of the switch protocol; returns (t, x, v, n) at every
     record of every relaxation and re-cooling phase.
 
-    t = 0 is the first switch-off.  The same index inside run_ensemble
-    produces bit-identical numbers.
+    t = 0 is the first switch-off.  Through the first relaxation phase the
+    same index inside run_ensemble produces bit-identical numbers; after
+    it, run_ensemble jumps re-cooling in one step and draws another
+    realisation of the same law.
     """
     protocol = _protocol(config, noise, plan)
     n_rec, stride, dt = protocol.n_rec, protocol.stride, protocol.dt

@@ -258,6 +258,70 @@ def test_exact_mean_phonon_matches_naive_covariance_loop(experiment_config):
     np.testing.assert_allclose(n, rec / 2, rtol=1e-9)
 
 
+def _jump_cases(config):
+    """(config, plan) of the experiment preset, a fast-switching run, and a
+    weakly damped re-cooling phase (gamma_on = 0.93 rad/s for 10 ms, so
+    Sigma_inf - Phi_S Sigma_inf Phi_S^T cancels about two digits)."""
+    weak = _switch_config(_slow_trap_config(config, off_gain=0.5, gel=0.1), 50.0)
+    return {
+        "experiment": (config, SimPlan(duration=2.0, n_trajectories=1,
+                                       master_seed=1)),
+        "fast": (_switch_config(config, 50.0),
+                 SimPlan(duration=0.04, n_trajectories=1, master_seed=1,
+                         record_stride=7)),
+        "weak": (weak, SimPlan(duration=0.04, n_trajectories=1, master_seed=1,
+                               record_stride=7)),
+    }
+
+
+def _assert_covariance_close(got, want, rel):
+    """|got_ij - want_ij| <= rel * sqrt(want_ii want_jj): entries near zero
+    make an elementwise rtol meaningless."""
+    scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
+    assert np.all(np.abs(got - want) <= rel * scale)
+
+
+@pytest.mark.parametrize("case", ["experiment", "fast", "weak"])
+def test_recooling_jump_is_the_composed_phase_map(experiment_config, case):
+    """(Phi_S, Q_S), built by squaring and doubling, against the plain
+    composition of R - 1 strides (matrix_power and a loop of
+    Q <- Phi Q Phi^T + Q_stride) and the remainder step; and the moment
+    after the jump, Phi_S M Phi_S^T + Q_S from the moment M entering
+    re-cooling, against the one the exact oracle's stride-by-stride walk
+    reaches at the end of re-cooling.  Each entry to 1e-12 of
+    sqrt(Q_ii Q_jj) (the Sigma_inf form misses this by 1.6e-12 in the
+    weak case)."""
+    config, plan = _jump_cases(experiment_config)[case]
+    protocol = dynamics._protocol(config, config.noise, plan)
+    model, n_rec = protocol.model, protocol.n_rec
+    assert model.gamma_on > 0 and protocol.last < protocol.stride
+    phi_s, q_s, root = protocol.jump
+    step = protocol.maps[model.gamma_on, protocol.stride]
+    end = protocol.maps[model.gamma_on, protocol.last]
+    phi = end.phi @ np.linalg.matrix_power(step.phi, n_rec - 1)
+    q = np.zeros((3, 3))
+    for _ in range(n_rec - 1):
+        q = step.phi @ q @ step.phi.T + step.cov
+    q = end.phi @ q @ end.phi.T + end.cov
+    _assert_covariance_close(q_s, q, 1e-12)
+    # Phi in units where every entry of A sits at the trap frequency
+    w = model.omega_ref
+    d = np.array([1.0, w, model.mass * w * w])
+    scaled = d[None, :] / d[:, None]
+    assert np.max(np.abs((phi_s - phi) * scaled)) <= 1e-12 * np.max(
+        np.abs(phi * scaled))
+    np.testing.assert_array_equal(q_s, q_s.T)
+    # eigh rebuilds Q_S to rounding of its largest eigenvalue, which is
+    # ~1e-11 of the smallest diagonal entry's scale in the weak case
+    _assert_covariance_close(root @ root.T, q_s, 1e-10)
+
+    moments = [m for _, m in dynamics._moments(protocol)]
+    assert [label for _, label, _ in protocol.phases][:3] == [
+        "relaxation", "re-cooling", "relaxation"]
+    entering, after = moments[1][0], moments[2][0]
+    _assert_covariance_close(phi_s @ entering @ phi_s.T + q_s, after, 1e-12)
+
+
 def test_exact_rate_matches_rate_law(experiment_config):
     """The oracle's initial-slope rate sits within 2% of the rate law (the
     reduction and the rate law agree to about 1%)."""
@@ -325,23 +389,27 @@ def test_noise_factor_is_stable_under_rounding(experiment_config):
                                dynamics._factor(sigma) / scale, atol=1e-9)
 
 
-def _mc_against_exact(config, plan):
-    """(slope z-score, record-mean z-score) of a seeded ensemble against the
-    exact curve, each in units of its segment-level standard error."""
+def _mc_against_exact(config, plan, first_period=0):
+    """(slope, record-mean, first-record) z-scores of a seeded ensemble's
+    segments from switch period ``first_period`` on against the exact
+    curve, each in units of its segment-level standard error."""
     noise = config.noise
     protocol = dynamics._protocol(config, noise, plan)
     t = protocol.time_grid
     n_off = dynamics._relaxation_phonons(protocol, noise, plan.master_seed,
                                          range(plan.n_trajectories))
+    n_off = n_off[:, first_period:]
     result = dynamics._ensemble_result(t, n_off, protocol.model.omega_ref)
     t_exact, n_exact = dynamics.exact_mean_phonon(config, noise, plan)
     np.testing.assert_array_equal(t_exact, t)
     slope_z = ((result.fitted_rate - fit_decoherence_rate(t, n_exact).slope)
                / result.segment_rate_err)
-    level = n_off.reshape(-1, t.size).mean(axis=1)
-    level_z = ((level.mean() - n_exact.mean())
-               / (level.std(ddof=1) / math.sqrt(level.size)))
-    return slope_z, level_z
+    segments = n_off.reshape(-1, t.size)
+    z = [slope_z]
+    for got, want in ((segments.mean(axis=1), n_exact.mean()),
+                      (segments[:, 0], n_exact[0])):
+        z.append((got.mean() - want) / (got.std(ddof=1) / math.sqrt(got.size)))
+    return tuple(z)
 
 
 def _segment_z_scores(config, master_seed, n_ensembles=20, size=32):
@@ -400,9 +468,25 @@ def test_monte_carlo_mean_matches_exact_curve(experiment_config):
     slope and the record-mean phonon number each within 3 segment-level
     standard errors (about 99.7% power per gate for an unbiased sampler)."""
     plan = SimPlan(duration=1.0, n_trajectories=100, master_seed=1000)
-    slope_z, level_z = _mc_against_exact(experiment_config, plan)
+    slope_z, level_z, _ = _mc_against_exact(experiment_config, plan)
     assert abs(slope_z) <= 3.0
     assert abs(level_z) <= 3.0
+
+
+def test_monte_carlo_mean_matches_exact_curve_after_jumps(experiment_config):
+    """run_ensemble re-cools in one jump, and the oracle walks re-cooling
+    stride by stride: a seeded 400-trajectory run of ten 50 Hz switch
+    periods, whose 3600 segments after a jump (the F_trap memory carries
+    through it: Phi_S[2, 2] = 0.31) must match the exact curve in initial
+    slope, record mean and first record, each within 3 segment-level
+    standard errors.  Over master seeds 1-20 the three z-scores read SD
+    0.96-1.15 and |z| <= 2.4, all pass; with the jump's noise factor
+    scaled by 0.9 the first record reads z = -6.7 to -11.4, and with
+    Phi_S set to 0 it reads -3.2 to -6.5 (seeds 1-10, all fail)."""
+    cfg = _switch_config(experiment_config, 50.0)
+    plan = SimPlan(duration=0.2, n_trajectories=400, master_seed=1000)
+    for z in _mc_against_exact(cfg, plan, first_period=1):
+        assert abs(z) <= 3.0
 
 
 def test_energy_conservation_gate():
@@ -568,9 +652,10 @@ def test_same_seed_bit_identical(experiment_config):
 
 
 def test_trajectory_independent_of_batch(experiment_config):
+    """Two switch periods, so the re-cooling jump is inside the check."""
     noise = experiment_config.noise
-    solo_plan = SimPlan(duration=1.0, n_trajectories=1, master_seed=12)
-    batch_plan = SimPlan(duration=1.0, n_trajectories=6, master_seed=12)
+    solo_plan = SimPlan(duration=2.0, n_trajectories=1, master_seed=12)
+    batch_plan = SimPlan(duration=2.0, n_trajectories=6, master_seed=12)
     n_solo = dynamics._relaxation_phonons(
         dynamics._protocol(experiment_config, noise, solo_plan), noise, 12, [4])
     n_batch = dynamics._relaxation_phonons(
@@ -583,24 +668,51 @@ def test_trajectory_independent_of_batch(experiment_config):
 # ensemble statistics and fits
 # --------------------------------------------------------------------------
 
+def _jump(protocol, z, xi):
+    """The state after one re-cooling jump, in the engine's arithmetic."""
+    phi, _, root = protocol.jump
+    return tuple(phi[i, 0] * z[0] + phi[i, 1] * z[1] + phi[i, 2] * z[2]
+                 + root[i, 0] * xi[:, 0] + root[i, 1] * xi[:, 1]
+                 + root[i, 2] * xi[:, 2] for i in range(3))
+
+
 def test_one_trajectory_ensemble_equals_single_trajectory(experiment_config):
-    """One trajectory over three switch periods is three segments: segment
-    k is the timeline's k-th relaxation phase, bit for bit, and the mean
-    curve is their average."""
+    """One trajectory over three switch periods is three segments, and the
+    mean curve is their average.  Segment 0 is the timeline's first
+    relaxation phase, bit for bit.  Segments 1 and 2 follow a re-cooling
+    jump, and equal, bit for bit, a reference that steps each relaxation
+    phase through the kernel in the engine's chunks and each re-cooling
+    phase through (Phi_S, N_S) on the next three normals of the stream."""
     noise = experiment_config.noise
     plan = SimPlan(duration=3.0, n_trajectories=1, master_seed=2)
+    protocol = dynamics._protocol(experiment_config, noise, plan)
     result = run_ensemble(experiment_config, noise, plan)
-    n_off = dynamics._relaxation_phonons(
-        dynamics._protocol(experiment_config, noise, plan), noise,
-        plan.master_seed, [0])
+    n_off = dynamics._relaxation_phonons(protocol, noise, plan.master_seed, [0])
     t, x, v, n = simulate_trajectory(experiment_config, noise, plan, 0)
-    dt = plan.resolve_dt(reduced_model(experiment_config, noise).omega_ref)
-    half = _half_steps(experiment_config, dt) * dt
-    assert result.n_segments == 3 and n_off.shape[:2] == (1, 3)
-    for k in range(3):
-        relaxing = (t > 2 * k * half - dt / 2) & (t < (2 * k + 1) * half - dt / 2)
-        np.testing.assert_array_equal(n[relaxing], n_off[0, k])
+    n_rec, stride = protocol.n_rec, protocol.stride
+    assert result.n_segments == 3 and n_off.shape == (1, 3, n_rec)
+    np.testing.assert_array_equal(n[:n_rec], n_off[0, 0])
     np.testing.assert_array_equal(result.mean_phonon, n_off[0].mean(axis=0))
+
+    gen = dynamics._trajectory_generators(plan.master_seed, [0])[0]
+    per_chunk = dynamics.DRAW_BLOCK // stride
+    steps = [(stride, min(per_chunk, n_rec - 1 - j))
+             for j in range(0, n_rec - 1, per_chunk)] + [(protocol.last, 1)]
+    z = tuple(np.einsum("ij,bj->ib", dynamics._factor(protocol.start),
+                        gen.standard_normal((1, 3))))
+    for k in range(3):
+        if k:
+            z = _jump(protocol, z, gen.standard_normal((1, 3)))
+        xs, vs = [z[0]], [z[1]]
+        for substeps, count in steps:
+            pm = protocol.maps[protocol.model.gamma_off, substeps]
+            xk, vk, fk = pm.run(z, count, gen.standard_normal((1, count, 3)))
+            xs.append(xk[0])
+            vs.append(vk[0])
+            z = (xk[:, -1], vk[:, -1], fk[:, -1])
+        want = dynamics._phonon(protocol.model, np.concatenate(xs)[:n_rec],
+                                np.concatenate(vs)[:n_rec])
+        np.testing.assert_array_equal(n_off[0, k], want)
 
 
 def test_fitted_gamma_matches_pole_damping(experiment_config, thermal_only_noise):
@@ -852,6 +964,30 @@ def test_runaway_guard_catches_nonfinite_state(experiment_config, cold_noise,
     plan = SimPlan(duration=1.0, n_trajectories=1, master_seed=1)
     with pytest.raises(InstabilityError, match="non-finite"):
         simulate_trajectory(experiment_config, cold_noise, plan, 0)
+
+
+def test_runaway_guard_checks_the_recooling_jump(experiment_config,
+                                                 monkeypatch):
+    """run_ensemble jumps each re-cooling phase in one step, and the guard
+    checks the state after the jump: a trap force gone non-finite at the
+    end of a relaxation phase (the guard reads x, so it passes there) stops
+    the run in re-cooling, before any kernel call."""
+    run = PhaseMap.run
+    calls = []
+
+    def nan_force_at_phase_end(self, z, steps, xi):
+        calls.append(steps)
+        x, v, f = run(self, z, steps, xi)
+        if steps == 1:  # the remainder step, which ends the phase
+            f[:, -1] = math.nan
+        return x, v, f
+
+    monkeypatch.setattr(PhaseMap, "run", nan_force_at_phase_end)
+    plan = SimPlan(duration=2.0, n_trajectories=2, master_seed=1)
+    with pytest.raises(InstabilityError,
+                       match="non-finite during re-cooling"):
+        run_ensemble(experiment_config, experiment_config.noise, plan)
+    assert calls.count(1) == 1 and calls[-1] == 1
 
 
 def test_plan_validation(experiment_config):
