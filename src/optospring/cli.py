@@ -177,7 +177,7 @@ def cmd_cool(args) -> int:
     out = _out_dir(args)
     gains = ([config.servo.g_el] if args.gel_range is None
              else list(_parse_range(args.gel_range, "--gel-range")))
-    rows = []
+    rows, nan_rows = [], []
     for gel in gains:
         gel = float(gel)
         cfg = config.with_gain(gel)
@@ -187,6 +187,7 @@ def cmd_cool(args) -> int:
                                      config.mirror1).t_eff * 1e3
         except OptospringError as exc:
             t_eff = np.nan
+            nan_rows.append({"gel": gel, "reason": f"{type(exc).__name__}: {exc}"})
             print(f"gel = {gel:.4g}: {exc}", file=sys.stderr)
         try:
             occ = occupations(cfg, config.noise, mode, s_fr)
@@ -196,10 +197,12 @@ def cmd_cool(args) -> int:
                      t_eff) + occ + (int(mode.stable),))
     csv_path = out / "cool.csv"
     write_table(csv_path, ("gel", "f_eff_Hz", "gamma_eff_Hz", "T_eff_mK",
-                           "n_th_prime", "n_freq", "n_th_bare", "stable"), rows)
-    _write_manifest(out, "cool", args, path, [csv_path], None)
-    n_nan = sum(np.isnan(row[3]) for row in rows)
-    print(f"cool: {len(gains)} gain point(s), {n_nan} with T_eff = NaN -> {csv_path}")
+                           "n_th_prime", "n_freq", "n_th_bare", "stable"),
+                zip(*rows))
+    _write_manifest(out, "cool", args, path, [csv_path], None,
+                    {"nan_t_eff_rows": nan_rows})
+    print(f"cool: {len(gains)} gain point(s), {len(nan_rows)} with T_eff = NaN "
+          f"-> {csv_path}")
     return 0
 
 

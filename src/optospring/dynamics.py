@@ -59,6 +59,7 @@ import numpy as np
 from .coherence import heating_rates
 from .errors import (FitError, InstabilityError, InsufficientDataError,
                      OptospringError, ValidationError)
+from .fitting import separable_fit
 from .model import HBAR, K_B, TWO_PI, NoiseEnv, SystemConfig
 from .response import (EffectiveMode, adiabatic_spring, cancellation_gain,
                        extract_mode, rigid_trap_omega_sq)
@@ -597,22 +598,28 @@ def fit_decoherence_rate(t: np.ndarray, n: np.ndarray) -> SlopeFit:
 
 
 def _fit_exponential(t: np.ndarray, n: np.ndarray) -> tuple[float, float, float]:
-    """Fit n(t) = n_inf + (n0 - n_inf) exp(-gamma t); returns (n0, n_inf, gamma)."""
-    from scipy.optimize import curve_fit
+    """Fit n(t) = n_inf + (n0 - n_inf) exp(-gamma t); returns (n0, n_inf, gamma).
 
-    def model(tt, n0, n_inf, gamma):
-        return n_inf + (n0 - n_inf) * np.exp(-gamma * tt)
+    ``fitting.separable_fit`` from gamma = 1/t[-1] solves n_inf and n0 - n_inf
+    linearly at every gamma."""
+    def basis(theta):
+        decay = np.exp(-theta[0] * t)
+        return (np.array((np.ones_like(t), decay)),
+                np.array(((np.zeros_like(t), -t * decay),)))
+
+    def model(n0, n_inf, gamma):
+        return n_inf + (n0 - n_inf) * np.exp(-gamma * t)
 
     slope0 = (n[-1] - n[0]) / max(t[-1], 1e-12)
     p0 = (float(n[0]), float(n[0] + 2.0 * slope0 * t[-1]), 1.0 / max(t[-1], 1e-12))
     try:
-        popt, _ = curve_fit(model, t, n, p0=p0, maxfev=40000)
-    except RuntimeError as exc:
-        resid = np.abs(n - model(t, *p0))
+        (gamma,), (n_inf, amp) = separable_fit(basis, n, p0[2:])
+    except FitError as exc:
+        resid = np.abs(n - model(*p0))
         raise FitError(
             f"exponential relaxation fit failed: {exc}; p0 = {p0}, "
             f"max residual at p0 = {resid.max():.4g}") from exc
-    return float(popt[0]), float(popt[1]), float(popt[2])
+    return float(n_inf + amp), float(n_inf), float(gamma)
 
 
 def _segment_rate_err(t: np.ndarray, segments: np.ndarray,
@@ -730,7 +737,7 @@ def detuning_scan(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
 def write_ensemble_csv(path, result: EnsembleResult, comment: str = ""):
     """Columns: t_s, mean_n."""
     write_table(path, ("t_s", "mean_n"),
-                zip(result.time_grid, result.mean_phonon),
+                (result.time_grid, result.mean_phonon),
                 (comment, f"segments: {result.n_segments}, "
                           f"f_ref_Hz: {float(result.omega_ref / TWO_PI)!r}"))
 
@@ -740,7 +747,7 @@ def write_scan_csv(path, rows: list[RateMeasurement], comment: str = ""):
     (the segment error), n_osc, rate_exact."""
     write_table(path, ("delta_Hz", "f_eff_Hz", "rate_measured",
                        "rate_predicted", "rate_err", "n_osc", "rate_exact"),
-                ((r.delta / TWO_PI, r.omega_eff / TWO_PI, r.rate_measured,
-                  r.rate_predicted, r.rate_segment_err, r.n_osc,
-                  r.rate_exact) for r in rows),
+                zip(*((r.delta / TWO_PI, r.omega_eff / TWO_PI, r.rate_measured,
+                       r.rate_predicted, r.rate_segment_err, r.n_osc,
+                       r.rate_exact) for r in rows)),
                 (comment,))

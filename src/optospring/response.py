@@ -394,16 +394,19 @@ def stability_map(config: SystemConfig, delta_values, gel_values) -> StabilityMa
 
 def write_response_csv(path, response: ComplexResponse, comment: str = ""):
     """Columns: f_Hz, re, im, mag, phase_deg."""
-    f_hz = response.grid / TWO_PI
-    rows = ((f, v.real, v.imag, abs(v), math.degrees(math.atan2(v.imag, v.real)))
-            for f, v in zip(f_hz, response.values))
-    write_table(path, ("f_Hz", "re", "im", "mag", "phase_deg"), rows, (comment,))
+    v = response.values
+    # Python's abs and atan2: numpy's vector forms differ in the last ulp
+    z = v.tolist()
+    write_table(path, ("f_Hz", "re", "im", "mag", "phase_deg"),
+                (response.grid / TWO_PI, v.real, v.imag, [abs(c) for c in z],
+                 [math.degrees(math.atan2(c.imag, c.real)) for c in z]),
+                (comment,))
 
 
 def write_map_csv(path, smap: StabilityMap, comment: str = ""):
     """Columns: delta_Hz, gel, f_eff_Hz, gamma_eff_Hz, stable."""
     delta, gel = np.meshgrid(smap.deltas, smap.gels, indexing="ij")
-    columns = (delta / TWO_PI, gel, smap.omega_eff / TWO_PI, smap.gamma_eff / TWO_PI)
-    rows = zip(*(c.ravel() for c in columns), smap.stable.ravel().astype(int).tolist())
+    columns = (delta / TWO_PI, gel, smap.omega_eff / TWO_PI,
+               smap.gamma_eff / TWO_PI, smap.stable.astype(int))
     write_table(path, ("delta_Hz", "gel", "f_eff_Hz", "gamma_eff_Hz", "stable"),
-                rows, (comment,))
+                (c.ravel() for c in columns), (comment,))

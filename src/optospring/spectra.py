@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (FitError, InstabilityError, InsufficientDataError,
                      SingularResponseError, SpectrumBandError, ValidationError)
+from .fitting import separable_fit
 from .model import (HBAR, K_B, C_LIGHT, TWO_PI, MirrorParams, NoiseEnv,
                     SystemConfig)
 from .response import ComplexResponse, _loop
@@ -175,40 +176,59 @@ def welch_psd(series, dt: float, segment_length: int | None = None,
     return Spectrum(grid=f[1:], values=p[1:], kind=kind)
 
 
-def _lorentzian(f, s0, f0, width):
-    return s0 / (1.0 + ((f - f0) / width) ** 2)
+def _lorentzian_basis(f):
+    """Phi = 1/(1 + ((f - f0)/width)^2) and its (f0, width) derivatives,
+    for ``fitting.separable_fit``."""
+    def basis(theta):
+        f0, width = theta.tolist()
+        x = (f - f0) / width
+        g = 1.0 / (1.0 + x * x)
+        dg = (2.0 / width) * x * g * g
+        return g[None], np.array((dg, dg * x))[:, None]
+    return basis
 
 
 def fit_peak_width(spectrum: Spectrum, f_guess: float, width_guess: float
                    ) -> tuple[float, float, float]:
     """Least-squares Lorentzian fit around a peak; returns (s0, f0, half-width).
 
-    The fit window is clipped to [f_guess/2, 2*f_guess] so other spectral
-    structure (the heavy-mirror line the servo imprints at low frequency,
-    the trap-noise shoulder) cannot capture the fit of a broad peak.
+    The fit window is the grid within 8 guessed half-widths of f_guess,
+    clipped to [f_guess/2, 2*f_guess] so other spectral structure (the
+    heavy-mirror line the servo imprints at low frequency, the trap-noise
+    shoulder) cannot capture the fit of a broad peak; it needs >= 5 points.
+    The fit is ``fitting.separable_fit``, a Levenberg-Marquardt iteration on
+    (f0, width) from (f_guess, width_guess) with s0 solved linearly at every
+    step.  It stops once the next step, in units of (f_guess, width_guess),
+    has norm at most 1e-8, or would lower the squared residual by at most
+    1e-20 of itself.  FitError if it does not converge, if s0 or the width
+    is not positive, if f0 leaves [f_guess/2, 2*f_guess], or if the
+    half-width exceeds the span of the window (no peak resolved in it).
     """
-    from scipy.optimize import curve_fit
-
     f, s = spectrum.grid, spectrum.values
     sel = (np.abs(f - f_guess) <= 8.0 * width_guess) \
         & (f >= 0.5 * f_guess) & (f <= 2.0 * f_guess)
-    if sel.sum() < 5:
+    f, s = f[sel], s[sel]
+    if f.size < 5:
         raise InsufficientDataError(
-            f"only {int(sel.sum())} grid points within 8 half-widths of "
+            f"only {f.size} grid points within 8 half-widths of "
             f"{f_guess:.6g} Hz; refine the grid")
-    p0 = (float(np.interp(f_guess, f, s)), f_guess, width_guess)
     try:
-        popt, _ = curve_fit(_lorentzian, f[sel], s[sel], p0=p0, maxfev=20000)
-    except RuntimeError as exc:
+        (f0, width), (s0,) = separable_fit(_lorentzian_basis(f), s,
+                                           (f_guess, width_guess))
+    except FitError as exc:
         raise FitError(f"Lorentzian peak fit failed near {f_guess:.6g} Hz: "
                        f"{exc}") from exc
-    s0, f0, width = popt
     if s0 <= 0 or width <= 0:
-        raise FitError(f"Lorentzian fit returned non-physical parameters {popt}")
+        raise FitError("Lorentzian fit returned non-physical parameters "
+                       f"{[s0, f0, width]}")
     if not 0.5 * f_guess <= f0 <= 2.0 * f_guess:
         raise FitError(f"Lorentzian fit wandered to {f0:.6g} Hz, away from "
                        f"the expected peak at {f_guess:.6g} Hz")
-    return float(s0), float(f0), abs(float(width))
+    if width > f[-1] - f[0]:
+        raise FitError(f"Lorentzian fit half-width {width:.6g} Hz exceeds the "
+                       f"fit window [{f[0]:.6g}, {f[-1]:.6g}] Hz: no resolved "
+                       "peak")
+    return float(s0), float(f0), float(width)
 
 
 def mode_temperature(s_x: Spectrum, omega_eff: float, gamma_eff: float,
@@ -261,8 +281,9 @@ def occupations(config: SystemConfig, noise: NoiseEnv, mode,
 def write_spectrum_csv(path, spectrum: Spectrum, comment: str = ""):
     """Columns: f_Hz, value, unit; header comments carry kind/normalization.
     The unit column follows from the kind, so reading ignores it."""
-    rows = ((f, v, spectrum.unit) for f, v in zip(spectrum.grid, spectrum.values))
-    write_table(path, ("f_Hz", "value", "unit"), rows,
+    write_table(path, ("f_Hz", "value", "unit"),
+                (spectrum.grid, spectrum.values,
+                 [spectrum.unit] * spectrum.grid.size),
                 (f"kind: {spectrum.kind}",
                  "normalization: one-sided; integral over f_Hz equals variance",
                  comment))
