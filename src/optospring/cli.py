@@ -251,12 +251,16 @@ def cmd_retherm(args) -> int:
         "predicted_thermal": m.rate_thermal,
         "predicted_trap": m.rate_trap,
     }, indent=2, sort_keys=True) + "\n")
+    gamma_error = m.ensemble.gamma_fit_error
     _write_manifest(out, "retherm", args, path, [csv_path, fit_path],
                     plan.master_seed,
-                    {"plan": _plan_record(plan, m.ensemble.omega_ref)})
+                    {"plan": _plan_record(plan, m.ensemble.omega_ref),
+                     "fitted_gamma_eff_error": gamma_error or None})
     print(f"retherm: rate = {m.rate_measured:.4g} +- "
           f"{m.rate_segment_err:.2g} /s (exact {m.rate_exact:.4g}, "
-          f"predicted {m.rate_predicted:.4g}) -> {csv_path}")
+          f"predicted {m.rate_predicted:.4g})"
+          + (f", fitted_gamma_eff = NaN: {gamma_error}" if gamma_error else "")
+          + f" -> {csv_path}")
     return 0
 
 

@@ -22,28 +22,28 @@ exponential) advances it.  That makes the integrator unconditionally
 stable, exactly energy-conserving in the noise-free limit, and exact for
 the statistics at any step size; dt only sets the sampling resolution.
 
-Each kernel step spans one recorded interval, ``record_stride`` steps of
-dt, and draws its three normals from the exact law of that interval
-(Phi^s and the covariance of s steps' noise).  A phase is R - 1 such
-strides, R = ceil(steps/s), then one remainder step to the phase end.
-There is no burn-in: every run starts cooled, each trajectory with one
-exact draw from the cooled phase's stationary covariance, the first three
-normals of its stream.  Within a phase the map is a linear filter, so
-``PhaseMap.run`` advances all trajectories by up to DRAW_BLOCK // s strides
-per call (``scipy.signal.lfilter``).  Every trajectory draws from its own
+Every map is a ``PhaseMap`` (Phi, Q = N N^T): ``_repeat`` builds each
+n-step map by squaring, and ``PhaseMap.run`` applies every one, on three
+normals per map step.  A kernel step spans one recorded interval,
+``record_stride`` = s steps of dt.  A phase is R - 1 such strides,
+R = ceil(steps/s), then one remainder step to the phase end.  There is no
+burn-in: each trajectory starts with one step of the start map (Phi = 0,
+Q = the cooled stationary covariance) on the first three normals of its
+stream.  Within a phase the map is a linear filter, so ``PhaseMap.run``
+advances all trajectories by up to DRAW_BLOCK // s strides per call
+(``scipy.signal.lfilter``).  Every trajectory draws from its own
 counter-based RNG stream derived from (master_seed, trajectory index), and
 chunk edges depend only on the plan, so results are bit-identical no
 matter how trajectories are batched.  Runs at different strides sample
 the same law, not the same realisation.
 
-``_protocol`` derives the switch protocol from a plan once, and ``_walk``
-runs it, yielding each kernel call's records to ``run_ensemble`` (the
-relaxation phonon numbers) or ``simulate_trajectory`` (one timeline).
-``run_ensemble`` reads no re-cooling record, so it crosses each damped
-re-cooling phase in one exact jump: the whole phase's map (Phi_S, N_S),
-composed from the stride and remainder maps by squaring and doubling,
-on three normals per trajectory.  ``simulate_trajectory`` walks every
-stride of every phase.  ``exact_mean_phonon``, the sampling-free oracle,
+``_protocol`` derives the switch protocol, its maps and the runaway bound
+from a plan once, and ``_walk`` runs it, yielding each kernel call's
+records to ``run_ensemble`` (the relaxation phonon numbers) or
+``simulate_trajectory`` (one timeline).  ``run_ensemble`` reads no
+re-cooling record, so it crosses each re-cooling phase in one step of the
+whole phase's map.  ``simulate_trajectory`` walks every stride of every
+phase.  ``exact_mean_phonon``, the sampling-free oracle,
 walks the same phases stride by stride, re-cooling included, with the
 state's second moment, M <- Phi M Phi^T + Q.  ``measure_rate`` fits both
 and sets them beside the rate law at the servo-off pole.
@@ -97,6 +97,9 @@ class SimPlan:
     record_stride: int = 10
 
     def __post_init__(self):
+        if self.master_seed < 0:
+            raise ValidationError("master_seed >= 0", "master_seed",
+                                  self.master_seed)
         if self.n_trajectories < 1:
             raise ValidationError("n_trajectories >= 1",
                                   "n_trajectories", self.n_trajectories)
@@ -125,6 +128,7 @@ class EnsembleResult:
     fitted_gamma_eff: float        # rad/s, from the exponential fit
     omega_ref: float               # rad/s, servo-off trapped frequency
     n_segments: int
+    gamma_fit_error: str = ""      # why fitted_gamma_eff is NaN, if it is
 
 
 @dataclass(frozen=True)
@@ -227,16 +231,35 @@ def _factor(cov: np.ndarray) -> np.ndarray:
     return evecs * np.sqrt(np.clip(evals, 0.0, None))
 
 
+def _compose(first: tuple, then: tuple) -> tuple:
+    """The Gaussian map (Phi, Q) of map ``first`` followed by map ``then``."""
+    (pf, qf), (pt, qt) = first, then
+    return pt @ pf, pt @ qf @ pt.T + qt
+
+
+def _repeat(step: tuple, n: int) -> tuple:
+    """(Phi^n, Q_n = sum_{k<n} Phi^k Q Phi^k^T) of n steps of the map
+    (Phi, Q), by squaring and doubling (Q_2k = Q_k + Phi^k Q_k Phi^k^T):
+    O(log n) 3x3 products."""
+    result, power = (np.eye(3), np.zeros((3, 3))), step
+    while n:
+        if n & 1:
+            result = _compose(result, power)
+        n >>= 1
+        if n:
+            power = _compose(power, power)
+    return result
+
+
 class PhaseMap:
     """Exact Gaussian map z -> Phi z + N xi over ``substeps`` steps of dt of
     one servo phase, driven by three standard normals xi per map step.
 
     State z = (x, v, F_trap).  One step of dt has Phi1 = expm(A dt) and a
-    noise covariance Q1 from the Van Loan block exponential.  Over s
-    substeps Phi = Phi1^s, built by repeated left-multiplication, and the
-    noise covariance is ``cov`` = Q = sum_{k<s} Phi1^k Q1 Phi1^k^T, factored
-    once as N.  One map step therefore samples the exact law of the state
-    s steps of dt later.
+    noise covariance Q1 from the Van Loan block exponential.  ``_repeat``
+    takes them to Phi = Phi1^s and ``cov`` = Q = sum_{k<s} Phi1^k Q1 Phi1^k^T,
+    factored once as N.  One map step therefore samples the exact law of
+    the state s steps of dt later.  ``PhaseMap.given`` makes any other map.
     """
 
     def __init__(self, mass: float, omega_sq: float, gamma: float,
@@ -257,16 +280,17 @@ class PhaseMap:
         eb = expm(block * dt)
         phi1 = eb[:3, :3]
         q1 = eb[:3, 3:] @ phi1.T
-        q1 = 0.5 * (q1 + q1.T)
-        phi, cov = np.eye(3), np.zeros((3, 3))
-        for _ in range(substeps):
-            cov = cov + phi @ q1 @ phi.T
-            phi = phi1 @ phi
-        self.phi = phi
-        self.cov = 0.5 * (cov + cov.T)
-        self.noise = _factor(self.cov)
-        self.dt = dt
+        pm = PhaseMap.given(*_repeat((phi1, 0.5 * (q1 + q1.T)), substeps))
+        self.phi, self.cov, self.noise = pm.phi, pm.cov, pm.noise
         self._sde = (a, lmat)
+
+    @classmethod
+    def given(cls, phi: np.ndarray, cov: np.ndarray) -> PhaseMap:
+        """The map (``phi``, ``cov``); it has no SDE, so no ``stationary``."""
+        pm = cls.__new__(cls)
+        pm.phi, pm.cov = phi, 0.5 * (cov + cov.T)
+        pm.noise = _factor(pm.cov)
+        return pm
 
     def stationary(self) -> np.ndarray:
         """Stationary covariance of the phase's SDE: the Sigma with
@@ -342,9 +366,10 @@ class _Protocol:
     last: int              # the remainder step, steps - (R - 1) * stride
     periods: int           # switch periods, one relaxation phase each
     phases: tuple          # (gamma, label, t0) per phase, in run order
-    start: np.ndarray      # cooled stationary covariance, where runs start
+    start: PhaseMap        # Phi = 0, Q = the cooled stationary covariance
     maps: dict             # (gamma, substeps) -> PhaseMap
-    jump: tuple            # (Phi_S, Q_S, N_S): a whole re-cooling phase
+    jump: PhaseMap         # a whole re-cooling phase: R - 1 strides, remainder
+    x_bound: float         # m, runaway guard: |x| beyond it aborts a run
     time_grid: np.ndarray  # s, record times from a phase start
 
 
@@ -384,33 +409,19 @@ def _protocol(config: SystemConfig, noise: NoiseEnv, plan: SimPlan) -> _Protocol
                     s_f_thermal=model.s_f_thermal, ou_corner=model.ou_corner,
                     ou_force_var=model.ou_force_var, dt=dt, substeps=substeps)
     on, end = maps[model.gamma_on, stride], maps[model.gamma_on, last]
-    phi, cov = _compose(_repeat((on.phi, on.cov), n_rec - 1), (end.phi, end.cov))
-    cov = 0.5 * (cov + cov.T)
+    jump = PhaseMap.given(*_compose(_repeat((on.phi, on.cov), n_rec - 1),
+                                    (end.phi, end.cov)))
+    # runaway guard scale: thermal RMS of the trapped mode at the bath
+    # temperature, with the zero-point amplitude as a floor for cold runs
+    x_bound = BLOWUP_FACTOR * max(
+        math.sqrt(K_B * noise.temperature / (model.mass * model.omega_trap_sq)),
+        math.sqrt(HBAR / (2.0 * model.mass * model.omega_ref)))
     return _Protocol(model=model, dt=dt, steps=steps, stride=stride,
                      n_rec=n_rec, last=last, periods=periods,
-                     phases=tuple(phases), start=on.stationary(),
-                     maps=maps, jump=(phi, cov, _factor(cov)),
+                     phases=tuple(phases),
+                     start=PhaseMap.given(np.zeros((3, 3)), on.stationary()),
+                     maps=maps, jump=jump, x_bound=x_bound,
                      time_grid=dt * stride * np.arange(n_rec))
-
-
-def _compose(first: tuple, then: tuple) -> tuple:
-    """The Gaussian map (Phi, Q) of map ``first`` followed by map ``then``."""
-    (pf, qf), (pt, qt) = first, then
-    return pt @ pf, pt @ qf @ pt.T + qt
-
-
-def _repeat(step: tuple, n: int) -> tuple:
-    """(Phi^n, Q_n = sum_{k<n} Phi^k Q Phi^k^T) of n steps of the map
-    (Phi, Q), by squaring and doubling (Q_2k = Q_k + Phi^k Q_k Phi^k^T):
-    O(log n) 3x3 products."""
-    result, power = (np.eye(3), np.zeros((3, 3))), step
-    while n:
-        if n & 1:
-            result = _compose(result, power)
-        n >>= 1
-        if n:
-            power = _compose(power, power)
-    return result
 
 
 def _phonon(model: ReducedModel, x, v):
@@ -419,24 +430,22 @@ def _phonon(model: ReducedModel, x, v):
     return e / (HBAR * model.omega_ref) - 0.5
 
 
-def _walk(protocol: _Protocol, noise: NoiseEnv, master_seed: int, indices,
-          jump: bool = False):
+def _walk(protocol: _Protocol, master_seed: int, indices, jump: bool = False):
     """Run the protocol for the given trajectory indices, all in one batch.
 
-    Each trajectory starts with one exact draw from the cooled stationary
-    covariance, then takes three normals per map step, all from its own
-    stream.  A phase runs its R - 1 strides in kernel calls of at most
+    Every state comes out of ``PhaseMap.run``, on three normals per map
+    step from the trajectory's own stream, and the runaway guard checks
+    each one.  The start map's step from the origin draws the cooled
+    start.  A phase runs its R - 1 strides in kernel calls of at most
     DRAW_BLOCK // stride strides, then its remainder step; chunk edges
     depend on the plan only, never on the batch.  Yields (p, r, x, v) at
     each phase start and after each kernel call: the (B, m) states of
     records r .. r + m - 1 of phase p, record r being the state before
     stride r.  With ``jump``, for a caller that reads no re-cooling
-    records, each re-cooling phase is instead one step of its exact
-    whole-phase map (Phi_S, N_S) on the next three normals, and yields
-    nothing.  The runaway guard checks every state it computes.
+    records, each re-cooling phase is one step of the jump map instead,
+    and yields nothing.
     """
-    stride, n_rec = protocol.stride, protocol.n_rec
-    model, b = protocol.model, len(indices)
+    stride, n_rec, b = protocol.stride, protocol.n_rec, len(indices)
     gens = _trajectory_generators(master_seed, indices)
     per_chunk = max(1, DRAW_BLOCK // stride)  # whole strides per kernel call
     xi_buf = np.empty((b, 3 * per_chunk))
@@ -448,55 +457,47 @@ def _walk(protocol: _Protocol, noise: NoiseEnv, master_seed: int, indices,
             g.standard_normal(out=row)
         return draws.reshape(b, n, 3)
 
-    # runaway guard scale: thermal RMS of the trapped mode at the bath
-    # temperature, with the zero-point amplitude as a floor for cold runs
-    x_bound = BLOWUP_FACTOR * max(
-        math.sqrt(K_B * noise.temperature / (model.mass * model.omega_trap_sq)),
-        math.sqrt(HBAR / (2.0 * model.mass * model.omega_ref)))
-
-    def guard(x, label):
+    def advance(pm, n, label):
+        """n steps of ``pm`` from z; returns the (B, n) states x and v."""
+        nonlocal z
+        x, v, f = pm.run(z, n, draw(n))
         # NaN fails the comparison, so a non-finite state is a runaway too
-        bad = ~(np.abs(x) <= x_bound)
+        bad = ~(np.abs(x) <= protocol.x_bound)
         if bad.any():
             row, _ = np.unravel_index(np.argmax(bad), bad.shape)
             raise InstabilityError(
                 f"|x| exceeded {BLOWUP_FACTOR:.0e} x thermal RMS or went "
                 f"non-finite during {label} (trajectory {indices[row]}, "
                 f"x = {x[bad][0]:.3e} m)")
+        z = (x[:, -1], v[:, -1], f[:, -1])
+        return x, v
 
     chunks = [(stride, min(per_chunk, n_rec - 1 - j))
               for j in range(0, n_rec - 1, per_chunk)]
     chunks.append((protocol.last, 1))
 
-    z = tuple(np.einsum("ij,bj->ib", _factor(protocol.start), draw(1)[:, 0]))
+    z = (np.zeros(b),) * 3
+    advance(protocol.start, 1, "cooling")
     for p, (gamma, label, _) in enumerate(protocol.phases):
         if jump and label == "re-cooling":
-            phi, _, root = protocol.jump
-            xi = draw(1)[:, 0]
-            # elementwise in a fixed order, so no row depends on the batch
-            z = tuple(phi[i, 0] * z[0] + phi[i, 1] * z[1] + phi[i, 2] * z[2]
-                      + root[i, 0] * xi[:, 0] + root[i, 1] * xi[:, 1]
-                      + root[i, 2] * xi[:, 2] for i in range(3))
-            guard(z[0][:, None], label)
+            advance(protocol.jump, 1, label)
             continue
         yield p, 0, z[0][:, None], z[1][:, None]
         r = 0  # map steps run so far
         for substeps, n in chunks:
-            x, v, f = protocol.maps[gamma, substeps].run(z, n, draw(n))
-            guard(x, label)
+            x, v = advance(protocol.maps[gamma, substeps], n, label)
             m = min(n, n_rec - 1 - r)  # states after these steps that are records
             if m > 0:
                 yield p, r + 1, x[:, :m], v[:, :m]
-            z = (x[:, -1], v[:, -1], f[:, -1])
             r += n
 
 
-def _relaxation_phonons(protocol: _Protocol, noise: NoiseEnv,
-                        master_seed: int, indices) -> np.ndarray:
+def _relaxation_phonons(protocol: _Protocol, master_seed: int,
+                        indices) -> np.ndarray:
     """Phonon numbers of the relaxation records of the given trajectories,
     (B, periods, R)."""
     n_off = None
-    for p, r, x, v in _walk(protocol, noise, master_seed, indices, jump=True):
+    for p, r, x, v in _walk(protocol, master_seed, indices, jump=True):
         if n_off is None:
             # after the walk's buffers: before them, glibc split the last
             # run's freed block and repeated 100 x 2 s runs held ~10 MB more
@@ -527,7 +528,7 @@ def _moments(protocol: _Protocol):
     M_r = Phi^r M_0 Phi^r^T + sum_{j<r} Phi^j Q Phi^j^T.  The walk starts
     from the cooled stationary covariance and steps through every phase,
     re-cooling included, stride by stride."""
-    n_rec, moment = protocol.n_rec, protocol.start
+    n_rec, moment = protocol.n_rec, protocol.start.cov
     for gamma, label, _ in protocol.phases:
         step = protocol.maps[gamma, protocol.stride]
         end = protocol.maps[gamma, protocol.last]
@@ -566,21 +567,25 @@ def simulate_trajectory(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
     protocol = _protocol(config, noise, plan)
     n_rec, stride, dt = protocol.n_rec, protocol.stride, protocol.dt
     t, x, v = (np.empty(len(protocol.phases) * n_rec) for _ in range(3))
-    for p, r, xs, vs in _walk(protocol, noise, plan.master_seed, [index]):
+    for p, r, xs, vs in _walk(protocol, plan.master_seed, [index]):
         at, m = p * n_rec + r, xs.shape[1]
         t[at:at + m] = protocol.phases[p][2] + stride * np.arange(r, r + m) * dt
         x[at:at + m], v[at:at + m] = xs[0], vs[0]
     return t, x, v, _phonon(protocol.model, x, v)
 
 
-def fit_decoherence_rate(t: np.ndarray, n: np.ndarray) -> SlopeFit:
-    """Ordinary least squares on the initial-slope window of <n(t)>.
-
-    The window is the first 5% of the relaxation record or the first 50
-    points, whichever is longer.
-    """
+def _fit_window(t: np.ndarray) -> tuple[float, np.ndarray]:
+    """(window, mask) of the initial-slope fit on the record times t: the
+    first 5% of the relaxation record or the first 50 points, whichever is
+    longer."""
     window = max(0.05 * t[-1], t[min(49, t.size - 1)])
-    sel = t <= window * (1.0 + 1e-12)
+    return window, t <= window * (1.0 + 1e-12)
+
+
+def fit_decoherence_rate(t: np.ndarray, n: np.ndarray) -> SlopeFit:
+    """Ordinary least squares on the initial-slope window of <n(t)>
+    (``_fit_window``)."""
+    window, sel = _fit_window(t)
     if sel.sum() < 10:
         raise InsufficientDataError(
             f"only {int(sel.sum())} mean-phonon points in the initial-slope "
@@ -642,17 +647,27 @@ def _segment_rate_err(t: np.ndarray, segments: np.ndarray,
 def _ensemble_result(time_off: np.ndarray, n_off: np.ndarray,
                      omega_ref: float) -> EnsembleResult:
     """Pool the (B, periods, R) relaxation segments, in trajectory-index
-    order, and fit the rate."""
+    order, and fit the rate.  An exponential fit that fails, or finds a
+    curve that does not relax (gamma <= 0), gives a NaN gamma and says
+    why."""
     segments = n_off.reshape(-1, n_off.shape[-1])
     mean_phonon = segments.mean(axis=0)
     slope = fit_decoherence_rate(time_off, mean_phonon)
-    _, _, gamma_fit = _fit_exponential(time_off, mean_phonon)
+    try:
+        _, _, gamma_fit = _fit_exponential(time_off, mean_phonon)
+    except FitError as exc:
+        gamma_fit, gamma_error = math.nan, f"FitError: {exc}"
+    else:
+        gamma_error = "" if gamma_fit > 0 else (
+            f"fitted gamma = {gamma_fit:.4g} rad/s <= 0: the mean curve "
+            "does not relax")
     return EnsembleResult(
         time_grid=time_off, mean_phonon=mean_phonon,
         fitted_rate=slope.slope, fitted_rate_err=slope.slope_err,
         segment_rate_err=_segment_rate_err(time_off, segments, slope.window),
-        fitted_gamma_eff=gamma_fit, omega_ref=omega_ref,
-        n_segments=segments.shape[0])
+        fitted_gamma_eff=math.nan if gamma_error else gamma_fit,
+        omega_ref=omega_ref, n_segments=segments.shape[0],
+        gamma_fit_error=gamma_error)
 
 
 def run_ensemble(config: SystemConfig, noise: NoiseEnv,
@@ -664,10 +679,14 @@ def run_ensemble(config: SystemConfig, noise: NoiseEnv,
     (n_trajectories=1, duration of many periods) and a fresh-start ensemble
     are both available.  Each trajectory's numbers are independent of the
     batch it runs in, so any split of the indices reassembles to the same
-    result.
+    result.  A plan that leaves fewer than 10 records in the initial-slope
+    window is refused before the Monte Carlo runs.
     """
     protocol = _protocol(config, noise, plan)
-    n_off = _relaxation_phonons(protocol, noise, plan.master_seed,
+    if _fit_window(protocol.time_grid)[1].sum() < 10:
+        raise ValidationError(">= 10 records in the initial-slope fit window",
+                              "record_stride", plan.record_stride)
+    n_off = _relaxation_phonons(protocol, plan.master_seed,
                                 range(plan.n_trajectories))
     return _ensemble_result(protocol.time_grid, n_off, protocol.model.omega_ref)
 

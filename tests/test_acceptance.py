@@ -223,8 +223,7 @@ def test_acceptance_9_determinism(experiment_config, tmp_path):
         n_off = None
         for i in range(3):
             part = indices[i::3]
-            part_n = _relaxation_phonons(protocol, noise, plan.master_seed,
-                                         part)
+            part_n = _relaxation_phonons(protocol, plan.master_seed, part)
             if n_off is None:
                 n_off = np.empty((len(indices),) + part_n.shape[1:])
             n_off[part] = part_n

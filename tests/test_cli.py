@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,6 +225,25 @@ def test_cool_summary_counts_nan_rows(tmp_path, capsys):
     assert all(math.isfinite(float(r[k])) for r in rows for k in occupations)
 
 
+def test_python_dash_m_runs_the_command(tmp_path):
+    """``python -m optospring`` is the ``optospring`` command: same parser,
+    same exit codes."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "optospring", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120, cwd=tmp_path)
+
+    ok = run("check", "--config", "experiment")
+    assert ok.returncode == 0, ok.stderr
+    bad = run("check")
+    assert bad.returncode == 2 and "--config or every scalar" in bad.stderr
+
+
 # --------------------------------------------------------------------------
 # retherm / scan
 # --------------------------------------------------------------------------
@@ -235,6 +258,41 @@ def test_retherm_nonfinite_plan_value_is_usage_error(tmp_path, capsys, flag,
     assert rc == 2
     assert f"{flag[2:]} finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value, invariant", [
+    ("--seed", "-1", "master_seed >= 0"),
+    ("--record-stride", "20000", ">= 10 records in the initial-slope fit window"),
+])
+def test_retherm_plan_checked_before_the_monte_carlo(tmp_path, capsys,
+                                                     monkeypatch, flag, value,
+                                                     invariant):
+    """A negative seed and a record stride that leaves 5 records per phase
+    both exit 2 with the invariant named, before the walk starts."""
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the Monte Carlo ran")
+
+    monkeypatch.setattr("optospring.dynamics._walk", no_walk)
+    rc = main(["retherm", "--config", "experiment", "--n-trajectories", "2",
+               flag, value, "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert invariant in err
+    assert "Traceback" not in err
+
+
+def test_retherm_reports_why_gamma_is_nan(tmp_path, capsys):
+    """25 x 1 s at seed 1 fits a growing exponential: retherm_fit.json holds
+    a NaN gamma, and the manifest and the summary line give the reason."""
+    assert main(["retherm", "--config", "experiment", "--n-trajectories", "25",
+                 "--seed", "1", "--out-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    fit = json.loads((tmp_path / "retherm_fit.json").read_text())
+    assert math.isnan(fit["fitted_gamma_eff"])
+    reason = json.loads((tmp_path / "manifest.json").read_text())[
+        "fitted_gamma_eff_error"]
+    assert reason.startswith("fitted gamma = -3.53 rad/s <= 0")
+    assert f"fitted_gamma_eff = NaN: {reason}" in out
 
 
 def test_retherm_deterministic_across_runs(tmp_path):

@@ -113,17 +113,22 @@ def test_kernel_matches_step_by_step_map(experiment_config, regime, b):
 @pytest.mark.parametrize("regime", REGIMES)
 def test_strided_map_matches_fine_steps(experiment_config, regime, b, substeps):
     """A map over ``substeps`` steps of dt is the law of those steps: Phi is
-    Phi1^s bit for bit, and N N^T = sum_{k<s} Phi1^k Q1 Phi1^k^T.  The
-    kernel runs the strided map as the plain matrix recursion does."""
+    Phi1^s bit for bit (by squaring, multiplied in the order ``_repeat``
+    multiplies), and N N^T = sum_{k<s} Phi1^k Q1 Phi1^k^T.  The kernel
+    runs the strided map as the plain matrix recursion does."""
     model = reduced_model(experiment_config, experiment_config.noise)
     omega = model.omega_ref
     dt = 1.0 / (200.0 * omega / TWO_PI)
     overrides = _regime_overrides(model, regime)
     fine = _phase_map(model, dt, **overrides)
     whole = _phase_map(model, dt, substeps=substeps, **overrides)
-    phi = np.eye(3)
-    for _ in range(substeps):
-        phi = fine.phi @ phi
+    phi, power, n = np.eye(3), fine.phi, substeps
+    while n:
+        if n & 1:
+            phi = power @ phi
+        n >>= 1
+        if n:
+            power = power @ power
     np.testing.assert_array_equal(whole.phi, phi)
     powers = [np.linalg.matrix_power(fine.phi, k) for k in range(substeps)]
     cov = sum(pk @ fine.cov @ pk.T for pk in powers)
@@ -295,7 +300,7 @@ def test_recooling_jump_is_the_composed_phase_map(experiment_config, case):
     protocol = dynamics._protocol(config, config.noise, plan)
     model, n_rec = protocol.model, protocol.n_rec
     assert model.gamma_on > 0 and protocol.last < protocol.stride
-    phi_s, q_s, root = protocol.jump
+    phi_s, q_s, root = protocol.jump.phi, protocol.jump.cov, protocol.jump.noise
     step = protocol.maps[model.gamma_on, protocol.stride]
     end = protocol.maps[model.gamma_on, protocol.last]
     phi = end.phi @ np.linalg.matrix_power(step.phi, n_rec - 1)
@@ -336,8 +341,9 @@ def test_exact_rate_matches_rate_law(experiment_config):
 def test_stationary_start_matches_lyapunov_solution(experiment_config,
                                                     monkeypatch):
     """Sigma_inf solves A S + S A^T + L L^T = 0 and is invariant under the
-    cooled stride map; the engine's 20k starting states have it as their
-    sample covariance (each entry within 4 standard errors)."""
+    cooled stride map; the engine's 20k starting states, the start map's
+    output, have it as their sample covariance (each entry within 4
+    standard errors)."""
     cfg = _switch_config(experiment_config, 2000.0)
     model = reduced_model(cfg, cfg.noise)
     dt = 1.0 / (200.0 * model.omega_ref / TWO_PI)
@@ -354,18 +360,20 @@ def test_stationary_start_matches_lyapunov_solution(experiment_config,
 
     starts = []
     run = PhaseMap.run
-
-    def spy(self, z, steps, xi):
-        if not starts:
-            starts.append(np.array(z))
-        return run(self, z, steps, xi)
-
-    monkeypatch.setattr(PhaseMap, "run", spy)
     n = 20_000
     plan = SimPlan(duration=5e-4, n_trajectories=n, master_seed=41,
                    record_stride=100)
-    dynamics._relaxation_phonons(dynamics._protocol(cfg, cfg.noise, plan),
-                                 cfg.noise, plan.master_seed, range(n))
+    protocol = dynamics._protocol(cfg, cfg.noise, plan)
+
+    def spy(self, z, steps, xi):
+        out = run(self, z, steps, xi)
+        if self is protocol.start:
+            starts.append(np.array(out)[..., -1])
+        return out
+
+    monkeypatch.setattr(PhaseMap, "run", spy)
+    dynamics._relaxation_phonons(protocol, plan.master_seed, range(n))
+    assert len(starts) == 1
     sample = np.cov(starts[0])
     assert np.all(np.abs(sample - sigma) <= 4.0 * math.sqrt(2.0 / n) * scale)
 
@@ -396,7 +404,7 @@ def _mc_against_exact(config, plan, first_period=0):
     noise = config.noise
     protocol = dynamics._protocol(config, noise, plan)
     t = protocol.time_grid
-    n_off = dynamics._relaxation_phonons(protocol, noise, plan.master_seed,
+    n_off = dynamics._relaxation_phonons(protocol, plan.master_seed,
                                          range(plan.n_trajectories))
     n_off = n_off[:, first_period:]
     result = dynamics._ensemble_result(t, n_off, protocol.model.omega_ref)
@@ -426,8 +434,7 @@ def _segment_z_scores(config, master_seed, n_ensembles=20, size=32):
     z, ols = [], []
     for k in range(n_ensembles):
         n_off = dynamics._relaxation_phonons(
-            protocol, config.noise, plan.master_seed,
-            range(k * size, (k + 1) * size))
+            protocol, plan.master_seed, range(k * size, (k + 1) * size))
         segments = n_off.reshape(-1, t.size)
         fit = fit_decoherence_rate(t, segments.mean(axis=0))
         err = dynamics._segment_rate_err(t, segments, fit.window)
@@ -559,7 +566,9 @@ def test_cold_ringdown_matches_exact_solution(experiment_config, cold_noise):
 def test_stationary_occupancy_matches_fluctuation_dissipation(experiment_config,
                                                               thermal_only_noise):
     """Fokker-Planck oracle: a thermally driven trap with total damping
-    gamma holds <n> = kB*T*gamma1/(hbar*omega_ref*gamma)."""
+    gamma holds <n> = kB*T*gamma1/(hbar*omega_ref*gamma).  The servo never
+    switches, so the mean curve does not relax: its exponential fit finds
+    gamma <= 0, and fitted_gamma_eff is NaN with the reason."""
     cfg = _slow_trap_config(experiment_config, off_gain=5.0, gel=5.0)
     model = reduced_model(cfg, thermal_only_noise)
     assert model.gamma_off == pytest.approx(50.0, rel=0.01, abs=0)  # 5 / m2 + losses
@@ -570,6 +579,8 @@ def test_stationary_occupancy_matches_fluctuation_dissipation(experiment_config,
     expected = (K_B * 300.0 * cfg.mirror1.gamma0
                 / (HBAR * model.omega_ref * model.gamma_off))
     assert n_mean == pytest.approx(expected, rel=0.05, abs=0)
+    assert math.isnan(result.fitted_gamma_eff)
+    assert "does not relax" in result.gamma_fit_error
 
 
 def test_trap_noise_force_psd_matches_target(experiment_config):
@@ -657,9 +668,9 @@ def test_trajectory_independent_of_batch(experiment_config):
     solo_plan = SimPlan(duration=2.0, n_trajectories=1, master_seed=12)
     batch_plan = SimPlan(duration=2.0, n_trajectories=6, master_seed=12)
     n_solo = dynamics._relaxation_phonons(
-        dynamics._protocol(experiment_config, noise, solo_plan), noise, 12, [4])
+        dynamics._protocol(experiment_config, noise, solo_plan), 12, [4])
     n_batch = dynamics._relaxation_phonons(
-        dynamics._protocol(experiment_config, noise, batch_plan), noise, 12,
+        dynamics._protocol(experiment_config, noise, batch_plan), 12,
         list(range(6)))
     np.testing.assert_array_equal(n_solo[0], n_batch[4])
 
@@ -668,26 +679,19 @@ def test_trajectory_independent_of_batch(experiment_config):
 # ensemble statistics and fits
 # --------------------------------------------------------------------------
 
-def _jump(protocol, z, xi):
-    """The state after one re-cooling jump, in the engine's arithmetic."""
-    phi, _, root = protocol.jump
-    return tuple(phi[i, 0] * z[0] + phi[i, 1] * z[1] + phi[i, 2] * z[2]
-                 + root[i, 0] * xi[:, 0] + root[i, 1] * xi[:, 1]
-                 + root[i, 2] * xi[:, 2] for i in range(3))
-
-
 def test_one_trajectory_ensemble_equals_single_trajectory(experiment_config):
     """One trajectory over three switch periods is three segments, and the
     mean curve is their average.  Segment 0 is the timeline's first
     relaxation phase, bit for bit.  Segments 1 and 2 follow a re-cooling
-    jump, and equal, bit for bit, a reference that steps each relaxation
-    phase through the kernel in the engine's chunks and each re-cooling
-    phase through (Phi_S, N_S) on the next three normals of the stream."""
+    jump, and equal, bit for bit, a reference that draws the start with the
+    start map, steps each relaxation phase through the kernel in the
+    engine's chunks and each re-cooling phase through one step of the jump
+    map, each on the next normals of the stream."""
     noise = experiment_config.noise
     plan = SimPlan(duration=3.0, n_trajectories=1, master_seed=2)
     protocol = dynamics._protocol(experiment_config, noise, plan)
     result = run_ensemble(experiment_config, noise, plan)
-    n_off = dynamics._relaxation_phonons(protocol, noise, plan.master_seed, [0])
+    n_off = dynamics._relaxation_phonons(protocol, plan.master_seed, [0])
     t, x, v, n = simulate_trajectory(experiment_config, noise, plan, 0)
     n_rec, stride = protocol.n_rec, protocol.stride
     assert result.n_segments == 3 and n_off.shape == (1, 3, n_rec)
@@ -698,11 +702,13 @@ def test_one_trajectory_ensemble_equals_single_trajectory(experiment_config):
     per_chunk = dynamics.DRAW_BLOCK // stride
     steps = [(stride, min(per_chunk, n_rec - 1 - j))
              for j in range(0, n_rec - 1, per_chunk)] + [(protocol.last, 1)]
-    z = tuple(np.einsum("ij,bj->ib", dynamics._factor(protocol.start),
-                        gen.standard_normal((1, 3))))
+    zero = (np.zeros(1),) * 3
+    z = tuple(a[:, -1] for a in protocol.start.run(
+        zero, 1, gen.standard_normal((1, 1, 3))))
     for k in range(3):
         if k:
-            z = _jump(protocol, z, gen.standard_normal((1, 3)))
+            z = tuple(a[:, -1] for a in protocol.jump.run(
+                z, 1, gen.standard_normal((1, 1, 3))))
         xs, vs = [z[0]], [z[1]]
         for substeps, count in steps:
             pm = protocol.maps[protocol.model.gamma_off, substeps]
@@ -724,6 +730,29 @@ def test_fitted_gamma_matches_pole_damping(experiment_config, thermal_only_noise
                    record_stride=4)
     result = run_ensemble(cfg, thermal_only_noise, plan)
     assert result.fitted_gamma_eff == pytest.approx(mode.gamma_eff, rel=0.15, abs=0)
+
+
+def test_fitted_gamma_is_nan_with_a_reason_when_the_fit_fails(
+        experiment_config):
+    """A fit that finds gamma <= 0 (25 x 1 s at seed 1 reads -3.53 rad/s, a
+    growing exponential fitted to noise) or raises FitError (an all-zero
+    curve) gives a NaN gamma and the reason; the rate fit still stands.
+    The retherm script's 100 x 2 s at seed 2718 keeps its 0.74755 rad/s."""
+    noise = experiment_config.noise
+    grown = run_ensemble(experiment_config, noise, SimPlan(
+        duration=1.0, n_trajectories=25, master_seed=1))
+    assert math.isnan(grown.fitted_gamma_eff)
+    assert grown.gamma_fit_error.startswith("fitted gamma = -3.53 rad/s <= 0")
+    assert grown.fitted_rate > 0
+    t = np.linspace(0.0, 1.0, 200)
+    flat = dynamics._ensemble_result(t, np.zeros((1, 1, t.size)), 1.0)
+    assert math.isnan(flat.fitted_gamma_eff)
+    assert flat.gamma_fit_error.startswith("FitError: exponential")
+    script = run_ensemble(experiment_config, noise, SimPlan(
+        duration=2.0, n_trajectories=100, master_seed=2718))
+    assert script.fitted_gamma_eff == pytest.approx(0.747549545, rel=1e-9,
+                                                    abs=0)
+    assert script.gamma_fit_error == ""
 
 
 def test_slope_fit_exact_line():
@@ -934,17 +963,21 @@ def test_scan_propagates_programming_errors(experiment_config, monkeypatch):
 # --------------------------------------------------------------------------
 
 def test_blowup_detection(experiment_config):
-    """Ten times the power with the servo parked at zero gain: the cooled
-    phase is still damped, the relaxation is anti-damped (gamma_off about
-    -62 rad/s), and the trap-noise-driven start runs away within it."""
-    cav = dataclasses.replace(experiment_config.cavity, input_power=0.47)
+    """1 W with the servo parked at zero gain: the cooled phase is still
+    damped (gamma_on about 428 rad/s), the relaxation is anti-damped
+    (gamma_off about -132 rad/s), and the trap-noise-driven start runs away
+    within it.  By ``_moments``, the state at the end of the relaxation
+    phase stays inside the guard's bound with probability 1.3e-8, so the
+    guard misses on at most that share of seeds (at 0.47 W and -62 rad/s
+    it was 0.52, and seeds 1-20 raised on 16)."""
+    cav = dataclasses.replace(experiment_config.cavity, input_power=1.0)
     servo = dataclasses.replace(experiment_config.servo, g_el=56.0, off_gain=0.0)
     cfg = dataclasses.replace(experiment_config, cavity=cav, servo=servo,
                               raw_items=())
     noise = experiment_config.noise
     model = reduced_model(cfg, noise)
     assert model.gamma_on > 0
-    assert model.gamma_off == pytest.approx(-62.0, rel=0.01, abs=0)
+    assert model.gamma_off == pytest.approx(-132.0, rel=0.01, abs=0)
     plan = SimPlan(duration=1.0, n_trajectories=1, master_seed=1)
     with pytest.raises(InstabilityError, match="thermal RMS.*relaxation"):
         simulate_trajectory(cfg, noise, plan, 0)
@@ -971,28 +1004,34 @@ def test_runaway_guard_checks_the_recooling_jump(experiment_config,
     """run_ensemble jumps each re-cooling phase in one step, and the guard
     checks the state after the jump: a trap force gone non-finite at the
     end of a relaxation phase (the guard reads x, so it passes there) stops
-    the run in re-cooling, before any kernel call."""
+    the run at the jump map's run call, in re-cooling."""
+    noise = experiment_config.noise
+    plan = SimPlan(duration=2.0, n_trajectories=2, master_seed=1)
+    protocol = dynamics._protocol(experiment_config, noise, plan)
+    remainder = protocol.maps[protocol.model.gamma_off, protocol.last]
     run = PhaseMap.run
     calls = []
 
     def nan_force_at_phase_end(self, z, steps, xi):
-        calls.append(steps)
+        calls.append(self)
         x, v, f = run(self, z, steps, xi)
-        if steps == 1:  # the remainder step, which ends the phase
+        if self is remainder:  # the relaxation phase's last step
             f[:, -1] = math.nan
         return x, v, f
 
     monkeypatch.setattr(PhaseMap, "run", nan_force_at_phase_end)
-    plan = SimPlan(duration=2.0, n_trajectories=2, master_seed=1)
     with pytest.raises(InstabilityError,
                        match="non-finite during re-cooling"):
-        run_ensemble(experiment_config, experiment_config.noise, plan)
-    assert calls.count(1) == 1 and calls[-1] == 1
+        dynamics._relaxation_phonons(protocol, plan.master_seed, range(2))
+    assert calls.count(remainder) == 1 and calls[-2] is remainder
+    assert calls[-1] is protocol.jump
 
 
 def test_plan_validation(experiment_config):
     with pytest.raises(ValidationError, match="n_trajectories"):
         SimPlan(duration=1.0, n_trajectories=0, master_seed=1)
+    with pytest.raises(ValidationError, match="master_seed >= 0"):
+        SimPlan(duration=1.0, n_trajectories=1, master_seed=-1)
     with pytest.raises(ValidationError, match="dt"):
         run_ensemble(experiment_config, experiment_config.noise,
                      SimPlan(duration=1.0, n_trajectories=1, master_seed=1,
