@@ -21,8 +21,9 @@ import numpy as np
 
 from . import __version__
 from .coherence import config_budget, feasibility_budget
-from .dynamics import (SimPlan, detuning_scan, measure_rate, off_state_mode,
-                       reduced_model, write_ensemble_csv, write_scan_csv)
+from .dynamics import (RateMeasurement, SimPlan, detuning_scan, measure_rate,
+                       off_state_mode, reduced_model, write_ensemble_csv,
+                       write_scan_csv)
 from .errors import (ConfigParseError, InstabilityError, OptospringError,
                      ValidationError)
 from .model import TWO_PI, load_config, resolve_config_path
@@ -212,21 +213,14 @@ def _plan_from_args(args) -> SimPlan:
                    record_stride=args.record_stride)
 
 
-def _plan_record(plan: SimPlan, omega_ref: float | None) -> dict:
-    """The plan as run, for the manifest: the resolved dt and the kernel
-    step record_stride*dt (None where the reduced model, and with it the
-    servo-off trap frequency, could not be built)."""
-    dt = None if omega_ref is None else plan.resolve_dt(omega_ref)
+def _plan_record(plan: SimPlan, m: RateMeasurement) -> dict:
+    """The plan as run, for the manifest: the resolved dt and
+    record_stride, and the kernel step record_stride*dt (None where the
+    measurement failed before its protocol was built)."""
+    ran = m.record_stride is not None
     return {"duration": plan.duration, "n_trajectories": plan.n_trajectories,
-            "record_stride": plan.record_stride, "dt": dt,
-            "kernel_step": None if dt is None else plan.record_stride * dt}
-
-
-def _omega_ref_or_none(config) -> float | None:
-    try:
-        return reduced_model(config, config.noise).omega_ref
-    except OptospringError:
-        return None
+            "record_stride": m.record_stride, "dt": m.dt if ran else None,
+            "kernel_step": m.record_stride * m.dt if ran else None}
 
 
 def cmd_retherm(args) -> int:
@@ -243,7 +237,10 @@ def cmd_retherm(args) -> int:
         "fitted_rate_err": m.rate_ols_err,
         "segment_rate_err": m.rate_segment_err,
         "exact_rate": m.rate_exact,
+        "rate_exact_err": m.rate_exact_err,
         "fitted_gamma_eff": m.ensemble.fitted_gamma_eff,
+        "gamma_exact": m.gamma_exact,
+        "gamma_exact_err": m.gamma_exact_err,
         "n_osc": m.n_osc,
         "f_ref_Hz": m.ensemble.omega_ref / TWO_PI,
         "n_segments": m.ensemble.n_segments,
@@ -254,13 +251,15 @@ def cmd_retherm(args) -> int:
     gamma_error = m.ensemble.gamma_fit_error
     _write_manifest(out, "retherm", args, path, [csv_path, fit_path],
                     plan.master_seed,
-                    {"plan": _plan_record(plan, m.ensemble.omega_ref),
+                    {"plan": _plan_record(plan, m),
                      "fitted_gamma_eff_error": gamma_error or None})
+    gamma = (f"fitted_gamma_eff = NaN: {gamma_error}" if gamma_error
+             else f"gamma = {m.ensemble.fitted_gamma_eff:.4g}")
     print(f"retherm: rate = {m.rate_measured:.4g} +- "
-          f"{m.rate_segment_err:.2g} /s (exact {m.rate_exact:.4g}, "
-          f"predicted {m.rate_predicted:.4g})"
-          + (f", fitted_gamma_eff = NaN: {gamma_error}" if gamma_error else "")
-          + f" -> {csv_path}")
+          f"{m.rate_segment_err:.2g} /s (exact {m.rate_exact:.4g} +- "
+          f"{m.rate_exact_err:.2g}, predicted {m.rate_predicted:.4g}), "
+          f"{gamma} (exact {m.gamma_exact:.4g} +- {m.gamma_exact_err:.2g} "
+          f"rad/s) -> {csv_path}")
     return 0
 
 
@@ -275,10 +274,14 @@ def cmd_scan(args) -> int:
                    f"seed {plan.master_seed}")
     _write_manifest(out, "scan", args, path, [csv_path], plan.master_seed,
                     {"deltas_hz": [float(d) / TWO_PI for d in deltas],
-                     "plans": [_plan_record(plan, _omega_ref_or_none(
-                         config.with_detuning(float(d)))) for d in deltas]})
+                     "plans": [_plan_record(plan, r) for r in rows]})
     failed = [r for r in rows if not r.ok]
-    print(f"scan: {len(rows)} detunings ({len(failed)} failed) -> {csv_path}")
+    worst = max((abs(r.rate_measured - r.rate_exact) / r.rate_exact_err
+                 for r in rows if r.ok and r.rate_exact_err > 0),
+                default=math.nan)
+    print(f"scan: {len(rows)} detunings ({len(failed)} failed), worst "
+          f"|rate_measured - rate_exact| = {worst:.2f} exact errors "
+          f"-> {csv_path}")
     for r in failed:
         print(f"  delta = {r.delta / TWO_PI:.4g} Hz: {r.error}", file=sys.stderr)
     return 0
@@ -368,7 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds past the first switch-off")
         p.add_argument("--n-trajectories", type=int, default=100)
         p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--record-stride", type=int, default=10)
+        p.add_argument("--record-stride", type=int, default=None,
+                       help="steps of dt per record (default: about "
+                            "2,000 records per phase, at least 10 steps)")
         if name == "scan":
             p.add_argument("--deltas", required=True,
                            help="start:stop:count in Hz")

@@ -25,17 +25,19 @@ the statistics at any step size; dt only sets the sampling resolution.
 Every map is a ``PhaseMap`` (Phi, Q = N N^T): ``_repeat`` builds each
 n-step map by squaring, and ``PhaseMap.run`` applies every one, on three
 normals per map step.  A kernel step spans one recorded interval,
-``record_stride`` = s steps of dt.  A phase is R - 1 such strides,
-R = ceil(steps/s), then one remainder step to the phase end.  There is no
-burn-in: each trajectory starts with one step of the start map (Phi = 0,
-Q = the cooled stationary covariance) on the first three normals of its
-stream.  Within a phase the map is a linear filter, so ``PhaseMap.run``
-advances all trajectories by up to DRAW_BLOCK // s strides per call
-(``scipy.signal.lfilter``).  Every trajectory draws from its own
-counter-based RNG stream derived from (master_seed, trajectory index), and
-chunk edges depend only on the plan, so results are bit-identical no
-matter how trajectories are batched.  Runs at different strides sample
-the same law, not the same realisation.
+``record_stride`` = s steps of dt; by default s = max(10, steps //
+RECORDS_PER_PHASE), about 2,000 records per phase.  A phase is R - 1 such
+strides, R = ceil(steps/s), then one remainder step to the phase end.
+There is no burn-in: each trajectory starts with one step of the start
+map (Phi = 0, Q = the cooled stationary covariance) on the first three
+normals of its stream.  Within a phase the map is a linear filter, so
+``PhaseMap.run`` advances all trajectories by up to DRAW_BLOCK // s
+strides per call (``scipy.signal.lfilter``).  Every trajectory draws from
+its own counter-based RNG stream derived from (master_seed, trajectory
+index), or (master_seed, scan row, trajectory index) past a scan's first
+row, and chunk edges depend only on the plan, so results are
+bit-identical no matter how trajectories are batched.  Runs at different
+strides sample the same law, not the same realisation.
 
 ``_protocol`` derives the switch protocol, its maps and the runaway bound
 from a plan once, and ``_walk`` runs it, yielding each kernel call's
@@ -45,8 +47,12 @@ re-cooling record, so it crosses each re-cooling phase in one step of the
 whole phase's map.  ``simulate_trajectory`` walks every stride of every
 phase.  ``exact_mean_phonon``, the sampling-free oracle,
 walks the same phases stride by stride, re-cooling included, with the
-state's second moment, M <- Phi M Phi^T + Q.  ``measure_rate`` fits both
-and sets them beside the rate law at the servo-off pole.
+state's second moment, M <- Phi M Phi^T + Q.  ``_exact_variance`` turns
+those moments into the exact variance of any linear functional of a
+relaxation segment's records (Isserlis' theorem, one backward pass), which
+gives the initial slope and the fitted gamma their exact errors.
+``measure_rate`` fits both curves, gives both fits their exact errors and
+sets them beside the rate law at the servo-off pole.
 """
 
 from __future__ import annotations
@@ -70,6 +76,15 @@ from .tables import write_table
 # never from the batch.
 DRAW_BLOCK = 2048
 
+# Records per phase that the default stride aims at: record_stride=None
+# resolves to max(10, steps // RECORDS_PER_PHASE) steps of dt, so the 5% fit
+# window keeps >= 100 records, where the initial slope's exact error is
+# within 1% of its stride-1 value, and no plan records finer than stride 10.
+RECORDS_PER_PHASE = 2000
+
+# Records per block of _exact_variance's backward pass.
+VARIANCE_BLOCK = 256
+
 # Trap-noise shaping-filter corner sits this far below the trapped resonance
 # (keeps the synthesized force PSD within 5% of the 1/f^2 target from
 # omega_ref/10 up through the resonance).
@@ -87,14 +102,17 @@ class SimPlan:
     least one full switch period.  ``dt=None`` resolves to 1/(200*f_ref)
     (``resolve_dt``), f_ref the servo-off trapped frequency.  Every
     ``record_stride``-th state is recorded, and the Monte Carlo steps
-    straight from one record to the next.
+    straight from one record to the next.  ``record_stride=None`` resolves
+    to max(10, steps // RECORDS_PER_PHASE), with steps the servo
+    half-period in steps of dt: 47 (2,022 records per phase) on the
+    experiment preset, and 10 for any phase under 20,000 steps.
     """
 
     duration: float
     n_trajectories: int
     master_seed: int
     dt: float | None = None
-    record_stride: int = 10
+    record_stride: int | None = None
 
     def __post_init__(self):
         if self.master_seed < 0:
@@ -105,7 +123,7 @@ class SimPlan:
                                   "n_trajectories", self.n_trajectories)
         if not 0 < self.duration < math.inf:
             raise ValidationError("duration finite and > 0", "duration", self.duration)
-        if self.record_stride < 1:
+        if self.record_stride is not None and self.record_stride < 1:
             raise ValidationError("record_stride >= 1",
                                   "record_stride", self.record_stride)
         if self.dt is not None and not 0 < self.dt < math.inf:
@@ -151,10 +169,15 @@ class RateMeasurement:
     rate_ols_err: float = math.nan    # its OLS standard error
     rate_segment_err: float = math.nan  # its error from the segment spread
     rate_exact: float = math.nan      # initial slope of exact_mean_phonon
+    rate_exact_err: float = math.nan  # exact SD of rate_measured
+    gamma_exact: float = math.nan     # rad/s, exponential fit of exact_mean_phonon
+    gamma_exact_err: float = math.nan  # exact SD of the fitted gamma (delta method)
     rate_predicted: float = math.nan  # rate law at omega_eff: thermal + trap
     rate_thermal: float = math.nan
     rate_trap: float = math.nan
     n_osc: float = math.nan           # f_eff / rate_measured
+    dt: float = math.nan              # s, the resolved step
+    record_stride: int | None = None  # the resolved stride
     ensemble: EnsembleResult | None = None
     error: str = ""
 
@@ -348,10 +371,13 @@ class PhaseMap:
         return xv[0], xv[1], f
 
 
-def _trajectory_generators(master_seed: int, indices) -> list[np.random.Generator]:
-    return [np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(int(i),))))
-        for i in indices]
+def _trajectory_generators(master_seed: int, indices,
+                           row: int = 0) -> list[np.random.Generator]:
+    """One stream per trajectory, keyed (index,) in row 0 and (row, index)
+    in any other scan row, so scan rows draw independent realisations."""
+    prefix = (row,) if row else ()
+    return [np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        entropy=master_seed, spawn_key=prefix + (int(i),)))) for i in indices]
 
 
 @dataclass(frozen=True)
@@ -392,6 +418,8 @@ def _protocol(config: SystemConfig, noise: NoiseEnv, plan: SimPlan) -> _Protocol
             "cannot prepare the initial state")
     steps = max(1, int(round(0.5 / config.servo.switch_frequency / dt)))
     stride = plan.record_stride
+    if stride is None:
+        stride = max(10, steps // RECORDS_PER_PHASE)
     periods = max(1, int(round(plan.duration / period)))
     n_rec = (steps + stride - 1) // stride
     last = steps - (n_rec - 1) * stride
@@ -430,7 +458,8 @@ def _phonon(model: ReducedModel, x, v):
     return e / (HBAR * model.omega_ref) - 0.5
 
 
-def _walk(protocol: _Protocol, master_seed: int, indices, jump: bool = False):
+def _walk(protocol: _Protocol, master_seed: int, indices, jump: bool = False,
+          row: int = 0):
     """Run the protocol for the given trajectory indices, all in one batch.
 
     Every state comes out of ``PhaseMap.run``, on three normals per map
@@ -443,18 +472,18 @@ def _walk(protocol: _Protocol, master_seed: int, indices, jump: bool = False):
     records r .. r + m - 1 of phase p, record r being the state before
     stride r.  With ``jump``, for a caller that reads no re-cooling
     records, each re-cooling phase is one step of the jump map instead,
-    and yields nothing.
+    and yields nothing.  ``row`` picks a scan row's streams.
     """
     stride, n_rec, b = protocol.stride, protocol.n_rec, len(indices)
-    gens = _trajectory_generators(master_seed, indices)
+    gens = _trajectory_generators(master_seed, indices, row)
     per_chunk = max(1, DRAW_BLOCK // stride)  # whole strides per kernel call
     xi_buf = np.empty((b, 3 * per_chunk))
 
     def draw(n):
         """Normals of n map steps, (B, n, 3), each row from its own stream."""
         draws = xi_buf[:, :3 * n]
-        for g, row in zip(gens, draws):
-            g.standard_normal(out=row)
+        for g, out in zip(gens, draws):
+            g.standard_normal(out=out)
         return draws.reshape(b, n, 3)
 
     def advance(pm, n, label):
@@ -464,10 +493,10 @@ def _walk(protocol: _Protocol, master_seed: int, indices, jump: bool = False):
         # NaN fails the comparison, so a non-finite state is a runaway too
         bad = ~(np.abs(x) <= protocol.x_bound)
         if bad.any():
-            row, _ = np.unravel_index(np.argmax(bad), bad.shape)
+            first, _ = np.unravel_index(np.argmax(bad), bad.shape)
             raise InstabilityError(
                 f"|x| exceeded {BLOWUP_FACTOR:.0e} x thermal RMS or went "
-                f"non-finite during {label} (trajectory {indices[row]}, "
+                f"non-finite during {label} (trajectory {indices[first]}, "
                 f"x = {x[bad][0]:.3e} m)")
         z = (x[:, -1], v[:, -1], f[:, -1])
         return x, v
@@ -493,11 +522,12 @@ def _walk(protocol: _Protocol, master_seed: int, indices, jump: bool = False):
 
 
 def _relaxation_phonons(protocol: _Protocol, master_seed: int,
-                        indices) -> np.ndarray:
+                        indices, row: int = 0) -> np.ndarray:
     """Phonon numbers of the relaxation records of the given trajectories,
     (B, periods, R)."""
     n_off = None
-    for p, r, x, v in _walk(protocol, master_seed, indices, jump=True):
+    for p, r, x, v in _walk(protocol, master_seed, indices, jump=True,
+                            row=row):
         if n_off is None:
             # after the walk's buffers: before them, glibc split the last
             # run's freed block and repeated 100 x 2 s runs held ~10 MB more
@@ -548,10 +578,64 @@ def exact_mean_phonon(config: SystemConfig, noise: NoiseEnv,
     averaged over the switch periods as the ensemble averages its segments.
     Returns (time_grid, mean_n).
     """
-    protocol = _protocol(config, noise, plan)
+    return _exact_curve(_protocol(config, noise, plan))
+
+
+def _exact_curve(protocol: _Protocol) -> tuple[np.ndarray, np.ndarray]:
+    """(time_grid, mean_n) of ``exact_mean_phonon`` for a built protocol."""
     n_sum = sum(_phonon(protocol.model, np.sqrt(m[:, 0, 0]), np.sqrt(m[:, 1, 1]))
                 for label, m in _moments(protocol) if label == "relaxation")
     return protocol.time_grid, n_sum / protocol.periods
+
+
+def _exact_variance(protocol: _Protocol, c: np.ndarray) -> float:
+    """Exact variance of sum_k c_k n_k over the first c.size records of one
+    relaxation segment, averaged over the switch periods; an ensemble
+    mean of S segments has 1/S of it.
+
+    n = z^T A z - 1/2 for the state z = (x, v, F), and z is zero-mean
+    Gaussian, so Isserlis' theorem gives Cov(n_k, n_l) =
+    2 tr(A M_k Phi^d^T A Phi^d M_k) for d = l - k >= 0, M_k from
+    ``_moments`` and Phi the stride map.  With B_k = c_k A + Phi^T B_{k+1} Phi
+    the double sum folds to Var = sum_k c_k 2 tr(A M_k (2 B_k - c_k A) M_k).
+    B runs backward in blocks of L = VARIANCE_BLOCK records: inside a block
+    B_k is a Hankel sum of c against G_j = Phi^j^T A Phi^j, plus
+    Phi^(e-k)^T B_e Phi^(e-k) carried in from the block's end e."""
+    model, n = protocol.model, c.size
+    a = np.diag([model.mass * model.omega_trap_sq, model.mass, 0.0]) / (
+        2.0 * HBAR * model.omega_ref)
+    size = min(VARIANCE_BLOCK, n)
+    pw = _powers(protocol.maps[model.gamma_off, protocol.stride].phi, size + 1)
+    pt = pw.transpose(0, 2, 1)
+    g = (pt @ a @ pw).reshape(-1, 9)
+    # c past its end is 0, so only a whole block needs its Hankel matrix
+    # cut at the block's end, i + j < L
+    padded = np.concatenate((c, np.zeros(size - 1)))
+    inside = np.add.outer(np.arange(size), np.arange(size)) < size
+    b, carry = np.empty((n, 3, 3)), np.zeros((3, 3))
+    for start in range(size * ((n - 1) // size), -1, -size):
+        width = min(size, n - start)
+        hankel = np.lib.stride_tricks.sliding_window_view(
+            padded[start:start + 2 * width - 1], width) * inside[:width, :width]
+        b[start:start + width] = (hankel @ g[:width]).reshape(-1, 3, 3) \
+            + pt[width:0:-1] @ carry @ pw[width:0:-1]
+        carry = b[start]
+    # B holds no moment, so one pass serves every period
+    x = 2.0 * b - c[:, None, None] * a
+    total = sum(float(c @ np.einsum("kij,kji->k", a @ m[:n], x @ m[:n]))
+                for label, m in _moments(protocol) if label == "relaxation")
+    return 2.0 * total / protocol.periods
+
+
+def _gamma_weights(t: np.ndarray, n0: float, n_inf: float,
+                   gamma: float) -> np.ndarray:
+    """Row gamma of pinv(J), J the Jacobian of n_inf + (n0 - n_inf)
+    exp(-gamma t) at the fit: to first order, a curve n + dn fits
+    gamma + c @ dn (the delta method)."""
+    decay = np.exp(-gamma * t)
+    jac = np.stack((decay, 1.0 - decay, -(n0 - n_inf) * t * decay), axis=1)
+    norm = np.sqrt(np.sum(jac * jac, axis=0))
+    return np.linalg.pinv(jac / norm)[2] / norm[2]
 
 
 def simulate_trajectory(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
@@ -638,10 +722,16 @@ def _segment_rate_err(t: np.ndarray, segments: np.ndarray,
     times.  NaN for a single segment."""
     if segments.shape[0] < 2:
         return math.nan
-    sel = t <= window * (1.0 + 1e-12)
-    span = t[sel] - t[sel].mean()
-    slopes = np.einsum("sk,k->s", segments[:, sel], span) / np.dot(span, span)
+    c = _slope_weights(t, window)
+    slopes = segments[:, :c.size] @ c
     return float(np.std(slopes, ddof=1) / math.sqrt(slopes.size))
+
+
+def _slope_weights(t: np.ndarray, window: float) -> np.ndarray:
+    """c with c @ n[:c.size] the OLS slope of n on the records t <= window."""
+    span = t[t <= window * (1.0 + 1e-12)]
+    span = span - span.mean()
+    return span / np.dot(span, span)
 
 
 def _ensemble_result(time_off: np.ndarray, n_off: np.ndarray,
@@ -682,12 +772,17 @@ def run_ensemble(config: SystemConfig, noise: NoiseEnv,
     result.  A plan that leaves fewer than 10 records in the initial-slope
     window is refused before the Monte Carlo runs.
     """
-    protocol = _protocol(config, noise, plan)
+    return _ensemble(_protocol(config, noise, plan), plan)
+
+
+def _ensemble(protocol: _Protocol, plan: SimPlan, row: int = 0) -> EnsembleResult:
+    """``run_ensemble`` on a built protocol, drawing scan row ``row``'s
+    streams."""
     if _fit_window(protocol.time_grid)[1].sum() < 10:
         raise ValidationError(">= 10 records in the initial-slope fit window",
-                              "record_stride", plan.record_stride)
+                              "record_stride", protocol.stride)
     n_off = _relaxation_phonons(protocol, plan.master_seed,
-                                range(plan.n_trajectories))
+                                range(plan.n_trajectories), row)
     return _ensemble_result(protocol.time_grid, n_off, protocol.model.omega_ref)
 
 
@@ -712,36 +807,56 @@ def off_state_mode(config: SystemConfig, noise: NoiseEnv) -> EffectiveMode:
     return extract_mode(config, gel=model.off_gain)
 
 
-def measure_rate(config: SystemConfig, noise: NoiseEnv,
-                 plan: SimPlan) -> RateMeasurement:
+def measure_rate(config: SystemConfig, noise: NoiseEnv, plan: SimPlan, *,
+                 row: int = 0) -> RateMeasurement:
     """Measure the rethermalization rate and predict it: the ensemble's
-    initial slope with its OLS and segment errors, the exact oracle's
-    slope, and the rate law at the servo-off pole f_eff, which also sets
-    n_osc = f_eff / rate_measured."""
+    initial slope with its OLS, segment and exact errors, the exact
+    oracle's slope and exponential fit with the exact error of the
+    ensemble's fitted gamma, and the rate law at the servo-off pole f_eff,
+    which also sets n_osc = f_eff / rate_measured.  One protocol serves
+    the ensemble, the exact curve and the exact errors.  ``row`` draws a
+    scan row's streams (row 0 draws ``run_ensemble``'s)."""
     mode = off_state_mode(config, noise)
     total, thermal, trap = predicted_rate(config, noise, mode)
-    result = run_ensemble(config, noise, plan)
+    protocol = _protocol(config, noise, plan)
+    result = _ensemble(protocol, plan, row)
+    t, n_exact = _exact_curve(protocol)
+    exact = fit_decoherence_rate(t, n_exact)
+    rate_var = _exact_variance(protocol, _slope_weights(t, exact.window))
+    try:
+        n0, n_inf, gamma_exact = _fit_exponential(t, n_exact)
+    except FitError:
+        gamma_exact = gamma_var = math.nan
+    else:
+        gamma_var = _exact_variance(
+            protocol, _gamma_weights(t, n0, n_inf, gamma_exact))
+    # rounding can leave a zero variance (a noise-free plan) below 0; NaN
+    # passes through max
+    rate_err, gamma_err = (math.sqrt(max(var, 0.0) / result.n_segments)
+                           for var in (rate_var, gamma_var))
     rate = result.fitted_rate
     return RateMeasurement(
         delta=config.cavity.detuning, omega_eff=mode.omega_eff,
         rate_measured=rate, rate_ols_err=result.fitted_rate_err,
-        rate_segment_err=result.segment_rate_err,
-        rate_exact=fit_decoherence_rate(
-            *exact_mean_phonon(config, noise, plan)).slope,
+        rate_segment_err=result.segment_rate_err, rate_exact=exact.slope,
+        rate_exact_err=rate_err, gamma_exact=gamma_exact,
+        gamma_exact_err=gamma_err,
         rate_predicted=total, rate_thermal=thermal, rate_trap=trap,
         n_osc=mode.omega_eff / (TWO_PI * rate) if rate > 0 else math.inf,
-        ensemble=result)
+        dt=protocol.dt, record_stride=protocol.stride, ensemble=result)
 
 
 def detuning_scan(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
                   delta_values) -> list[RateMeasurement]:
-    """``measure_rate`` per detuning; toolkit and numerical failures are
-    recorded per row and the scan continues."""
+    """``measure_rate`` per detuning, row k on its own streams (row 0 on
+    ``run_ensemble``'s); toolkit and numerical failures are recorded per row
+    and the scan continues."""
     rows = []
-    for delta in np.atleast_1d(np.asarray(delta_values, dtype=float)):
+    for row, delta in enumerate(np.atleast_1d(np.asarray(delta_values,
+                                                         dtype=float))):
         try:
             rows.append(measure_rate(config.with_detuning(float(delta)),
-                                     noise, plan))
+                                     noise, plan, row=row))
         except (OptospringError, np.linalg.LinAlgError,
                 ArithmeticError) as exc:  # per-cell failure, keep scanning
             rows.append(RateMeasurement(
@@ -763,10 +878,15 @@ def write_ensemble_csv(path, result: EnsembleResult, comment: str = ""):
 
 def write_scan_csv(path, rows: list[RateMeasurement], comment: str = ""):
     """Columns: delta_Hz, f_eff_Hz, rate_measured, rate_predicted, rate_err
-    (the segment error), n_osc, rate_exact."""
+    (the segment error), n_osc, rate_exact, rate_exact_err, gamma_measured,
+    gamma_exact, gamma_exact_err."""
     write_table(path, ("delta_Hz", "f_eff_Hz", "rate_measured",
-                       "rate_predicted", "rate_err", "n_osc", "rate_exact"),
+                       "rate_predicted", "rate_err", "n_osc", "rate_exact",
+                       "rate_exact_err", "gamma_measured", "gamma_exact",
+                       "gamma_exact_err"),
                 zip(*((r.delta / TWO_PI, r.omega_eff / TWO_PI, r.rate_measured,
                        r.rate_predicted, r.rate_segment_err, r.n_osc,
-                       r.rate_exact) for r in rows)),
+                       r.rate_exact, r.rate_exact_err,
+                       r.ensemble.fitted_gamma_eff if r.ensemble else math.nan,
+                       r.gamma_exact, r.gamma_exact_err) for r in rows)),
                 (comment,))

@@ -282,8 +282,9 @@ def test_retherm_plan_checked_before_the_monte_carlo(tmp_path, capsys,
 
 
 def test_retherm_reports_why_gamma_is_nan(tmp_path, capsys):
-    """25 x 1 s at seed 1 fits a growing exponential: retherm_fit.json holds
-    a NaN gamma, and the manifest and the summary line give the reason."""
+    """25 x 1 s at seed 1 fits a growing exponential (-0.909 rad/s):
+    retherm_fit.json holds a NaN gamma, and the manifest and the summary
+    line give the reason."""
     assert main(["retherm", "--config", "experiment", "--n-trajectories", "25",
                  "--seed", "1", "--out-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
@@ -291,7 +292,7 @@ def test_retherm_reports_why_gamma_is_nan(tmp_path, capsys):
     assert math.isnan(fit["fitted_gamma_eff"])
     reason = json.loads((tmp_path / "manifest.json").read_text())[
         "fitted_gamma_eff_error"]
-    assert reason.startswith("fitted gamma = -3.53 rad/s <= 0")
+    assert reason.startswith("fitted gamma = -0.9094 rad/s <= 0")
     assert f"fitted_gamma_eff = NaN: {reason}" in out
 
 
@@ -306,10 +307,29 @@ def test_retherm_deterministic_across_runs(tmp_path):
     fit = json.loads((out1 / "retherm_fit.json").read_text())
     assert fit["fitted_rate"] > 0
     assert fit["predicted_rate"] > 0
-    # the exact oracle's rate sits within 1% of the rate law; the segment
+    # the exact oracle's rate sits within 1% of the rate law; the exact
     # error is the honest one, well above the OLS error of 8 segments
     assert fit["exact_rate"] == pytest.approx(fit["predicted_rate"], rel=0.01, abs=0)
-    assert fit["segment_rate_err"] > 5.0 * fit["fitted_rate_err"]
+    _assert_exact_error_above_ols(load_config("experiment"), SimPlan(
+        duration=1.0, n_trajectories=8, master_seed=20),
+        fit["rate_exact_err"], fit["fitted_rate_err"])
+
+
+def _assert_exact_error_above_ols(config, plan, exact_err, ols_err):
+    """The exact error matches the oracle's and exceeds the OLS error by a
+    factor derived, not tuned: the exact SD over the OLS error's mean + 4
+    SD (``ols_error_bound``), 4.1-4.4 on these 1 s plans at the default
+    stride, where the exact error is 6.7-7.1 times the OLS error's mean.
+    For a Gaussian mean curve the OLS error passes with probability
+    > 0.9999 (>= 94% by Cantelli's inequality for any law)."""
+    from conftest import ols_error_bound
+
+    from optospring.dynamics import _protocol
+
+    want, bound = ols_error_bound(_protocol(config, config.noise, plan),
+                                  plan.n_trajectories)
+    assert exact_err == pytest.approx(want, rel=1e-9, abs=0)
+    assert exact_err > (want / bound) * ols_err
 
 
 def test_retherm_and_scan_report_one_n_osc(tmp_path):
@@ -346,16 +366,18 @@ def test_manifest_reproduces_outputs(tmp_path):
 
 
 def test_manifest_records_resolved_step(tmp_path):
-    """With --dt left at its default, the retherm and scan manifests record
-    the step that ran, 1/(200*f_ref), and the kernel step record_stride*dt."""
+    """With --dt and --record-stride left at their defaults, the retherm
+    and scan manifests record the step that ran, 1/(200*f_ref), the
+    resolved stride (47 on the preset) and the kernel step
+    record_stride*dt."""
     out = tmp_path / "r"
     assert main(["retherm", "--config", "experiment", "--n-trajectories", "1",
                  "--seed", "3", "--out-dir", str(out)]) == 0
     plan = json.loads((out / "manifest.json").read_text())["plan"]
     f_ref = json.loads((out / "retherm_fit.json").read_text())["f_ref_Hz"]
-    assert plan["record_stride"] == 10
+    assert plan["record_stride"] == 47
     assert plan["dt"] == pytest.approx(1.0 / (200.0 * f_ref), rel=1e-12, abs=0)
-    assert plan["kernel_step"] == pytest.approx(10 * plan["dt"], rel=1e-15, abs=0)
+    assert plan["kernel_step"] == pytest.approx(47 * plan["dt"], rel=1e-15, abs=0)
 
     out = tmp_path / "s"
     assert main(["scan", "--config", "experiment", "--deltas", "7e5:1.1e6:2",
@@ -380,22 +402,28 @@ def test_scan_writes_rows(tmp_path):
     assert rc == 0
     rows = _read_csv(out / "scan.csv",
                      ["delta_Hz", "f_eff_Hz", "rate_measured",
-                      "rate_predicted", "rate_err", "n_osc", "rate_exact"])
+                      "rate_predicted", "rate_err", "n_osc", "rate_exact",
+                      "rate_exact_err", "gamma_measured", "gamma_exact",
+                      "gamma_exact_err"])
     assert len(rows) == 2
     for r in rows:
         assert float(r["rate_measured"]) > 0
         assert float(r["rate_predicted"]) > 0
         assert float(r["rate_exact"]) == pytest.approx(
             float(r["rate_predicted"]), rel=0.05, abs=0)
+        assert float(r["gamma_exact_err"]) > 0
         assert float(r["n_osc"]) > 0
-    # rate_err is the honest segment error, well above the OLS error
+    # rate_err is the segment error and rate_exact_err the exact one, well
+    # above the OLS error
     config = load_config("experiment")
     plan = SimPlan(duration=1.0, n_trajectories=4, master_seed=5)
-    measured = detuning_scan(config, config.noise, plan,
-                             np.linspace(7e5, 1.1e6, 2) * TWO_PI)
-    for r, m in zip(rows, measured):
+    deltas = np.linspace(7e5, 1.1e6, 2) * TWO_PI
+    measured = detuning_scan(config, config.noise, plan, deltas)
+    for r, m, delta in zip(rows, measured, deltas):
         assert float(r["rate_err"]) == m.rate_segment_err
-        assert m.rate_segment_err > 5.0 * m.rate_ols_err
+        assert float(r["rate_exact_err"]) == m.rate_exact_err
+        _assert_exact_error_above_ols(config.with_detuning(float(delta)),
+                                      plan, m.rate_exact_err, m.rate_ols_err)
 
 
 # --------------------------------------------------------------------------

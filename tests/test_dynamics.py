@@ -338,6 +338,97 @@ def test_exact_rate_matches_rate_law(experiment_config):
     assert exact.slope == pytest.approx(total, rel=0.02, abs=0)
 
 
+@pytest.mark.parametrize("stride", [10, 47])
+def test_exact_variance_matches_double_sum(experiment_config, stride):
+    """The backward pass against the plain W x W double sum of Isserlis'
+    theorem (``record_covariance``), to 1e-10 relative, for the initial
+    slope's weights on the script's 2 s plan (two periods, 476 and 102
+    window records) and for random weights on 600 records, which span
+    three of the pass's blocks."""
+    from conftest import record_covariance
+
+    plan = SimPlan(duration=2.0, n_trajectories=1, master_seed=1,
+                   record_stride=stride)
+    protocol = dynamics._protocol(experiment_config, experiment_config.noise,
+                                  plan)
+    t, n = dynamics._exact_curve(protocol)
+    slope = dynamics._slope_weights(
+        t, fit_decoherence_rate(t, n).window)
+    rng = np.random.Generator(np.random.Philox(5))
+    for c in (slope, rng.standard_normal(600)):
+        want = c @ record_covariance(protocol, c.size) @ c
+        assert dynamics._exact_variance(protocol, c) == pytest.approx(
+            want, rel=1e-10, abs=0)
+
+
+def _scan_configs(config):
+    """The experiment preset (2 s, as the retherm script runs it) and the
+    8 detunings of scripts/run_detuning_scan.py (1 s)."""
+    return [(config, 2.0)] + [(config.with_detuning(TWO_PI * delta), 1.0)
+                              for delta in np.linspace(8.8e5, 2.6e6, 8)]
+
+
+def _exact_errors(config, plan):
+    """(stride, window records, exact slope, its per-segment SD, the
+    fitted gamma's per-segment SD) of a plan, from the exact oracle."""
+    protocol = dynamics._protocol(config, config.noise, plan)
+    t, n = dynamics._exact_curve(protocol)
+    fit = fit_decoherence_rate(t, n)
+    slope = dynamics._slope_weights(t, fit.window)
+    n0, n_inf, gamma = dynamics._fit_exponential(t, n)
+    gamma_c = dynamics._gamma_weights(t, n0, n_inf, gamma)
+    return (protocol.stride, slope.size, fit.slope,
+            math.sqrt(dynamics._exact_variance(protocol, slope)),
+            math.sqrt(dynamics._exact_variance(protocol, gamma_c)))
+
+
+def test_default_stride_keeps_the_exact_errors(experiment_config):
+    """The resolved default stride, max(10, steps // 2000), against stride
+    1 at the preset and at every detuning of the scan script: the exact
+    initial slope within 0.1% (reads +0.015% to +0.052%), its exact SD
+    within 1% (-0.42% to -0.52%) and the fitted gamma's exact SD within 1%
+    (-0.05% to -0.07%); the fit window keeps >= 100 records.  A phase
+    under 20,000 steps (5 Hz switching) keeps stride 10."""
+    for config, duration in _scan_configs(experiment_config):
+        plan = SimPlan(duration=duration, n_trajectories=1, master_seed=1)
+        stride, window, slope, slope_sd, gamma_sd = _exact_errors(config, plan)
+        steps = round(0.5 / config.servo.switch_frequency
+                      / plan.resolve_dt(reduced_model(config, config.noise)
+                                        .omega_ref))
+        assert stride == max(10, steps // dynamics.RECORDS_PER_PHASE) > 10
+        assert window >= 100
+        _, _, slope_1, slope_sd_1, gamma_sd_1 = _exact_errors(
+            config, dataclasses.replace(plan, record_stride=1))
+        assert slope == pytest.approx(slope_1, rel=1e-3, abs=0)
+        assert slope_sd == pytest.approx(slope_sd_1, rel=1e-2, abs=0)
+        assert gamma_sd == pytest.approx(gamma_sd_1, rel=1e-2, abs=0)
+    fast = _switch_config(experiment_config, 5.0)
+    assert dynamics._protocol(fast, fast.noise, SimPlan(
+        duration=0.2, n_trajectories=1, master_seed=1)).stride == 10
+
+
+def test_exact_rate_error_matches_seed_to_seed_spread(experiment_config):
+    """rate_exact_err is the spread of the fitted rate: over 20 disjoint
+    32-trajectory ensembles of the preset at the default stride (47), the
+    SD of (fitted - exact) / exact error is 1 for a calibrated error, which
+    passes 0.5..1.5 with ~99.8% power (chi-square, 19 degrees of freedom;
+    an error off by 2x in either direction fails), and the mean sits
+    within 3 standard errors of 0.  Master seeds 1-20 read SD 0.69-1.35
+    and mean z-scores within 2.3 standard errors, all pass."""
+    plan = SimPlan(duration=1.0, n_trajectories=640, master_seed=3)
+    config, size = experiment_config, 32
+    protocol = dynamics._protocol(config, config.noise, plan)
+    t, n = dynamics._exact_curve(protocol)
+    exact = fit_decoherence_rate(t, n)
+    err = math.sqrt(dynamics._exact_variance(
+        protocol, dynamics._slope_weights(t, exact.window)) / size)
+    z = np.array([(fit_decoherence_rate(t, dynamics._relaxation_phonons(
+        protocol, plan.master_seed, range(k, k + size)).mean(axis=(0, 1)))
+        .slope - exact.slope) / err for k in range(0, 640, size)])
+    assert 0.5 < z.std(ddof=1) < 1.5
+    assert abs(z.mean()) < 3.0 * z.std(ddof=1) / math.sqrt(z.size)
+
+
 def test_stationary_start_matches_lyapunov_solution(experiment_config,
                                                     monkeypatch):
     """Sigma_inf solves A S + S A^T + L L^T = 0 and is invariant under the
@@ -509,21 +600,23 @@ def test_energy_conservation_gate():
     assert abs(e1 / e0 - 1.0) < 1e-6
 
 
-def _off_phase_ringdown(config, noise, x0):
+def _off_phase_ringdown(config, noise, x0, stride=10):
     """Noise-free ringdown from (x0, 0) over the first off phase, recorded
-    every stride as the engine records it: (steps, dt, x, v, model), with
-    ``steps`` the recorded step numbers."""
-    plan = SimPlan(duration=1.0, n_trajectories=1, master_seed=1)
-    assert plan.record_stride == 10
+    every ``stride`` steps as the engine records it (``None``: the plan's
+    resolved default, 47 here): (steps, dt, x, v, model), with ``steps``
+    the recorded step numbers."""
+    plan = SimPlan(duration=1.0, n_trajectories=1, master_seed=1,
+                   record_stride=stride)
+    stride = dynamics._protocol(config, noise, plan).stride
     model = reduced_model(config, noise)
     dt = plan.resolve_dt(model.omega_ref)
     half = _half_steps(config, dt)
-    steps = np.arange(0, half, plan.record_stride)
-    pm = _phase_map(model, dt, substeps=plan.record_stride)
+    steps = np.arange(0, half, stride)
+    pm = _phase_map(model, dt, substeps=stride)
     np.testing.assert_array_equal(pm.noise, 0.0)
     z = (np.array([x0]), np.array([0.0]), np.array([0.0]))
     x, v, _ = _kernel_states(pm, z, steps.size - 1,
-                             chunk=dynamics.DRAW_BLOCK // plan.record_stride)
+                             chunk=dynamics.DRAW_BLOCK // stride)
     return (steps, dt, np.concatenate(([x0], x[0])),
             np.concatenate(([0.0], v[0])), model)
 
@@ -540,27 +633,27 @@ def test_ringdown_matches_pole_damping(experiment_config, cold_noise):
 
 
 def test_cold_ringdown_matches_exact_solution(experiment_config, cold_noise):
-    """Noise-free ringdown at the default record_stride=10 through the first
-    off phase, in the engine's kernel chunks, against the damped cosine
-    x0*exp(-g t/2)*(cos(wd t) + g/(2 wd)*sin(wd t)), evaluated in 40-digit
-    arithmetic at the recorded steps, to 1e-12 of x0.  Only rounding
-    separates them, so this gates the phase drift of the kernel's section
-    when its trace is near 2."""
+    """Noise-free ringdown at record_stride=10 and at the resolved default
+    (47) through the first off phase, in the engine's kernel chunks,
+    against the damped cosine x0*exp(-g t/2)*(cos(wd t) + g/(2 wd)*sin(wd
+    t)), evaluated in 40-digit arithmetic at the recorded steps, to 1e-12 of
+    x0.  Only rounding separates them, so this gates the phase drift of the
+    kernel's section when its trace is near 2."""
     mpmath = pytest.importorskip("mpmath")
     x0 = 1e-9
-    steps, dt, x, _, model = _off_phase_ringdown(experiment_config,
-                                                 cold_noise, x0)
-
-    with mpmath.workdps(40):
-        g = mpmath.mpf(model.gamma_off)
-        wd = mpmath.sqrt(mpmath.mpf(model.omega_trap_sq) - g**2 / 4)
-        exact = np.empty(steps.size)
-        for i, k in enumerate(steps):
-            tk = int(k) * mpmath.mpf(dt)
-            exact[i] = float(x0 * mpmath.exp(-g * tk / 2)
-                             * (mpmath.cos(wd * tk)
-                                + g / (2 * wd) * mpmath.sin(wd * tk)))
-    assert np.max(np.abs(x - exact)) <= 1e-12 * x0
+    for stride in (10, None):
+        steps, dt, x, _, model = _off_phase_ringdown(experiment_config,
+                                                     cold_noise, x0, stride)
+        with mpmath.workdps(40):
+            g = mpmath.mpf(model.gamma_off)
+            wd = mpmath.sqrt(mpmath.mpf(model.omega_trap_sq) - g**2 / 4)
+            exact = np.empty(steps.size)
+            for i, k in enumerate(steps):
+                tk = int(k) * mpmath.mpf(dt)
+                exact[i] = float(x0 * mpmath.exp(-g * tk / 2)
+                                 * (mpmath.cos(wd * tk)
+                                    + g / (2 * wd) * mpmath.sin(wd * tk)))
+        assert np.max(np.abs(x - exact)) <= 1e-12 * x0, stride
 
 
 def test_stationary_occupancy_matches_fluctuation_dissipation(experiment_config,
@@ -734,15 +827,15 @@ def test_fitted_gamma_matches_pole_damping(experiment_config, thermal_only_noise
 
 def test_fitted_gamma_is_nan_with_a_reason_when_the_fit_fails(
         experiment_config):
-    """A fit that finds gamma <= 0 (25 x 1 s at seed 1 reads -3.53 rad/s, a
+    """A fit that finds gamma <= 0 (25 x 1 s at seed 1 reads -0.909 rad/s, a
     growing exponential fitted to noise) or raises FitError (an all-zero
     curve) gives a NaN gamma and the reason; the rate fit still stands.
-    The retherm script's 100 x 2 s at seed 2718 keeps its 0.74755 rad/s."""
+    The retherm script's 100 x 2 s at seed 2718 keeps its 0.89983 rad/s."""
     noise = experiment_config.noise
     grown = run_ensemble(experiment_config, noise, SimPlan(
         duration=1.0, n_trajectories=25, master_seed=1))
     assert math.isnan(grown.fitted_gamma_eff)
-    assert grown.gamma_fit_error.startswith("fitted gamma = -3.53 rad/s <= 0")
+    assert grown.gamma_fit_error.startswith("fitted gamma = -0.9094 rad/s <= 0")
     assert grown.fitted_rate > 0
     t = np.linspace(0.0, 1.0, 200)
     flat = dynamics._ensemble_result(t, np.zeros((1, 1, t.size)), 1.0)
@@ -750,7 +843,7 @@ def test_fitted_gamma_is_nan_with_a_reason_when_the_fit_fails(
     assert flat.gamma_fit_error.startswith("FitError: exponential")
     script = run_ensemble(experiment_config, noise, SimPlan(
         duration=2.0, n_trajectories=100, master_seed=2718))
-    assert script.fitted_gamma_eff == pytest.approx(0.747549545, rel=1e-9,
+    assert script.fitted_gamma_eff == pytest.approx(0.899833351, rel=1e-9,
                                                     abs=0)
     assert script.gamma_fit_error == ""
 
@@ -806,8 +899,14 @@ def test_stderr_scales_with_ensemble_size(experiment_config):
 
 def test_relaxation_rises_then_saturates(experiment_config):
     """Shape of the averaged rethermalization: linear rise bending toward
-    the saturation the relaxation model predicts."""
-    plan = SimPlan(duration=1.0, n_trajectories=100, master_seed=14)
+    the saturation the relaxation model predicts.  By ``_exact_variance``
+    one segment's fitted gamma has SD 9.12 rad/s about the exact curve's
+    0.6148, and its late-to-initial slope ratio SD 3.15 about 0.7641 (the
+    expected 0.7584 sits 0.006 below it).  100 x 48 s pools 4,800 segments,
+    so the gamma gate's low edge (0.2 gamma_eff) sits 3.7 sigma below and
+    the ratio gate's 0.25 at 5.4 sigma (100 x 1 s had them at 0.54 and
+    0.78 sigma)."""
+    plan = SimPlan(duration=48.0, n_trajectories=100, master_seed=14)
     result = run_ensemble(experiment_config, experiment_config.noise, plan)
     n, t = result.mean_phonon, result.time_grid
     assert n[-1] > 10.0 * n[0]  # strong net heating over the record
@@ -839,10 +938,11 @@ def test_oscillation_number_improvement(experiment_config):
 
 
 def test_monte_carlo_slope_against_rate_law(experiment_config):
-    """Ensemble initial slope vs the analytic heating rate within 15%.  At
-    768 trajectories the seed-to-seed spread is 3.7% (seeds 1-20, all pass)
-    and the reduction sits 0.8% below the rate law, so 15% is 3.8 sigma."""
-    plan = SimPlan(duration=1.0, n_trajectories=768, master_seed=6)
+    """Ensemble initial slope vs the analytic heating rate within 15%.  By
+    ``_exact_variance`` one segment's slope has SD 3.25e9 /s, 3.6% of the
+    rate at 1,000 trajectories (768 had 4.1%, so 15% was 3.5 sigma), and
+    the reduction sits 0.8% below the rate law, so 15% is 4.0 sigma."""
+    plan = SimPlan(duration=1.0, n_trajectories=1000, master_seed=6)
     m = measure_rate(experiment_config, experiment_config.noise, plan)
     mode = off_state_mode(experiment_config, experiment_config.noise)
     total, _, _ = predicted_rate(experiment_config, experiment_config.noise, mode)
@@ -898,12 +998,33 @@ def test_scan_single_point_matches_pipeline(experiment_config):
         mode.omega_eff / (TWO_PI * direct.fitted_rate), rel=1e-12, abs=0)
 
 
+def test_scan_rows_draw_independent_streams(experiment_config):
+    """Row 0 of a scan draws run_ensemble's streams, keyed (index,); row k
+    draws its own, keyed (k, index), so two rows at one detuning are two
+    independent measurements of the same law."""
+    plan = SimPlan(duration=1.0, n_trajectories=4, master_seed=9)
+    delta = experiment_config.cavity.detuning
+    first, second = detuning_scan(experiment_config, experiment_config.noise,
+                                  plan, [delta, delta])
+    direct = run_ensemble(experiment_config.with_detuning(delta),
+                          experiment_config.noise, plan)
+    assert first.rate_measured == direct.fitted_rate
+    assert second.rate_measured != first.rate_measured
+    assert second.rate_exact == first.rate_exact
+    gen = dynamics._trajectory_generators(9, [3], row=1)[0]
+    want = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        entropy=9, spawn_key=(1, 3)))).standard_normal(6)
+    np.testing.assert_array_equal(gen.standard_normal(6), want)
+
+
 def test_scan_finds_interior_rate_minimum(experiment_config):
     """Walking the trap down the far branch, the predicted rate bottoms out
     where bath and trap-noise heating balance, and the measured rates track
-    it within Monte Carlo scatter: at 128 trajectories each detuning's
-    seed-to-seed spread is 8-10% (seeds 1-20, all pass) and the reduction
-    sits within 2.2% of the rate law, so rel 0.4 is at least 3.7 sigma."""
+    it within Monte Carlo scatter.  Each row draws its own streams.  By
+    ``_exact_variance`` each row's slope has SD 10.0-10.3% of the rate at
+    128 trajectories, and the exact rate sits 0.5-2.2% below the rate law,
+    so rel 0.4 is 3.73-4.19 sigma per edge: all five rows pass with
+    probability 0.9995 for normal errors (master seeds 1-20 all pass)."""
     deltas = np.linspace(0.88e6, 2.6e6, 5) * TWO_PI
     plan = SimPlan(duration=1.0, n_trajectories=128, master_seed=44)
     rows = detuning_scan(experiment_config, experiment_config.noise, plan,
@@ -935,10 +1056,10 @@ def test_scan_records_failures_and_continues(experiment_config):
 
 @pytest.mark.parametrize("exc", [OverflowError, ZeroDivisionError])
 def test_scan_records_arithmetic_errors(experiment_config, monkeypatch, exc):
-    def overflowing_run_ensemble(*args, **kwargs):
+    def overflowing_ensemble(*args, **kwargs):
         raise exc("extreme parameter")
 
-    monkeypatch.setattr(dynamics, "run_ensemble", overflowing_run_ensemble)
+    monkeypatch.setattr(dynamics, "_ensemble", overflowing_ensemble)
     plan = SimPlan(duration=1.0, n_trajectories=2, master_seed=10)
     rows = detuning_scan(experiment_config, experiment_config.noise, plan,
                          [experiment_config.cavity.detuning])
@@ -948,12 +1069,12 @@ def test_scan_records_arithmetic_errors(experiment_config, monkeypatch, exc):
 def test_scan_propagates_programming_errors(experiment_config, monkeypatch):
     """Only toolkit and numerical errors become failed rows; anything else
     is a bug and surfaces."""
-    def broken_run_ensemble(*args, **kwargs):
-        raise TypeError("broken run_ensemble")
+    def broken_ensemble(*args, **kwargs):
+        raise TypeError("broken ensemble")
 
-    monkeypatch.setattr(dynamics, "run_ensemble", broken_run_ensemble)
+    monkeypatch.setattr(dynamics, "_ensemble", broken_ensemble)
     plan = SimPlan(duration=1.0, n_trajectories=2, master_seed=10)
-    with pytest.raises(TypeError, match="broken run_ensemble"):
+    with pytest.raises(TypeError, match="broken ensemble"):
         detuning_scan(experiment_config, experiment_config.noise, plan,
                       [experiment_config.cavity.detuning])
 
