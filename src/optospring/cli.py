@@ -223,6 +223,12 @@ def _plan_record(plan: SimPlan, m: RateMeasurement) -> dict:
             "kernel_step": m.record_stride * m.dt if ran else None}
 
 
+def _gamma_off(config, delta: float) -> float:
+    """The reduced model's servo-off damping at detuning ``delta``; at or
+    below 0 the relaxation is anti-damped and has no rethermalisation rate."""
+    return reduced_model(config.with_detuning(delta), config.noise).gamma_off
+
+
 def cmd_retherm(args) -> int:
     config, path = _load(args)
     out = _out_dir(args)
@@ -249,17 +255,21 @@ def cmd_retherm(args) -> int:
         "predicted_trap": m.rate_trap,
     }, indent=2, sort_keys=True) + "\n")
     gamma_error = m.ensemble.gamma_fit_error
+    gamma_off = _gamma_off(config, m.delta)
     _write_manifest(out, "retherm", args, path, [csv_path, fit_path],
                     plan.master_seed,
                     {"plan": _plan_record(plan, m),
-                     "fitted_gamma_eff_error": gamma_error or None})
+                     "fitted_gamma_eff_error": gamma_error or None,
+                     "anti_damped_gamma_off": gamma_off if gamma_off <= 0 else None})
     gamma = (f"fitted_gamma_eff = NaN: {gamma_error}" if gamma_error
              else f"gamma = {m.ensemble.fitted_gamma_eff:.4g}")
+    anti = (f", anti-damped (gamma_off = {gamma_off:.4g} rad/s <= 0)"
+            if gamma_off <= 0 else "")
     print(f"retherm: rate = {m.rate_measured:.4g} +- "
           f"{m.rate_segment_err:.2g} /s (exact {m.rate_exact:.4g} +- "
           f"{m.rate_exact_err:.2g}, predicted {m.rate_predicted:.4g}), "
           f"{gamma} (exact {m.gamma_exact:.4g} +- {m.gamma_exact_err:.2g} "
-          f"rad/s) -> {csv_path}")
+          f"rad/s){anti} -> {csv_path}")
     return 0
 
 
@@ -272,14 +282,18 @@ def cmd_scan(args) -> int:
     csv_path = out / "scan.csv"
     write_scan_csv(csv_path, rows, comment=f"detuning scan, {config.label}, "
                    f"seed {plan.master_seed}")
+    anti_damped = [{"delta_hz": r.delta / TWO_PI, "gamma_off": g}
+                   for r in rows if r.ok and (g := _gamma_off(config, r.delta)) <= 0]
     _write_manifest(out, "scan", args, path, [csv_path], plan.master_seed,
                     {"deltas_hz": [float(d) / TWO_PI for d in deltas],
-                     "plans": [_plan_record(plan, r) for r in rows]})
+                     "plans": [_plan_record(plan, r) for r in rows],
+                     "anti_damped_rows": anti_damped})
     failed = [r for r in rows if not r.ok]
     worst = max((abs(r.rate_measured - r.rate_exact) / r.rate_exact_err
                  for r in rows if r.ok and r.rate_exact_err > 0),
                 default=math.nan)
-    print(f"scan: {len(rows)} detunings ({len(failed)} failed), worst "
+    print(f"scan: {len(rows)} detunings ({len(failed)} failed, "
+          f"{len(anti_damped)} anti-damped: gamma_off <= 0), worst "
           f"|rate_measured - rate_exact| = {worst:.2f} exact errors "
           f"-> {csv_path}")
     for r in failed:

@@ -45,12 +45,12 @@ records to ``run_ensemble`` (the relaxation phonon numbers) or
 ``simulate_trajectory`` (one timeline).  ``run_ensemble`` reads no
 re-cooling record, so it crosses each re-cooling phase in one step of the
 whole phase's map.  ``simulate_trajectory`` walks every stride of every
-phase.  ``exact_mean_phonon``, the sampling-free oracle,
-walks the same phases stride by stride, re-cooling included, with the
-state's second moment, M <- Phi M Phi^T + Q.  ``_exact_variance`` turns
-those moments into the exact variance of any linear functional of a
-relaxation segment's records (Isserlis' theorem, one backward pass), which
-gives the initial slope and the fitted gamma their exact errors.
+phase.  The sampling-free oracle, ``_moments``, walks the same phases
+once, stride by stride, with the state's second moment, M <- Phi M Phi^T
++ Q.  Its relaxation moments give ``exact_mean_phonon``'s curve and, by
+``_exact_variance`` (Isserlis' theorem, one FFT correlation), the exact
+variance of any linear functional of a segment's records, which gives
+the initial slope and the fitted gamma their exact errors.
 ``measure_rate`` fits both curves, gives both fits their exact errors and
 sets them beside the rate law at the servo-off pole.
 """
@@ -82,8 +82,10 @@ DRAW_BLOCK = 2048
 # within 1% of its stride-1 value, and no plan records finer than stride 10.
 RECORDS_PER_PHASE = 2000
 
-# Records per block of _exact_variance's backward pass.
-VARIANCE_BLOCK = 256
+# Floats in a plan's largest array at most, 400 MB of float64: the (B,
+# periods, R) phonon block or the (periods, R, 3, 3) exact moments, which
+# outgrow simulate_trajectory's 3 (2 periods - 1) R timeline.
+MAX_PLAN_FLOATS = 50_000_000
 
 # Trap-noise shaping-filter corner sits this far below the trapped resonance
 # (keeps the synthesized force PSD within 5% of the 1/f^2 target from
@@ -403,7 +405,7 @@ def _protocol(config: SystemConfig, noise: NoiseEnv, plan: SimPlan) -> _Protocol
     """The plan's checked protocol: from the first switch-off, a relaxation
     phase per switch period with a re-cooling phase between each two, each
     phase ``steps`` steps of dt: R - 1 whole strides, then the remainder
-    step to the phase end."""
+    step to the phase end.  A plan over MAX_PLAN_FLOATS is refused first."""
     model = reduced_model(config, noise)
     dt = plan.resolve_dt(model.omega_ref)
     if dt * model.omega_ref >= 0.1:
@@ -422,20 +424,23 @@ def _protocol(config: SystemConfig, noise: NoiseEnv, plan: SimPlan) -> _Protocol
         stride = max(10, steps // RECORDS_PER_PHASE)
     periods = max(1, int(round(plan.duration / period)))
     n_rec = (steps + stride - 1) // stride
+    shape = (max(plan.n_trajectories, 9), periods, n_rec)
+    if math.prod(shape) > MAX_PLAN_FLOATS:
+        raise ValidationError(
+            f"largest plan array <= MAX_PLAN_FLOATS = {MAX_PLAN_FLOATS:.1e} floats",
+            "max(n_trajectories, 9) x periods x records per phase",
+            " x ".join(f"{n:.4g}" for n in shape))
     last = steps - (n_rec - 1) * stride
     phases, t0 = [], 0.0
     for p in range(2 * periods - 1):
         phases.append((model.gamma_on, "re-cooling", t0) if p % 2
                       else (model.gamma_off, "relaxation", t0))
         t0 += steps * dt
-    maps = {}
-    for gamma in (model.gamma_on, model.gamma_off):
-        for substeps in (stride, last):
-            if (gamma, substeps) not in maps:
-                maps[gamma, substeps] = PhaseMap(
-                    mass=model.mass, omega_sq=model.omega_trap_sq, gamma=gamma,
-                    s_f_thermal=model.s_f_thermal, ou_corner=model.ou_corner,
-                    ou_force_var=model.ou_force_var, dt=dt, substeps=substeps)
+    maps = {(gamma, substeps): PhaseMap(
+        mass=model.mass, omega_sq=model.omega_trap_sq, gamma=gamma,
+        s_f_thermal=model.s_f_thermal, ou_corner=model.ou_corner,
+        ou_force_var=model.ou_force_var, dt=dt, substeps=substeps)
+        for gamma in {model.gamma_on, model.gamma_off} for substeps in {stride, last}}
     on, end = maps[model.gamma_on, stride], maps[model.gamma_on, last]
     jump = PhaseMap.given(*_compose(_repeat((on.phi, on.cov), n_rec - 1),
                                     (end.phi, end.cov)))
@@ -549,26 +554,34 @@ def _powers(phi: np.ndarray, n: int) -> np.ndarray:
     return p
 
 
-def _moments(protocol: _Protocol):
-    """Yields (label, M) per phase in run order, M the (R, 3, 3) exact
-    second moments <z z^T> of the phase's records.
+def _moments(protocol: _Protocol) -> tuple[np.ndarray, np.ndarray]:
+    """The exact oracle's one walk: (M, P), M the (periods, R, 3, 3) exact
+    second moments <z z^T> of every relaxation record and P the (R, 3, 3)
+    powers Phi^0 .. Phi^(R-1) of the relaxation stride map.
 
-    M obeys M <- Phi M Phi^T + Q over each stride and remainder step, with
-    the Monte Carlo's own Phi and Q, so after r strides of a phase
-    M_r = Phi^r M_0 Phi^r^T + sum_{j<r} Phi^j Q Phi^j^T.  The walk starts
-    from the cooled stationary covariance and steps through every phase,
-    re-cooling included, stride by stride."""
-    n_rec, moment = protocol.n_rec, protocol.start.cov
-    for gamma, label, _ in protocol.phases:
+    From the cooled stationary covariance, M <- Phi M Phi^T + Q over every
+    stride and remainder step of every phase, re-cooling included, with
+    the Monte Carlo's own Phi and Q: after r strides of a phase
+    M_r = Phi^r M_0 Phi^r^T + sum_{j<r} Phi^j Q Phi^j^T, with each servo
+    phase's powers and noise sums built once."""
+    model, n_rec = protocol.model, protocol.n_rec
+    series = {}
+    for gamma in (model.gamma_off, model.gamma_on):
         step = protocol.maps[gamma, protocol.stride]
-        end = protocol.maps[gamma, protocol.last]
         pw = _powers(step.phi, n_rec)
-        pt = pw.transpose(0, 2, 1)
         added = np.zeros((n_rec, 3, 3))
-        np.cumsum((pw @ step.cov @ pt)[:-1], axis=0, out=added[1:])
-        records = pw @ moment @ pt + added
-        yield label, records
+        np.cumsum((pw @ step.cov @ pw.transpose(0, 2, 1))[:-1], axis=0, out=added[1:])
+        series[gamma] = pw, added
+    out = np.empty((protocol.periods, n_rec, 3, 3))
+    moment = protocol.start.cov
+    for p, (gamma, label, _) in enumerate(protocol.phases):
+        pw, added = series[gamma]
+        records = pw @ moment @ pw.transpose(0, 2, 1) + added
+        if label == "relaxation":  # phase 2k of period k
+            out[p // 2] = records
+        end = protocol.maps[gamma, protocol.last]
         moment = end.phi @ records[-1] @ end.phi.T + end.cov
+    return out, series[model.gamma_off][0]
 
 
 def exact_mean_phonon(config: SystemConfig, noise: NoiseEnv,
@@ -578,53 +591,37 @@ def exact_mean_phonon(config: SystemConfig, noise: NoiseEnv,
     averaged over the switch periods as the ensemble averages its segments.
     Returns (time_grid, mean_n).
     """
-    return _exact_curve(_protocol(config, noise, plan))
+    protocol = _protocol(config, noise, plan)
+    return protocol.time_grid, _exact_curve(protocol.model, _moments(protocol)[0])
 
 
-def _exact_curve(protocol: _Protocol) -> tuple[np.ndarray, np.ndarray]:
-    """(time_grid, mean_n) of ``exact_mean_phonon`` for a built protocol."""
-    n_sum = sum(_phonon(protocol.model, np.sqrt(m[:, 0, 0]), np.sqrt(m[:, 1, 1]))
-                for label, m in _moments(protocol) if label == "relaxation")
-    return protocol.time_grid, n_sum / protocol.periods
+def _exact_curve(model: ReducedModel, moments: np.ndarray) -> np.ndarray:
+    """mean_n of ``exact_mean_phonon`` from ``_moments``' moments."""
+    return sum(_phonon(model, np.sqrt(moments[..., 0, 0]),
+                       np.sqrt(moments[..., 1, 1]))) / moments.shape[0]
 
 
-def _exact_variance(protocol: _Protocol, c: np.ndarray) -> float:
+def _exact_variance(model: ReducedModel, walk: tuple, c: np.ndarray) -> float:
     """Exact variance of sum_k c_k n_k over the first c.size records of one
-    relaxation segment, averaged over the switch periods; an ensemble
-    mean of S segments has 1/S of it.
+    relaxation segment, averaged over the switch periods, from the walk
+    (M, P) of ``_moments``; an ensemble mean of S segments has 1/S of it.
 
     n = z^T A z - 1/2 for the state z = (x, v, F), and z is zero-mean
     Gaussian, so Isserlis' theorem gives Cov(n_k, n_l) =
-    2 tr(A M_k Phi^d^T A Phi^d M_k) for d = l - k >= 0, M_k from
-    ``_moments`` and Phi the stride map.  With B_k = c_k A + Phi^T B_{k+1} Phi
-    the double sum folds to Var = sum_k c_k 2 tr(A M_k (2 B_k - c_k A) M_k).
-    B runs backward in blocks of L = VARIANCE_BLOCK records: inside a block
-    B_k is a Hankel sum of c against G_j = Phi^j^T A Phi^j, plus
-    Phi^(e-k)^T B_e Phi^(e-k) carried in from the block's end e."""
-    model, n = protocol.model, c.size
+    2 tr(A M_k G_d M_k) for d = l - k >= 0, G_d = Phi^d^T A Phi^d.  With
+    B_k = sum_d c_{k+d} G_d, a correlation of c with G taken by one real
+    FFT (zero-padded to 2 c.size, so nothing wraps), the double sum folds
+    to Var = sum_k c_k 2 tr(A M_k (2 B_k - c_k A) M_k).  B holds no moment,
+    so one correlation serves every period."""
+    n = c.size
+    m, pw = walk[0][:, :n], walk[1][:n]
     a = np.diag([model.mass * model.omega_trap_sq, model.mass, 0.0]) / (
         2.0 * HBAR * model.omega_ref)
-    size = min(VARIANCE_BLOCK, n)
-    pw = _powers(protocol.maps[model.gamma_off, protocol.stride].phi, size + 1)
-    pt = pw.transpose(0, 2, 1)
-    g = (pt @ a @ pw).reshape(-1, 9)
-    # c past its end is 0, so only a whole block needs its Hankel matrix
-    # cut at the block's end, i + j < L
-    padded = np.concatenate((c, np.zeros(size - 1)))
-    inside = np.add.outer(np.arange(size), np.arange(size)) < size
-    b, carry = np.empty((n, 3, 3)), np.zeros((3, 3))
-    for start in range(size * ((n - 1) // size), -1, -size):
-        width = min(size, n - start)
-        hankel = np.lib.stride_tricks.sliding_window_view(
-            padded[start:start + 2 * width - 1], width) * inside[:width, :width]
-        b[start:start + width] = (hankel @ g[:width]).reshape(-1, 3, 3) \
-            + pt[width:0:-1] @ carry @ pw[width:0:-1]
-        carry = b[start]
-    # B holds no moment, so one pass serves every period
-    x = 2.0 * b - c[:, None, None] * a
-    total = sum(float(c @ np.einsum("kij,kji->k", a @ m[:n], x @ m[:n]))
-                for label, m in _moments(protocol) if label == "relaxation")
-    return 2.0 * total / protocol.periods
+    g = (pw.transpose(0, 2, 1) @ a @ pw).reshape(n, 9)
+    spectrum = np.fft.rfft(c, 2 * n)[:, None] * np.fft.rfft(g, 2 * n, axis=0).conj()
+    b = np.fft.irfft(spectrum, 2 * n, axis=0)[:n].reshape(n, 3, 3)
+    total = c @ np.einsum("pkij,pkji->k", a @ m, (2.0 * b - c[:, None, None] * a) @ m)
+    return 2.0 * float(total) / m.shape[0]
 
 
 def _gamma_weights(t: np.ndarray, n0: float, n_inf: float,
@@ -711,8 +708,7 @@ def _fit_exponential(t: np.ndarray, n: np.ndarray) -> tuple[float, float, float]
     return float(n_inf + amp), float(n_inf), float(gamma)
 
 
-def _segment_rate_err(t: np.ndarray, segments: np.ndarray,
-                      window: float) -> float:
+def _segment_rate_err(t: np.ndarray, segments: np.ndarray) -> float:
     """Standard error of the initial slope from its spread over segments.
 
     Each segment's own OLS slope on the fit window (their mean is the slope
@@ -722,14 +718,15 @@ def _segment_rate_err(t: np.ndarray, segments: np.ndarray,
     times.  NaN for a single segment."""
     if segments.shape[0] < 2:
         return math.nan
-    c = _slope_weights(t, window)
+    c = _slope_weights(t)
     slopes = segments[:, :c.size] @ c
     return float(np.std(slopes, ddof=1) / math.sqrt(slopes.size))
 
 
-def _slope_weights(t: np.ndarray, window: float) -> np.ndarray:
-    """c with c @ n[:c.size] the OLS slope of n on the records t <= window."""
-    span = t[t <= window * (1.0 + 1e-12)]
+def _slope_weights(t: np.ndarray) -> np.ndarray:
+    """c with c @ n[:c.size] the OLS slope of n on the records of the
+    initial-slope window (``_fit_window``) of the record times t."""
+    span = t[_fit_window(t)[1]]
     span = span - span.mean()
     return span / np.dot(span, span)
 
@@ -754,7 +751,7 @@ def _ensemble_result(time_off: np.ndarray, n_off: np.ndarray,
     return EnsembleResult(
         time_grid=time_off, mean_phonon=mean_phonon,
         fitted_rate=slope.slope, fitted_rate_err=slope.slope_err,
-        segment_rate_err=_segment_rate_err(time_off, segments, slope.window),
+        segment_rate_err=_segment_rate_err(time_off, segments),
         fitted_gamma_eff=math.nan if gamma_error else gamma_fit,
         omega_ref=omega_ref, n_segments=segments.shape[0],
         gamma_fit_error=gamma_error)
@@ -814,22 +811,24 @@ def measure_rate(config: SystemConfig, noise: NoiseEnv, plan: SimPlan, *,
     oracle's slope and exponential fit with the exact error of the
     ensemble's fitted gamma, and the rate law at the servo-off pole f_eff,
     which also sets n_osc = f_eff / rate_measured.  One protocol serves
-    the ensemble, the exact curve and the exact errors.  ``row`` draws a
-    scan row's streams (row 0 draws ``run_ensemble``'s)."""
+    the ensemble and the oracle, whose one walk serves the exact curve and
+    both exact errors.  ``row`` draws a scan row's streams (row 0 draws
+    ``run_ensemble``'s)."""
     mode = off_state_mode(config, noise)
     total, thermal, trap = predicted_rate(config, noise, mode)
     protocol = _protocol(config, noise, plan)
     result = _ensemble(protocol, plan, row)
-    t, n_exact = _exact_curve(protocol)
+    walk = _moments(protocol)
+    t, n_exact = protocol.time_grid, _exact_curve(protocol.model, walk[0])
     exact = fit_decoherence_rate(t, n_exact)
-    rate_var = _exact_variance(protocol, _slope_weights(t, exact.window))
+    rate_var = _exact_variance(protocol.model, walk, _slope_weights(t))
     try:
         n0, n_inf, gamma_exact = _fit_exponential(t, n_exact)
     except FitError:
         gamma_exact = gamma_var = math.nan
     else:
         gamma_var = _exact_variance(
-            protocol, _gamma_weights(t, n0, n_inf, gamma_exact))
+            protocol.model, walk, _gamma_weights(t, n0, n_inf, gamma_exact))
     # rounding can leave a zero variance (a noise-free plan) below 0; NaN
     # passes through max
     rate_err, gamma_err = (math.sqrt(max(var, 0.0) / result.n_segments)

@@ -177,16 +177,6 @@ def open_loop_gain(config: SystemConfig, omega):
     return out if out.shape else complex(out)
 
 
-def feedback_from_open_loop(config: SystemConfig, omega, loop_values):
-    """Invert a measured/synthetic open-loop gain back to chi_fb."""
-    cav = config.cavity
-    chi1, chi2, k_opt, _ = _loop(config, omega)
-    base = cav.zeta2 * np.asarray(chi2)
-    if np.any(np.abs(base) < 1e-300):
-        raise SingularResponseError("zeta2*chi2 ~ 0, cannot invert loop gain")
-    return np.asarray(loop_values) * _spring_factor(cav.zeta1, chi1, k_opt) / base
-
-
 def closed_loop_response(config: SystemConfig, omega_grid) -> ComplexResponse:
     """chi_eff evaluated on an angular-frequency grid."""
     w = np.asarray(omega_grid, dtype=float)

@@ -53,9 +53,7 @@ def record_covariance(protocol, w):
         2.0 * HBAR * model.omega_ref)
     phi = protocol.maps[model.gamma_off, protocol.stride].phi
     cov = np.zeros((w, w))
-    for label, m in _moments(protocol):
-        if label != "relaxation":
-            continue
+    for m in _moments(protocol)[0]:
         m, power = m[:w], np.eye(3)
         for d in range(w):
             k = np.arange(w - d)
@@ -82,11 +80,11 @@ def ols_error_bound(protocol, n_segments):
 
     import numpy as np
 
-    from optospring.dynamics import (_exact_curve, _slope_weights,
-                                     fit_decoherence_rate)
+    from optospring.dynamics import _exact_curve, _moments, _slope_weights
 
-    t, n = _exact_curve(protocol)
-    c = _slope_weights(t, fit_decoherence_rate(t, n).window)
+    t = protocol.time_grid
+    n = _exact_curve(protocol.model, _moments(protocol)[0])
+    c = _slope_weights(t)
     w = c.size
     cov = record_covariance(protocol, w) / n_segments
     basis, _ = np.linalg.qr(np.stack((np.ones(w), t[:w] - t[:w].mean()), 1))

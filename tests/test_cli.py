@@ -281,6 +281,29 @@ def test_retherm_plan_checked_before_the_monte_carlo(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("args, size", [
+    (["--duration", "1e308"], "100 x 1e+308 x 2022"),
+    (["--record-stride", "1", "--dt", "1e-9"], "100 x 1 x 5e+08"),
+])
+def test_retherm_oversized_plan_is_usage_error(tmp_path, capsys, monkeypatch,
+                                               args, size):
+    """A plan whose largest array would exceed MAX_PLAN_FLOATS exits 2,
+    naming its size and the budget, before any phase map is built or the
+    walk starts: 1e308 periods (which once looped building 2e308 phase
+    entries), and 5e8 records per phase."""
+    def never(*args, **kwargs):
+        raise AssertionError("the plan was built")
+
+    monkeypatch.setattr("optospring.dynamics._walk", never)
+    monkeypatch.setattr("optospring.dynamics.PhaseMap", never)
+    rc = main(["retherm", "--config", "experiment", *args,
+               "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "MAX_PLAN_FLOATS = 5.0e+07 floats" in err and size in err
+    assert "Traceback" not in err
+
+
 def test_retherm_reports_why_gamma_is_nan(tmp_path, capsys):
     """25 x 1 s at seed 1 fits a growing exponential (-0.909 rad/s):
     retherm_fit.json holds a NaN gamma, and the manifest and the summary
@@ -294,6 +317,26 @@ def test_retherm_reports_why_gamma_is_nan(tmp_path, capsys):
         "fitted_gamma_eff_error"]
     assert reason.startswith("fitted gamma = -0.9094 rad/s <= 0")
     assert f"fitted_gamma_eff = NaN: {reason}" in out
+
+
+def test_retherm_names_an_anti_damped_detuning(tmp_path, capsys):
+    """At 7e5 Hz the servo-off phase is anti-damped (gamma_off = -1.47
+    rad/s): retherm still writes its numbers, and the manifest and the
+    summary line say so; at the preset's detuning the manifest holds
+    null."""
+    config = _preset_with(tmp_path, "detuning_over_2pi_Hz", "7e5")
+    for cfg, out in ((str(config), tmp_path / "anti"),
+                     ("experiment", tmp_path / "preset")):
+        assert main(["retherm", "--config", cfg, "--n-trajectories", "2",
+                     "--seed", "4", "--out-dir", str(out)]) == 0
+    summary = capsys.readouterr().out.splitlines()
+    gamma_off = json.loads((tmp_path / "anti" / "manifest.json").read_text())[
+        "anti_damped_gamma_off"]
+    assert gamma_off == pytest.approx(-1.466, rel=1e-3, abs=0)
+    assert f"anti-damped (gamma_off = {gamma_off:.4g} rad/s <= 0)" in summary[0]
+    assert "anti-damped" not in summary[1]
+    assert json.loads((tmp_path / "preset" / "manifest.json").read_text())[
+        "anti_damped_gamma_off"] is None
 
 
 def test_retherm_deterministic_across_runs(tmp_path):
@@ -395,11 +438,18 @@ def test_manifest_records_resolved_step(tmp_path):
     assert plans[0]["dt"] != plans[1]["dt"]
 
 
-def test_scan_writes_rows(tmp_path):
+def test_scan_writes_rows(tmp_path, capsys):
+    """Both rows are written; the 7e5 Hz one, whose servo-off phase is
+    anti-damped (gamma_off = -1.47 rad/s), keeps its numbers and is named
+    in the manifest and counted in the summary line."""
     out = tmp_path / "sc"
     rc = main(["scan", "--config", "experiment", "--deltas", "7e5:1.1e6:2",
                "--n-trajectories", "4", "--seed", "5", "--out-dir", str(out)])
     assert rc == 0
+    assert "(0 failed, 1 anti-damped: gamma_off <= 0)" in capsys.readouterr().out
+    [anti] = json.loads((out / "manifest.json").read_text())["anti_damped_rows"]
+    assert anti["delta_hz"] == pytest.approx(7e5, rel=1e-12, abs=0)
+    assert anti["gamma_off"] == pytest.approx(-1.466, rel=1e-3, abs=0)
     rows = _read_csv(out / "scan.csv",
                      ["delta_Hz", "f_eff_Hz", "rate_measured",
                       "rate_predicted", "rate_err", "n_osc", "rate_exact",

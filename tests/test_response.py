@@ -22,9 +22,8 @@ from optospring.response import (ComplexResponse, _characteristic_exact,
                                  adiabatic_spring, cancellation_gain,
                                  closed_loop_response,
                                  effective_susceptibility, extract_mode,
-                                 feedback_from_open_loop, mech_susceptibility,
-                                 open_loop_gain, optical_spring,
-                                 servo_response, stability_map)
+                                 mech_susceptibility, open_loop_gain,
+                                 optical_spring, servo_response, stability_map)
 
 
 # --------------------------------------------------------------------------
@@ -252,12 +251,19 @@ def test_open_loop_carries_zeta2(experiment_config):
     assert open_loop_gain(doubled, w) == pytest.approx(2.0 * expected, rel=1e-14, abs=0)
 
 
-def test_open_loop_inversion_round_trip(experiment_config):
+def test_open_loop_gain_carries_the_spring_factor(experiment_config):
+    """On the detuned preset the loop gain is
+    zeta2*chi2*chi_fb / (1 + zeta1^2*chi1*k_opt), the spring factor written
+    out from the bare pieces."""
     w = TWO_PI * np.geomspace(5.0, 5e3, 64)
-    loop = open_loop_gain(experiment_config, w)
-    chi_fb = feedback_from_open_loop(experiment_config, w, loop)
-    target = servo_response(experiment_config.servo, w)
-    np.testing.assert_allclose(chi_fb, target, rtol=1e-12)
+    cav = experiment_config.cavity
+    assert cav.detuning != 0.0
+    spring = 1.0 + cav.zeta1**2 * mech_susceptibility(
+        experiment_config.mirror1, w) * optical_spring(cav, w)
+    expected = cav.zeta2 * mech_susceptibility(experiment_config.mirror2, w) \
+        * servo_response(experiment_config.servo, w) / spring
+    np.testing.assert_allclose(open_loop_gain(experiment_config, w), expected,
+                               rtol=1e-12)
 
 
 # --------------------------------------------------------------------------
