@@ -32,10 +32,11 @@ There is no burn-in: each trajectory starts with one step of the start
 map (Phi = 0, Q = the cooled stationary covariance) on the first three
 normals of its stream.  Within a phase the map is a linear filter, so
 ``PhaseMap.run`` advances all trajectories by up to DRAW_BLOCK // s
-strides per call (``scipy.signal.lfilter``).  Every trajectory draws from
-its own counter-based RNG stream derived from (master_seed, trajectory
-index), or (master_seed, scan row, trajectory index) past a scan's first
-row, and chunk edges depend only on the plan, so results are
+strides per call, as first-order sections on the SDE's exact poles,
+each a scaled cumulative sum (``PhaseMap._advance``).  Every trajectory
+draws from its own counter-based RNG stream derived from (master_seed,
+trajectory index), or (master_seed, scan row, trajectory index) past a
+scan's first row, and chunk edges depend only on the plan, so results are
 bit-identical no matter how trajectories are batched.  Runs at different
 strides sample the same law, not the same realisation.
 
@@ -73,8 +74,9 @@ from .tables import write_table
 
 # Steps of dt per kernel call at most (DRAW_BLOCK // record_stride whole
 # strides, three normals each); chunks are counted from each phase start,
-# never from the batch.
-DRAW_BLOCK = 2048
+# never from the batch.  A call draws each row's normals in one Philox call,
+# so longer chunks pay that call's overhead less often.
+DRAW_BLOCK = 8192
 
 # Records per phase that the default stride aims at: record_stride=None
 # resolves to max(10, steps // RECORDS_PER_PHASE) steps of dt, so the 5% fit
@@ -86,6 +88,11 @@ RECORDS_PER_PHASE = 2000
 # periods, R) phonon block or the (periods, R, 3, 3) exact moments, which
 # outgrow simulate_trajectory's 3 (2 periods - 1) R timeline.
 MAX_PLAN_FLOATS = 50_000_000
+
+# A kernel block runs at most as many map steps as keep every pole power
+# |lam|^+-k within this factor of 1, so a strongly damped map (the
+# overdamped regime) runs shorter blocks; products stay far from overflow.
+POLE_GROWTH = 1e100
 
 # Trap-noise shaping-filter corner sits this far below the trapped resonance
 # (keeps the synthesized force PSD within 5% of the 1/f^2 target from
@@ -246,6 +253,40 @@ def reduced_model(config: SystemConfig, noise: NoiseEnv) -> ReducedModel:
                         ou_force_var=ou_force_var)
 
 
+# [13/13] Pade numerator coefficients b_0 .. b_13, and the 1-norm up to
+# which that approximant of exp is exact to double rounding (Higham, SIAM
+# J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+           16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring: the [13/13] Pade approximant of
+    exp(a / 2^s), s the least with ||a / 2^s||_1 <= theta_13, squared s
+    times (Higham 2005).  It is carried as exp - I, (V - U)^-1 2U, and
+    squared as (I + E)^2 - I = 2E + E^2, so an entry of exp(a) near 1
+    is rounded once, at the end."""
+    norm = float(np.abs(a).sum(axis=0).max())
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
+    a = a / 2.0**s
+    b = _PADE13
+    eye = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    e = np.linalg.solve(v - u, 2.0 * u)
+    for _ in range(s):
+        e = 2.0 * e + e @ e
+    return eye + e
+
+
 def _factor(cov: np.ndarray) -> np.ndarray:
     """A 3x3 N with N N^T = cov for a positive semidefinite cov.
 
@@ -281,8 +322,10 @@ class PhaseMap:
     one servo phase, driven by three standard normals xi per map step.
 
     State z = (x, v, F_trap).  One step of dt has Phi1 = expm(A dt) and a
-    noise covariance Q1 from the Van Loan block exponential.  ``_repeat``
-    takes them to Phi = Phi1^s and ``cov`` = Q = sum_{k<s} Phi1^k Q1 Phi1^k^T,
+    noise covariance Q1 from the Van Loan block exponential (``_expm``),
+    taken in (x, v, F) units of about (1, omega, m omega^2), which put
+    every entry of A at the trap frequency's scale.  ``_repeat`` takes them
+    to Phi = Phi1^s and ``cov`` = Q = sum_{k<s} Phi1^k Q1 Phi1^k^T,
     factored once as N.  One map step therefore samples the exact law of
     the state s steps of dt later.  ``PhaseMap.given`` makes any other map.
     """
@@ -290,47 +333,55 @@ class PhaseMap:
     def __init__(self, mass: float, omega_sq: float, gamma: float,
                  s_f_thermal: float, ou_corner: float, ou_force_var: float,
                  dt: float, substeps: int = 1):
-        from scipy.linalg import expm
-
         a = np.array([[0.0, 1.0, 0.0],
                       [-omega_sq, -gamma, 1.0 / mass],
                       [0.0, 0.0, -ou_corner]])
         s_th = math.sqrt(s_f_thermal / 2.0) / mass       # <F F'> = (S/2) delta
         s_ou = math.sqrt(2.0 * ou_corner * ou_force_var)
-        lmat = np.diag([0.0, s_th, s_ou])
+        # the powers of two nearest (1, omega, m omega^2), so that scaling
+        # and scaling back round nothing
+        d = np.exp2(np.round(np.log2([1.0, omega_sq**0.5, mass * omega_sq])))
+        a = a * d[None, :] / d[:, None]
+        lmat = np.diag([0.0, s_th, s_ou]) / d[:, None]
         block = np.zeros((6, 6))
         block[:3, :3] = a
         block[:3, 3:] = lmat @ lmat.T
         block[3:, 3:] = -a.T
-        eb = expm(block * dt)
-        phi1 = eb[:3, :3]
-        q1 = eb[:3, 3:] @ phi1.T
+        eb = _expm(block * dt)
+        phi1 = eb[:3, :3] * d[:, None] / d[None, :]
+        q1 = eb[:3, 3:] @ eb[:3, :3].T * np.outer(d, d)
         pm = PhaseMap.given(*_repeat((phi1, 0.5 * (q1 + q1.T)), substeps))
         self.phi, self.cov, self.noise = pm.phi, pm.cov, pm.noise
-        self._sde = (a, lmat)
+        self._sde = (a, lmat, d)
+        # log poles of one map step, exact from the SDE: (x, v) at
+        # (-gamma/2 +- i omega_d) s dt, F at -ou_corner s dt
+        h = substeps * dt
+        root = np.sqrt(complex(0.25 * gamma * gamma - omega_sq))
+        self._poles = ((-0.5 * gamma + root) * h, (-0.5 * gamma - root) * h,
+                       -ou_corner * h)
+        self._lams = tuple(np.exp(c) for c in self._poles)
+        self._block = max(1, int(math.log(POLE_GROWTH) / max(
+            1e-300, *(abs(c.real) for c in self._poles))))
+        self._powers = None
 
     @classmethod
     def given(cls, phi: np.ndarray, cov: np.ndarray) -> PhaseMap:
-        """The map (``phi``, ``cov``); it has no SDE, so no ``stationary``."""
+        """The map (``phi``, ``cov``); it has no SDE, so no ``stationary``,
+        and ``run`` steps it by the plain matrix recursion."""
         pm = cls.__new__(cls)
         pm.phi, pm.cov = phi, 0.5 * (cov + cov.T)
         pm.noise = _factor(pm.cov)
+        pm._poles = None
         return pm
 
     def stationary(self) -> np.ndarray:
         """Stationary covariance of the phase's SDE: the Sigma with
-        A Sigma + Sigma A^T + L L^T = 0, solved in its 9x9 vec form.  Only
-        a damped phase has one."""
-        a, lmat = self._sde
-        # (x, v, F) in units of (1, omega, m omega^2) puts every entry of A
-        # at the trap frequency's scale
-        omega = math.sqrt(-a[1, 0])
-        d = np.array([1.0, omega, omega**2 / a[1, 2]])
-        a = a * d[None, :] / d[:, None]
-        lam = lmat / d[:, None]
+        A Sigma + Sigma A^T + L L^T = 0, solved in its 9x9 vec form in the
+        scaled units.  Only a damped phase has one."""
+        a, lmat, d = self._sde
         eye = np.eye(3)
         sigma = np.linalg.solve(np.kron(eye, a) + np.kron(a, eye),
-                                -(lam @ lam.T).ravel()).reshape(3, 3)
+                                -(lmat @ lmat.T).ravel()).reshape(3, 3)
         return 0.5 * (sigma + sigma.T) * np.outer(d, d)
 
     def run(self, z: tuple, steps: int, xi: np.ndarray) -> tuple:
@@ -338,39 +389,95 @@ class PhaseMap:
         the map (each one of ``substeps`` steps of dt).
 
         ``xi`` holds the (B, steps, 3) standard normals of the steps.
-        Returns (B, steps) arrays of x, v and F after each step.  The force
-        row of Phi is (0, 0, Phi[2, 2]), so F is a first-order recursion;
-        (x, v) is a second-order section with denominator [1, -tr, det] of
-        Phi[:2, :2], driven by Phi[:2, 2]*F plus the noise.  The noise
-        product is one einsum (its own loops,
-        no BLAS) and every other operation is elementwise with a fixed
-        association order; lfilter runs each row on its own, so a
-        trajectory's numbers do not depend on the batch.
+        Returns (B, steps) arrays of x, v and F after each step.  Every
+        operation is elementwise, in a fixed order, or a cumulative sum
+        along the steps, so a trajectory's numbers do not depend on the
+        batch.  A map of an SDE runs its steps in blocks (``_advance``) of
+        at most ``_block`` steps; a given map steps one at a time.
         """
-        from scipy.signal import lfilter
+        w = [n0 * xi[..., 0] + n1 * xi[..., 1] + n2 * xi[..., 2]
+             for n0, n1, n2 in self.noise]
+        out = np.empty((3,) + w[0].shape)
+        z = list(z)
+        block = steps if self._poles is None else self._block
+        for k in range(0, steps, block):
+            m = min(block, steps - k)
+            wk = [wi[:, k:k + m] for wi in w]
+            if self._poles is None:
+                for j in range(m):
+                    z = out[:, :, k + j] = [
+                        pi[0] * z[0] + pi[1] * z[1] + pi[2] * z[2] + wi[:, j]
+                        for pi, wi in zip(self.phi, wk)]
+            else:
+                self._advance(z, wk, out[:, :, k:k + m])
+                z = out[:, :, k + m - 1]
+        return out[0], out[1], out[2]
 
-        p = self.phi
-        x0, v0, f0 = z
-        b = x0.shape[0]
-        w = np.einsum("ij,bkj->ibk", self.noise, xi)
-        f = lfilter([1.0], [1.0, -p[2, 2]], w[2], zi=(p[2, 2] * f0)[:, None])[0]
-        f_before = np.empty((b, steps))
-        f_before[:, 0], f_before[:, 1:] = f0, f[:, :-1]
-        u0 = p[0, 2] * f_before + w[0]
-        u1 = p[1, 2] * f_before + w[1]
-        # s[k+1] = tr*s[k] - det*s[k-1] + u[k] + (P - tr*I) u[k-1] by
-        # Cayley-Hamilton; zi starts the section at s[0] with u[-1] = 0
-        g = np.empty((2, b, steps))
-        g[0, :, 0], g[1, :, 0] = u0[:, 0], u1[:, 0]
-        g[0, :, 1:] = u0[:, 1:] - p[1, 1] * u0[:, :-1] + p[0, 1] * u1[:, :-1]
-        g[1, :, 1:] = u1[:, 1:] + p[1, 0] * u0[:, :-1] - p[0, 0] * u1[:, :-1]
-        det = p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]
-        zi = np.empty((2, b, 2))
-        zi[0, :, 0] = p[0, 0] * x0 + p[0, 1] * v0
-        zi[1, :, 0] = p[1, 0] * x0 + p[1, 1] * v0
-        zi[0, :, 1], zi[1, :, 1] = -det * x0, -det * v0
-        xv = lfilter([1.0], [1.0, -(p[0, 0] + p[1, 1]), det], g, zi=zi)[0]
-        return xv[0], xv[1], f
+    def _advance(self, z, w: list, out: np.ndarray):
+        """``out[:, :, k]`` = the state after step k of a block of m steps,
+        from the state z, driven by the (B, m) noise terms w.
+
+        A first-order section y_k = lam y_{k-1} + g_k is
+        y_k = lam^k (lam y_{-1} + sum_{j<=k} lam^-j g_j): a scaled cumsum.
+        F is one such section with its real pole.  With u_k = Phi[:2, 2]
+        F_{k-1} + w_k, (x, v) follows s_{k+1} = P s_k + u_k, P = Phi[:2, :2]
+        with poles lam1, lam2.  By Cayley-Hamilton, r_k = s_{k+1} - lam1 s_k
+        is the section r_k = lam2 r_{k-1} + u_k + (P - (lam1 + lam2)) u_{k-1}
+        from r_0 = (P - lam1) s_0 + u_0, and s the section
+        s_{k+1} = lam1 s_k + r_k: a cascade of two first-order sections,
+        with no eigenvectors, so critical damping is no special case."""
+        m = w[0].shape[-1]
+        (p00, p01, pf0), (p10, p11, pf1) = self.phi[:2].tolist()
+        lam1, lam2, lam_f = self._lams
+        pos_f, neg_f, neg2, ratio, pos1 = self._pole_powers(m)
+        f = out[2]
+        np.multiply(w[2], neg_f, out=f)
+        f[:, 0] += lam_f * z[2]
+        np.cumsum(f, axis=-1, out=f)
+        f *= pos_f
+        f_before = np.empty_like(f)
+        f_before[:, 0], f_before[:, 1:] = z[2], f[:, :-1]
+        u0 = pf0 * f_before + w[0]
+        u1 = pf1 * f_before + w[1]
+        tr = (lam1 + lam2).real
+        g = np.empty((2,) + f.shape)
+        g[:, :, 0] = u0[:, 0], u1[:, 0]
+        g[0, :, 1:] = u0[:, 1:] + (p00 - tr) * u0[:, :-1] + p01 * u1[:, :-1]
+        g[1, :, 1:] = u1[:, 1:] + p10 * u0[:, :-1] + (p11 - tr) * u1[:, :-1]
+        r = g * neg2
+        r[0, :, 0] += (p00 - lam1) * z[0] + p01 * z[1]
+        r[1, :, 0] += p10 * z[0] + (p11 - lam1) * z[1]
+        np.cumsum(r, axis=-1, out=r)
+        r *= ratio
+        r[:, :, 0] += z[:2]
+        np.cumsum(r, axis=-1, out=r)
+        r *= pos1
+        out[:2] = r.real
+
+    def _pole_powers(self, m: int) -> tuple:
+        """Powers of the poles over a block of m steps, cached per map:
+        lamF^k, lamF^-k, lam2^-k, lam2^k lam1^-(k+1) and lam1^(k+1), k < m,
+        each within a few roundings of exact (``_exp_multiples``)."""
+        if self._powers is None or self._powers[0].size < m:
+            c1, c2, cf = self._poles
+            k = np.arange(m)
+            lam1 = _exp_multiples(c1, np.arange(-m, m + 1))
+            self._powers = (_exp_multiples(cf, k).real,
+                            _exp_multiples(-cf, k).real,
+                            _exp_multiples(-c2, k),
+                            _exp_multiples(c2, k) * lam1[m - 1::-1],
+                            lam1[m + 1:])
+        return tuple(a[:m] for a in self._powers)
+
+
+def _exp_multiples(c, k: np.ndarray) -> np.ndarray:
+    """exp(k c) for the integers k, with no rounding of k c: c splits into a
+    float32 head, whose multiples k (|k| < 2^29) are exact in float64, and
+    an exact tail, whose multiples are too small for their rounding to
+    show.  A kernel block spans hundreds of radians, where rounding k c
+    would shift each power's phase by ~1e-13."""
+    head = complex(np.complex64(c))
+    return np.exp(k * head) * np.exp(k * (c - head))
 
 
 def _trajectory_generators(master_seed: int, indices,
@@ -405,31 +512,22 @@ def _protocol(config: SystemConfig, noise: NoiseEnv, plan: SimPlan) -> _Protocol
     """The plan's checked protocol: from the first switch-off, a relaxation
     phase per switch period with a re-cooling phase between each two, each
     phase ``steps`` steps of dt: R - 1 whole strides, then the remainder
-    step to the phase end.  A plan over MAX_PLAN_FLOATS is refused first."""
+    step to the phase end.  A plan over MAX_PLAN_FLOATS is refused before
+    any map is built."""
     model = reduced_model(config, noise)
     dt = plan.resolve_dt(model.omega_ref)
     if dt * model.omega_ref >= 0.1:
         raise ValidationError("dt * omega_eff < 0.1", "dt", dt)
-    period = 1.0 / config.servo.switch_frequency
-    if plan.duration < period * (1.0 - 1e-9):
-        raise ValidationError("duration covers >= 1 full switch period",
-                              "duration", plan.duration)
-    if model.gamma_on <= 0:
-        raise InstabilityError(
-            f"cooled phase is not damped (gamma_on = {model.gamma_on:.4g} rad/s); "
-            "cannot prepare the initial state")
     steps = max(1, int(round(0.5 / config.servo.switch_frequency / dt)))
     stride = plan.record_stride
     if stride is None:
         stride = max(10, steps // RECORDS_PER_PHASE)
-    periods = max(1, int(round(plan.duration / period)))
     n_rec = (steps + stride - 1) // stride
-    shape = (max(plan.n_trajectories, 9), periods, n_rec)
-    if math.prod(shape) > MAX_PLAN_FLOATS:
-        raise ValidationError(
-            f"largest plan array <= MAX_PLAN_FLOATS = {MAX_PLAN_FLOATS:.1e} floats",
-            "max(n_trajectories, 9) x periods x records per phase",
-            " x ".join(f"{n:.4g}" for n in shape))
+    periods = _plan_periods(plan, config, n_rec)
+    if model.gamma_on <= 0:
+        raise InstabilityError(
+            f"cooled phase is not damped (gamma_on = {model.gamma_on:.4g} rad/s); "
+            "cannot prepare the initial state")
     last = steps - (n_rec - 1) * stride
     phases, t0 = [], 0.0
     for p in range(2 * periods - 1):
@@ -455,6 +553,26 @@ def _protocol(config: SystemConfig, noise: NoiseEnv, plan: SimPlan) -> _Protocol
                      start=PhaseMap.given(np.zeros((3, 3)), on.stationary()),
                      maps=maps, jump=jump, x_bound=x_bound,
                      time_grid=dt * stride * np.arange(n_rec))
+
+
+def _plan_periods(plan: SimPlan, config: SystemConfig, n_rec: int = 1) -> int:
+    """The plan's switch periods, after refusing a plan that covers less
+    than one, or whose largest array, max(n_trajectories, 9) x periods x
+    n_rec floats, would exceed MAX_PLAN_FLOATS.  Neither depends on the
+    detuning, and every phase keeps n_rec >= 1 records, so n_rec = 1 checks
+    a plan for every detuning of a scan."""
+    period = 1.0 / config.servo.switch_frequency
+    if plan.duration < period * (1.0 - 1e-9):
+        raise ValidationError("duration covers >= 1 full switch period",
+                              "duration", plan.duration)
+    periods = plan.duration / period
+    shape = (max(plan.n_trajectories, 9), periods, n_rec)
+    if not math.prod(shape) <= MAX_PLAN_FLOATS:  # a period count of inf too
+        raise ValidationError(
+            f"largest plan array <= MAX_PLAN_FLOATS = {MAX_PLAN_FLOATS:.1e} floats",
+            "max(n_trajectories, 9) x periods x records per phase",
+            " x ".join(f"{n:.4g}" for n in shape))
+    return max(1, int(round(periods)))
 
 
 def _phonon(model: ReducedModel, x, v):
@@ -849,7 +967,9 @@ def detuning_scan(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
                   delta_values) -> list[RateMeasurement]:
     """``measure_rate`` per detuning, row k on its own streams (row 0 on
     ``run_ensemble``'s); toolkit and numerical failures are recorded per row
-    and the scan continues."""
+    and the scan continues.  A plan over MAX_PLAN_FLOATS is refused before
+    the first row."""
+    _plan_periods(plan, config)
     rows = []
     for row, delta in enumerate(np.atleast_1d(np.asarray(delta_values,
                                                          dtype=float))):

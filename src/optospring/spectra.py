@@ -95,7 +95,10 @@ def build_frequency_grid(n_base: int = 4096,
         wings = np.geomspace(10 * w, u_max, 240)
         pieces += [core, f_peak + wings, f_peak - wings]
     grid = np.concatenate(pieces)
-    return np.unique(grid[(grid >= GRID_F_MIN) & (grid <= GRID_F_MAX)])
+    # sorted, repeats dropped: np.unique's result, without its import of
+    # numpy.ma
+    grid = np.sort(grid[(grid >= GRID_F_MIN) & (grid <= GRID_F_MAX)])
+    return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
 
 def thermal_spectrum(temperature: float, mirror: MirrorParams,
@@ -160,20 +163,27 @@ def voltage_to_displacement(s_v: Spectrum, config: SystemConfig,
 
 def welch_psd(series, dt: float, segment_length: int | None = None,
               kind: str = "displacement") -> Spectrum:
-    """One-sided Welch estimate (Hann window, half-overlapping segments,
-    mean removed per segment)."""
-    from scipy.signal import welch
-
+    """One-sided Welch estimate (Welch, IEEE Trans. Audio Electroacoust. 15,
+    70 (1967)): the mean of the periodograms of half-overlapping segments,
+    each with its mean removed and a periodic Hann window applied, scaled to
+    a density (|X|^2 dt / sum w^2, doubled off the DC and Nyquist bins)."""
     x = np.asarray(series, dtype=float)
     if segment_length is None:
         segment_length = max(256, x.size // 8)
-    if x.size < 2 * segment_length:
+    n = segment_length
+    if x.size < 2 * n:
         raise InsufficientDataError(
-            f"need at least 2 segments of {segment_length}, got {x.size} samples")
-    f, p = welch(x, fs=1.0 / dt, window="hann", nperseg=segment_length,
-                 noverlap=segment_length // 2, detrend="constant")
+            f"need at least 2 segments of {n}, got {x.size} samples")
+    step = n - n // 2
+    segments = np.lib.stride_tricks.sliding_window_view(x, n)[::step]
+    window = 0.5 - 0.5 * np.cos(TWO_PI * np.arange(n) / n)
+    spectra = np.fft.rfft((segments - segments.mean(axis=1, keepdims=True))
+                          * window, axis=1)
+    p = (spectra.real**2 + spectra.imag**2).mean(axis=0) * (
+        dt / np.dot(window, window))
+    p[1:(n + 1) // 2] *= 2.0
     # drop the DC bin so the grid stays strictly positive / log-plottable
-    return Spectrum(grid=f[1:], values=p[1:], kind=kind)
+    return Spectrum(grid=np.fft.rfftfreq(n, dt)[1:], values=p[1:], kind=kind)
 
 
 def _lorentzian_basis(f):

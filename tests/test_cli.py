@@ -304,6 +304,22 @@ def test_retherm_oversized_plan_is_usage_error(tmp_path, capsys, monkeypatch,
     assert "Traceback" not in err
 
 
+def test_scan_oversized_plan_is_usage_error(tmp_path, capsys, monkeypatch):
+    """A scan whose plan exceeds MAX_PLAN_FLOATS at every detuning exits 2
+    before its first row, as retherm does, and writes no table."""
+    def never(*args, **kwargs):
+        raise AssertionError("a row was measured")
+
+    monkeypatch.setattr("optospring.dynamics.measure_rate", never)
+    rc = main(["scan", "--config", "experiment", "--deltas", "9e5:1e6:2",
+               "--duration", "1e308", "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "MAX_PLAN_FLOATS = 5.0e+07 floats" in err and "100 x 1e+308 x 1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "scan.csv").exists()
+
+
 def test_retherm_reports_why_gamma_is_nan(tmp_path, capsys):
     """25 x 1 s at seed 1 fits a growing exponential (-0.909 rad/s):
     retherm_fit.json holds a NaN gamma, and the manifest and the summary

@@ -82,6 +82,51 @@ def _regime_overrides(model, regime):
     }[regime]
 
 
+def _van_loan(e):
+    """(Phi, Q = G Phi^T) from the exponential e = [[Phi, G], [0, *]] of a
+    Van Loan block; e may hold mpmath numbers."""
+    phi = e[:3, :3]
+    return phi, e[:3, 3:] @ phi.T
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_van_loan_exponential_matches_mpmath(experiment_config, regime):
+    """The regime's one-step Van Loan block [[A, L L^T], [0, -A^T]] dt, in
+    the (x, v, F) units (1, omega, m omega^2) (PhaseMap uses the nearest
+    powers of two): Phi and Q from ``dynamics._expm`` (numpy Pade 13,
+    scaling and squaring) and from scipy's expm against a 50-digit mpmath
+    expm, and PhaseMap's own one-step (Phi, Q), scaled back, against the
+    same.  Phi to 1e-14 in the scaled units, each Q entry to 1e-14 of
+    sqrt(Q_ii Q_jj) (``_expm`` of the unscaled block misses this by up to
+    5e-11)."""
+    mpmath = pytest.importorskip("mpmath")
+    from scipy.linalg import expm
+
+    model = reduced_model(experiment_config, experiment_config.noise)
+    dt = 1.0 / (200.0 * model.omega_ref / TWO_PI)
+    over = _regime_overrides(model, regime)
+    p = {"gamma": model.gamma_off, "s_f_thermal": model.s_f_thermal,
+         "ou_force_var": model.ou_force_var, **over}
+    a, _, d = _drift_and_diffusion(model, p["gamma"])
+    ll = np.diag([0.0, p["s_f_thermal"] / 2.0 / model.mass**2,
+                  2.0 * model.ou_corner * p["ou_force_var"]])
+    block = np.zeros((6, 6))
+    block[:3, :3], block[:3, 3:], block[3:, 3:] = a, ll, -a.T
+    t = np.concatenate((d, 1.0 / d))
+    scaled = block * dt * t[None, :] / t[:, None]
+    with mpmath.workdps(50):
+        e = np.array(mpmath.expm(mpmath.matrix(scaled.tolist())).tolist(),
+                     dtype=object)
+        phi_mp, q_mp = (m.astype(float) for m in _van_loan(e))
+    scale = np.sqrt(np.outer(np.diag(q_mp), np.diag(q_mp)))
+    pm = _phase_map(model, dt, **over)
+    unscale = d[:, None] / d[None, :]
+    for phi, q in (_van_loan(dynamics._expm(scaled)), _van_loan(expm(scaled)),
+                   (pm.phi / unscale, pm.cov / np.outer(d, d))):
+        assert np.max(np.abs(phi - phi_mp)) <= 1e-14
+        assert np.all(np.abs(q - q_mp) <= 1e-14 * scale)
+
+
 @pytest.mark.parametrize("b", [1, 5])
 @pytest.mark.parametrize("regime", REGIMES)
 def test_kernel_matches_step_by_step_map(experiment_config, regime, b):
@@ -95,6 +140,8 @@ def test_kernel_matches_step_by_step_map(experiment_config, regime, b):
         assert omega / model.gamma_on == pytest.approx(1.1, abs=0.1)
     if regime == "off":
         assert omega / model.gamma_off > 5e3
+    if regime == "overdamped":  # the kernel splits a chunk into blocks
+        assert pm._block < dynamics.DRAW_BLOCK
     rng = np.random.Generator(np.random.Philox(11))
     x_rms = math.sqrt(K_B * 300.0 / (model.mass * model.omega_trap_sq))
     scales = (x_rms, omega * x_rms, math.sqrt(model.ou_force_var))
@@ -295,7 +342,8 @@ def test_recooling_jump_is_the_composed_phase_map(experiment_config, case):
     re-cooling, against the one the exact oracle's stride-by-stride walk
     reaches at the end of re-cooling.  Each entry to 1e-12 of
     sqrt(Q_ii Q_jj) (the Sigma_inf form misses this by 1.6e-12 in the
-    weak case)."""
+    weak case).  The factor N_S N_S^T rebuilds Q_S to eigh's backward
+    error, 10 n eps lambda_max per entry."""
     config, plan = _jump_cases(experiment_config)[case]
     protocol = dynamics._protocol(config, config.noise, plan)
     model, n_rec = protocol.model, protocol.n_rec
@@ -316,9 +364,16 @@ def test_recooling_jump_is_the_composed_phase_map(experiment_config, case):
     assert np.max(np.abs((phi_s - phi) * scaled)) <= 1e-12 * np.max(
         np.abs(phi * scaled))
     np.testing.assert_array_equal(q_s, q_s.T)
-    # eigh rebuilds Q_S to rounding of its largest eigenvalue, which is
-    # ~1e-11 of the smallest diagonal entry's scale in the weak case
-    _assert_covariance_close(root @ root.T, q_s, 1e-10)
+    # eigh is backward stable: its V, L rebuild Q_S + E with |E_ij| <=
+    # ||E||_2 <= p(n) eps lambda_max, p(n) a modest function of n, and
+    # forming N = V sqrt(L) and N N^T adds ~3 eps lambda_max.  So the gate
+    # is absolute, 10 n eps lambda_max (n = 3): over three times the
+    # largest residual seen on the maps of the six kernel test regimes at
+    # strides 1 to 1,000 (8.4 eps lambda_max).  Scaled by sqrt(Q_ii Q_jj)
+    # instead it would sit at eps lambda_max / min Q_ii, 2.5e-10 in the
+    # weak case, below which rounding alone decides.
+    floor = 10 * 3 * np.finfo(float).eps * np.linalg.eigvalsh(q_s).max()
+    assert np.max(np.abs(root @ root.T - q_s)) <= floor
 
     moments, _ = dynamics._moments(protocol)
     assert [label for _, label, _ in protocol.phases][:3] == [
@@ -1205,6 +1260,40 @@ def test_plan_validation(experiment_config):
     with pytest.raises(ValidationError, match="switch period"):
         run_ensemble(experiment_config, experiment_config.noise,
                      SimPlan(duration=0.3, n_trajectories=1, master_seed=1))
+
+
+def test_plan_whose_period_count_overflows_is_refused(experiment_config,
+                                                      monkeypatch):
+    """duration / period overflows a float at 1e307 s and a 100 Hz switch:
+    the plan is refused as over MAX_PLAN_FLOATS before any map is built,
+    not ended by an OverflowError."""
+    def never(*args, **kwargs):
+        raise AssertionError("a phase map was built")
+
+    monkeypatch.setattr(dynamics, "PhaseMap", never)
+    cfg = _switch_config(experiment_config, 100.0)
+    with pytest.raises(ValidationError, match="MAX_PLAN_FLOATS") as err:
+        run_ensemble(cfg, cfg.noise, SimPlan(duration=1e307, n_trajectories=1,
+                                             master_seed=1))
+    assert "9 x inf x " in str(err.value)
+
+
+def test_scan_refuses_an_oversized_plan_before_any_row(experiment_config,
+                                                       monkeypatch):
+    """The period count does not depend on the detuning, so a plan over
+    MAX_PLAN_FLOATS at every detuning is refused once, not per row."""
+    def never(*args, **kwargs):
+        raise AssertionError("a row was measured")
+
+    monkeypatch.setattr(dynamics, "measure_rate", never)
+    with pytest.raises(ValidationError, match="MAX_PLAN_FLOATS"):
+        detuning_scan(experiment_config, experiment_config.noise,
+                      SimPlan(duration=1e308, n_trajectories=2, master_seed=1),
+                      TWO_PI * np.array([9e5, 1e6]))
+    with pytest.raises(ValidationError, match="switch period"):
+        detuning_scan(experiment_config, experiment_config.noise,
+                      SimPlan(duration=0.3, n_trajectories=2, master_seed=1),
+                      TWO_PI * np.array([9e5, 1e6]))
 
 
 @pytest.mark.parametrize("field", ["duration", "dt"])

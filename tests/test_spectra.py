@@ -180,6 +180,30 @@ def test_welch_white_noise_level_and_variance():
     assert s.variance() == pytest.approx(x.var(), rel=0.02, abs=0)
 
 
+@pytest.mark.parametrize("segment_length", [8192, 4097])
+def test_welch_matches_scipy_on_a_trajectory(experiment_config, segment_length):
+    """The numpy Welch estimate against scipy.signal.welch (periodic Hann,
+    half overlap, constant detrend, density scaling) on one stride-1
+    relaxation phase of the experiment preset, ~95,000 samples; an odd
+    segment has no Nyquist bin.  The grid to 1e-15, and each value to
+    1e-13 of sqrt(P_k max P): the FFT rounds to the scale of the whole
+    segment, so a bin 1e13 below the peak carries ~1e-11 of itself."""
+    from scipy.signal import welch
+
+    from optospring.dynamics import SimPlan, simulate_trajectory
+
+    plan = SimPlan(duration=1.0, n_trajectories=1, master_seed=5,
+                   record_stride=1)
+    t, x, _, _ = simulate_trajectory(experiment_config,
+                                     experiment_config.noise, plan, 0)
+    dt = float(t[1] - t[0])
+    s = welch_psd(x, dt, segment_length=segment_length)
+    f, p = welch(x, fs=1.0 / dt, window="hann", nperseg=segment_length,
+                 noverlap=segment_length // 2, detrend="constant")
+    np.testing.assert_allclose(s.grid, f[1:], rtol=1e-15, atol=0.0)
+    assert np.all(np.abs(s.values - p[1:]) <= 1e-13 * np.sqrt(p[1:] * p.max()))
+
+
 def test_welch_needs_two_segments():
     with pytest.raises(InsufficientDataError):
         welch_psd(np.zeros(1000), 1e-3, segment_length=800)
