@@ -241,7 +241,6 @@ def cmd_retherm(args) -> int:
     fit_path.write_text(json.dumps({
         "fitted_rate": m.rate_measured,
         "fitted_rate_err": m.rate_ols_err,
-        "segment_rate_err": m.rate_segment_err,
         "exact_rate": m.rate_exact,
         "rate_exact_err": m.rate_exact_err,
         "fitted_gamma_eff": m.ensemble.fitted_gamma_eff,
@@ -266,8 +265,8 @@ def cmd_retherm(args) -> int:
     anti = (f", anti-damped (gamma_off = {gamma_off:.4g} rad/s <= 0)"
             if gamma_off <= 0 else "")
     print(f"retherm: rate = {m.rate_measured:.4g} +- "
-          f"{m.rate_segment_err:.2g} /s (exact {m.rate_exact:.4g} +- "
-          f"{m.rate_exact_err:.2g}, predicted {m.rate_predicted:.4g}), "
+          f"{m.rate_exact_err:.2g} /s (exact {m.rate_exact:.4g}, "
+          f"predicted {m.rate_predicted:.4g}), "
           f"{gamma} (exact {m.gamma_exact:.4g} +- {m.gamma_exact_err:.2g} "
           f"rad/s){anti} -> {csv_path}")
     return 0

@@ -52,8 +52,9 @@ once, stride by stride, with the state's second moment, M <- Phi M Phi^T
 ``_exact_variance`` (Isserlis' theorem, one FFT correlation), the exact
 variance of any linear functional of a segment's records, which gives
 the initial slope and the fitted gamma their exact errors.
-``measure_rate`` fits both curves, gives both fits their exact errors and
-sets them beside the rate law at the servo-off pole.
+``measure_rate`` fits both curves, gives both fits their exact errors (the
+OLS error stays beside them as the naive one) and sets them beside the
+rate law at the servo-off pole.
 """
 
 from __future__ import annotations
@@ -151,7 +152,6 @@ class EnsembleResult:
     mean_phonon: np.ndarray        # <n(t)> over all segments
     fitted_rate: float             # phonons/s, initial-slope fit
     fitted_rate_err: float         # OLS standard error of the mean curve's fit
-    segment_rate_err: float        # spread of per-segment slopes / sqrt(n)
     fitted_gamma_eff: float        # rad/s, from the exponential fit
     omega_ref: float               # rad/s, servo-off trapped frequency
     n_segments: int
@@ -176,7 +176,6 @@ class RateMeasurement:
     omega_eff: float = math.nan       # rad/s, servo-off pole
     rate_measured: float = math.nan   # ensemble initial slope
     rate_ols_err: float = math.nan    # its OLS standard error
-    rate_segment_err: float = math.nan  # its error from the segment spread
     rate_exact: float = math.nan      # initial slope of exact_mean_phonon
     rate_exact_err: float = math.nan  # exact SD of rate_measured
     gamma_exact: float = math.nan     # rad/s, exponential fit of exact_mean_phonon
@@ -556,23 +555,25 @@ def _protocol(config: SystemConfig, noise: NoiseEnv, plan: SimPlan) -> _Protocol
 
 
 def _plan_periods(plan: SimPlan, config: SystemConfig, n_rec: int = 1) -> int:
-    """The plan's switch periods, after refusing a plan that covers less
-    than one, or whose largest array, max(n_trajectories, 9) x periods x
-    n_rec floats, would exceed MAX_PLAN_FLOATS.  Neither depends on the
-    detuning, and every phase keeps n_rec >= 1 records, so n_rec = 1 checks
-    a plan for every detuning of a scan."""
+    """The plan's switch periods, rounded, after refusing a plan that
+    covers less than one, or whose largest array, max(n_trajectories, 9) x
+    periods x n_rec floats, would exceed MAX_PLAN_FLOATS.  Neither depends
+    on the detuning, and every phase keeps n_rec >= 1 records, so n_rec = 1
+    checks a plan for every detuning of a scan."""
     period = 1.0 / config.servo.switch_frequency
     if plan.duration < period * (1.0 - 1e-9):
         raise ValidationError("duration covers >= 1 full switch period",
                               "duration", plan.duration)
     periods = plan.duration / period
+    if periods < math.inf:  # an overflowed count is refused below
+        periods = max(1, round(periods))
     shape = (max(plan.n_trajectories, 9), periods, n_rec)
-    if not math.prod(shape) <= MAX_PLAN_FLOATS:  # a period count of inf too
+    if not math.prod(shape) <= MAX_PLAN_FLOATS:
         raise ValidationError(
             f"largest plan array <= MAX_PLAN_FLOATS = {MAX_PLAN_FLOATS:.1e} floats",
             "max(n_trajectories, 9) x periods x records per phase",
             " x ".join(f"{n:.4g}" for n in shape))
-    return max(1, int(round(periods)))
+    return periods
 
 
 def _phonon(model: ReducedModel, x, v):
@@ -826,21 +827,6 @@ def _fit_exponential(t: np.ndarray, n: np.ndarray) -> tuple[float, float, float]
     return float(n_inf + amp), float(n_inf), float(gamma)
 
 
-def _segment_rate_err(t: np.ndarray, segments: np.ndarray) -> float:
-    """Standard error of the initial slope from its spread over segments.
-
-    Each segment's own OLS slope on the fit window (their mean is the slope
-    of the mean curve) counts as one sample.  Segments are independent:
-    trajectories draw from their own streams, and each re-cooling phase
-    lasts thousands of cooled damping times and trap-noise correlation
-    times.  NaN for a single segment."""
-    if segments.shape[0] < 2:
-        return math.nan
-    c = _slope_weights(t)
-    slopes = segments[:, :c.size] @ c
-    return float(np.std(slopes, ddof=1) / math.sqrt(slopes.size))
-
-
 def _slope_weights(t: np.ndarray) -> np.ndarray:
     """c with c @ n[:c.size] the OLS slope of n on the records of the
     initial-slope window (``_fit_window``) of the record times t."""
@@ -869,7 +855,6 @@ def _ensemble_result(time_off: np.ndarray, n_off: np.ndarray,
     return EnsembleResult(
         time_grid=time_off, mean_phonon=mean_phonon,
         fitted_rate=slope.slope, fitted_rate_err=slope.slope_err,
-        segment_rate_err=_segment_rate_err(time_off, segments),
         fitted_gamma_eff=math.nan if gamma_error else gamma_fit,
         omega_ref=omega_ref, n_segments=segments.shape[0],
         gamma_fit_error=gamma_error)
@@ -884,7 +869,9 @@ def run_ensemble(config: SystemConfig, noise: NoiseEnv,
     (n_trajectories=1, duration of many periods) and a fresh-start ensemble
     are both available.  Each trajectory's numbers are independent of the
     batch it runs in, so any split of the indices reassembles to the same
-    result.  A plan that leaves fewer than 10 records in the initial-slope
+    result.  ``fitted_rate_err`` is the naive OLS error of the mean curve,
+    blind to the records' correlation; ``measure_rate`` adds the exact
+    error.  A plan that leaves fewer than 10 records in the initial-slope
     window is refused before the Monte Carlo runs.
     """
     return _ensemble(_protocol(config, noise, plan), plan)
@@ -925,12 +912,12 @@ def off_state_mode(config: SystemConfig, noise: NoiseEnv) -> EffectiveMode:
 def measure_rate(config: SystemConfig, noise: NoiseEnv, plan: SimPlan, *,
                  row: int = 0) -> RateMeasurement:
     """Measure the rethermalization rate and predict it: the ensemble's
-    initial slope with its OLS, segment and exact errors, the exact
-    oracle's slope and exponential fit with the exact error of the
-    ensemble's fitted gamma, and the rate law at the servo-off pole f_eff,
-    which also sets n_osc = f_eff / rate_measured.  One protocol serves
-    the ensemble and the oracle, whose one walk serves the exact curve and
-    both exact errors.  ``row`` draws a scan row's streams (row 0 draws
+    initial slope with its OLS and exact errors, the exact oracle's slope
+    and exponential fit with the exact error of the ensemble's fitted
+    gamma, and the rate law at the servo-off pole f_eff, which also sets
+    n_osc = f_eff / rate_measured.  One protocol serves the ensemble and
+    the oracle, whose one walk serves the exact curve and both exact
+    errors.  ``row`` draws a scan row's streams (row 0 draws
     ``run_ensemble``'s)."""
     mode = off_state_mode(config, noise)
     total, thermal, trap = predicted_rate(config, noise, mode)
@@ -955,9 +942,8 @@ def measure_rate(config: SystemConfig, noise: NoiseEnv, plan: SimPlan, *,
     return RateMeasurement(
         delta=config.cavity.detuning, omega_eff=mode.omega_eff,
         rate_measured=rate, rate_ols_err=result.fitted_rate_err,
-        rate_segment_err=result.segment_rate_err, rate_exact=exact.slope,
-        rate_exact_err=rate_err, gamma_exact=gamma_exact,
-        gamma_exact_err=gamma_err,
+        rate_exact=exact.slope, rate_exact_err=rate_err,
+        gamma_exact=gamma_exact, gamma_exact_err=gamma_err,
         rate_predicted=total, rate_thermal=thermal, rate_trap=trap,
         n_osc=mode.omega_eff / (TWO_PI * rate) if rate > 0 else math.inf,
         dt=protocol.dt, record_stride=protocol.stride, ensemble=result)
@@ -996,16 +982,16 @@ def write_ensemble_csv(path, result: EnsembleResult, comment: str = ""):
 
 
 def write_scan_csv(path, rows: list[RateMeasurement], comment: str = ""):
-    """Columns: delta_Hz, f_eff_Hz, rate_measured, rate_predicted, rate_err
-    (the segment error), n_osc, rate_exact, rate_exact_err, gamma_measured,
-    gamma_exact, gamma_exact_err."""
+    """Columns: delta_Hz, f_eff_Hz, rate_measured, rate_predicted, n_osc,
+    rate_exact, rate_exact_err, gamma_measured, gamma_exact,
+    gamma_exact_err."""
     write_table(path, ("delta_Hz", "f_eff_Hz", "rate_measured",
-                       "rate_predicted", "rate_err", "n_osc", "rate_exact",
+                       "rate_predicted", "n_osc", "rate_exact",
                        "rate_exact_err", "gamma_measured", "gamma_exact",
                        "gamma_exact_err"),
                 zip(*((r.delta / TWO_PI, r.omega_eff / TWO_PI, r.rate_measured,
-                       r.rate_predicted, r.rate_segment_err, r.n_osc,
-                       r.rate_exact, r.rate_exact_err,
+                       r.rate_predicted, r.n_osc, r.rate_exact,
+                       r.rate_exact_err,
                        r.ensemble.fitted_gamma_eff if r.ensemble else math.nan,
                        r.gamma_exact, r.gamma_exact_err) for r in rows)),
                 (comment,))

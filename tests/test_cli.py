@@ -284,13 +284,15 @@ def test_retherm_plan_checked_before_the_monte_carlo(tmp_path, capsys,
 @pytest.mark.parametrize("args, size", [
     (["--duration", "1e308"], "100 x 1e+308 x 2022"),
     (["--record-stride", "1", "--dt", "1e-9"], "100 x 1 x 5e+08"),
+    (["--duration", "1.5", "--n-trajectories", "16485"], "1.648e+04 x 2 x 2022"),
 ])
 def test_retherm_oversized_plan_is_usage_error(tmp_path, capsys, monkeypatch,
                                                args, size):
     """A plan whose largest array would exceed MAX_PLAN_FLOATS exits 2,
     naming its size and the budget, before any phase map is built or the
     walk starts: 1e308 periods (which once looped building 2e308 phase
-    entries), and 5e8 records per phase."""
+    entries), 5e8 records per phase, and 1.5 s, which rounds to 2
+    periods."""
     def never(*args, **kwargs):
         raise AssertionError("the plan was built")
 
@@ -323,7 +325,7 @@ def test_scan_oversized_plan_is_usage_error(tmp_path, capsys, monkeypatch):
 def test_retherm_reports_why_gamma_is_nan(tmp_path, capsys):
     """25 x 1 s at seed 1 fits a growing exponential (-0.909 rad/s):
     retherm_fit.json holds a NaN gamma, and the manifest and the summary
-    line give the reason."""
+    line give the reason.  The summary gives the rate its exact error."""
     assert main(["retherm", "--config", "experiment", "--n-trajectories", "25",
                  "--seed", "1", "--out-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
@@ -333,6 +335,8 @@ def test_retherm_reports_why_gamma_is_nan(tmp_path, capsys):
         "fitted_gamma_eff_error"]
     assert reason.startswith("fitted gamma = -0.9094 rad/s <= 0")
     assert f"fitted_gamma_eff = NaN: {reason}" in out
+    assert (f"rate = {fit['fitted_rate']:.4g} +- {fit['rate_exact_err']:.2g}"
+            f" /s (exact {fit['exact_rate']:.4g}, predicted ") in out
 
 
 def test_retherm_names_an_anti_damped_detuning(tmp_path, capsys):
@@ -364,6 +368,11 @@ def test_retherm_deterministic_across_runs(tmp_path):
     data1 = (out1 / "retherm_mean_n.csv").read_bytes()
     assert data1 == (out2 / "retherm_mean_n.csv").read_bytes()
     fit = json.loads((out1 / "retherm_fit.json").read_text())
+    assert sorted(fit) == [
+        "exact_rate", "f_ref_Hz", "fitted_gamma_eff", "fitted_rate",
+        "fitted_rate_err", "gamma_exact", "gamma_exact_err", "n_osc",
+        "n_segments", "predicted_rate", "predicted_thermal", "predicted_trap",
+        "rate_exact_err"]
     assert fit["fitted_rate"] > 0
     assert fit["predicted_rate"] > 0
     # the exact oracle's rate sits within 1% of the rate law; the exact
@@ -466,11 +475,11 @@ def test_scan_writes_rows(tmp_path, capsys):
     [anti] = json.loads((out / "manifest.json").read_text())["anti_damped_rows"]
     assert anti["delta_hz"] == pytest.approx(7e5, rel=1e-12, abs=0)
     assert anti["gamma_off"] == pytest.approx(-1.466, rel=1e-3, abs=0)
-    rows = _read_csv(out / "scan.csv",
-                     ["delta_Hz", "f_eff_Hz", "rate_measured",
-                      "rate_predicted", "rate_err", "n_osc", "rate_exact",
-                      "rate_exact_err", "gamma_measured", "gamma_exact",
-                      "gamma_exact_err"])
+    columns = ["delta_Hz", "f_eff_Hz", "rate_measured", "rate_predicted",
+               "n_osc", "rate_exact", "rate_exact_err", "gamma_measured",
+               "gamma_exact", "gamma_exact_err"]
+    assert f"\n{','.join(columns)}\n" in (out / "scan.csv").read_text()
+    rows = _read_csv(out / "scan.csv", columns)
     assert len(rows) == 2
     for r in rows:
         assert float(r["rate_measured"]) > 0
@@ -479,14 +488,12 @@ def test_scan_writes_rows(tmp_path, capsys):
             float(r["rate_predicted"]), rel=0.05, abs=0)
         assert float(r["gamma_exact_err"]) > 0
         assert float(r["n_osc"]) > 0
-    # rate_err is the segment error and rate_exact_err the exact one, well
-    # above the OLS error
+    # rate_exact_err is the exact error, well above the OLS error
     config = load_config("experiment")
     plan = SimPlan(duration=1.0, n_trajectories=4, master_seed=5)
     deltas = np.linspace(7e5, 1.1e6, 2) * TWO_PI
     measured = detuning_scan(config, config.noise, plan, deltas)
     for r, m, delta in zip(rows, measured, deltas):
-        assert float(r["rate_err"]) == m.rate_segment_err
         assert float(r["rate_exact_err"]) == m.rate_exact_err
         _assert_exact_error_above_ols(config.with_detuning(float(delta)),
                                       plan, m.rate_exact_err, m.rate_ols_err)
