@@ -16,8 +16,7 @@ from .dynamics import (EnsembleResult, RateMeasurement, SimPlan,
                        detuning_scan, exact_mean_phonon, fit_decoherence_rate,
                        measure_rate, predicted_rate, run_ensemble,
                        simulate_trajectory)
-from .coherence import (CoherenceBudget, check_condition, feasibility_budget,
-                        single_photon_coupling)
+from .coherence import CoherenceBudget, feasibility_budget
 
 __all__ = [
     "CavityParams", "MirrorParams", "NoiseEnv", "ServoParams", "SystemConfig",
@@ -31,6 +30,5 @@ __all__ = [
     "EnsembleResult", "RateMeasurement", "SimPlan", "detuning_scan",
     "exact_mean_phonon", "fit_decoherence_rate", "measure_rate",
     "predicted_rate", "run_ensemble", "simulate_trajectory",
-    "CoherenceBudget", "check_condition", "feasibility_budget",
-    "single_photon_coupling",
+    "CoherenceBudget", "feasibility_budget",
 ]

@@ -21,14 +21,16 @@ import numpy as np
 
 from . import __version__
 from .coherence import config_budget, feasibility_budget
-from .dynamics import (RateMeasurement, SimPlan, detuning_scan, measure_rate,
+from .dynamics import (MAX_PLAN_FLOATS, RateMeasurement, SimPlan,
+                       detuning_scan, measure_rate, measurement_row,
                        off_state_mode, reduced_model, write_ensemble_csv,
                        write_scan_csv)
 from .errors import (ConfigParseError, InstabilityError, OptospringError,
                      ValidationError)
 from .model import TWO_PI, load_config, resolve_config_path
-from .response import (cancellation_gain, closed_loop_response, extract_mode,
-                       stability_map, write_map_csv, write_response_csv)
+from .response import (MAP_CELL_FLOATS, cancellation_gain,
+                       closed_loop_response, extract_mode, stability_map,
+                       write_map_csv, write_response_csv)
 from .spectra import (build_frequency_grid, displacement_to_voltage,
                       freqnoise_spectrum, mode_temperature, occupations,
                       thermal_spectrum, voltage_to_displacement,
@@ -36,18 +38,28 @@ from .spectra import (build_frequency_grid, displacement_to_voltage,
 from .tables import write_table
 
 
-def _parse_range(text: str, name: str) -> np.ndarray:
+def _range_spec(text: str, name: str) -> tuple[float, float, int]:
+    """start:stop:count, checked: finite ends and span, and 1 <= count <=
+    MAX_PLAN_FLOATS, before any array is built."""
     try:
         start, stop, count = text.split(":")
         start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
         raise ValidationError(f"{name} parses as start:stop:count",
                               name, text) from exc
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ValidationError(f"{name} start and stop finite", name, text)
+    if not math.isfinite(stop - start):  # a NaN or infinite end, or span
+        raise ValidationError(f"{name} start and stop finite, and their span",
+                              name, text)
     if count < 1:
         raise ValidationError(f"{name} nonempty", name, text)
-    return np.linspace(start, stop, count)
+    if count > MAX_PLAN_FLOATS:
+        raise ValidationError(
+            f"{name} count <= MAX_PLAN_FLOATS = {MAX_PLAN_FLOATS:.1e}", name, text)
+    return start, stop, count
+
+
+def _parse_range(text: str, name: str) -> np.ndarray:
+    return np.linspace(*_range_spec(text, name))
 
 
 def _config_hash(path: Path) -> str:
@@ -85,25 +97,31 @@ def _load(args):
     return load_config(path), path
 
 
-def _auto_delta_range(config) -> np.ndarray:
-    return np.linspace(0.0, 1.5 * config.cavity.kappa / TWO_PI, 13)
+def _auto_delta_range(config) -> tuple[float, float, int]:
+    return 0.0, 1.5 * config.cavity.kappa / TWO_PI, 13
 
 
-def _auto_gel_range(config) -> np.ndarray:
+def _auto_gel_range(config) -> tuple[float, float, int]:
     # scale off the cancellation gain where the spring is strongest
     cfg = config.with_detuning(config.cavity.kappa)
     model = reduced_model(cfg, config.noise)
-    g_c = cancellation_gain(cfg, model.omega_ref)
-    return np.linspace(0.0, 2.0 * g_c, 9)
+    return 0.0, 2.0 * cancellation_gain(cfg, model.omega_ref), 9
 
 
 def cmd_map(args) -> int:
     config, path = _load(args)
     out = _out_dir(args)
-    deltas = (_auto_delta_range(config) if args.delta_range == "auto"
-              else _parse_range(args.delta_range, "--delta-range")) * TWO_PI
-    gels = (_auto_gel_range(config) if args.gel_range == "auto"
-            else _parse_range(args.gel_range, "--gel-range"))
+    delta_spec = (_auto_delta_range(config) if args.delta_range == "auto"
+                  else _range_spec(args.delta_range, "--delta-range"))
+    gel_spec = (_auto_gel_range(config) if args.gel_range == "auto"
+                else _range_spec(args.gel_range, "--gel-range"))
+    if MAP_CELL_FLOATS * delta_spec[2] * gel_spec[2] > MAX_PLAN_FLOATS:
+        raise ValidationError(
+            f"map companion block, MAP_CELL_FLOATS = {MAP_CELL_FLOATS} a "
+            f"cell, <= MAX_PLAN_FLOATS = {MAX_PLAN_FLOATS:.1e} floats",
+            "--delta-range x --gel-range", f"{delta_spec[2]} x {gel_spec[2]}")
+    deltas = np.linspace(*delta_spec) * TWO_PI
+    gels = np.linspace(*gel_spec)
     smap = stability_map(config, deltas, gels)
     csv_path = out / "map.csv"
     write_map_csv(csv_path, smap, comment=f"stability map for {config.label}")
@@ -223,10 +241,18 @@ def _plan_record(plan: SimPlan, m: RateMeasurement) -> dict:
             "kernel_step": m.record_stride * m.dt if ran else None}
 
 
-def _gamma_off(config, delta: float) -> float:
-    """The reduced model's servo-off damping at detuning ``delta``; at or
-    below 0 the relaxation is anti-damped and has no rethermalisation rate."""
-    return reduced_model(config.with_detuning(delta), config.noise).gamma_off
+def _measurement_manifest(plan: SimPlan, rows: list[RateMeasurement]) -> dict:
+    """The measurement keys of the retherm and scan manifests, one entry
+    per detuning: its plan as run, and the anti-damped rows (gamma_off <=
+    0) and the rows whose gamma fit failed, with the reason."""
+    return {"plans": [_plan_record(plan, r) for r in rows],
+            "anti_damped_rows": [{"delta_hz": r.delta / TWO_PI,
+                                  "gamma_off": r.gamma_off}
+                                 for r in rows if r.gamma_off <= 0],
+            "gamma_fit_errors": [{"delta_hz": r.delta / TWO_PI,
+                                  "reason": r.ensemble.gamma_fit_error}
+                                 for r in rows
+                                 if r.ensemble and r.ensemble.gamma_fit_error]}
 
 
 def cmd_retherm(args) -> int:
@@ -238,32 +264,15 @@ def cmd_retherm(args) -> int:
     write_ensemble_csv(csv_path, m.ensemble, comment=f"rethermalization, "
                        f"{config.label}, seed {plan.master_seed}")
     fit_path = out / "retherm_fit.json"
-    fit_path.write_text(json.dumps({
-        "fitted_rate": m.rate_measured,
-        "fitted_rate_err": m.rate_ols_err,
-        "exact_rate": m.rate_exact,
-        "rate_exact_err": m.rate_exact_err,
-        "fitted_gamma_eff": m.ensemble.fitted_gamma_eff,
-        "gamma_exact": m.gamma_exact,
-        "gamma_exact_err": m.gamma_exact_err,
-        "n_osc": m.n_osc,
-        "f_ref_Hz": m.ensemble.omega_ref / TWO_PI,
-        "n_segments": m.ensemble.n_segments,
-        "predicted_rate": m.rate_predicted,
-        "predicted_thermal": m.rate_thermal,
-        "predicted_trap": m.rate_trap,
-    }, indent=2, sort_keys=True) + "\n")
-    gamma_error = m.ensemble.gamma_fit_error
-    gamma_off = _gamma_off(config, m.delta)
+    fit_path.write_text(json.dumps(measurement_row(m), indent=2,
+                                   sort_keys=True) + "\n")
     _write_manifest(out, "retherm", args, path, [csv_path, fit_path],
-                    plan.master_seed,
-                    {"plan": _plan_record(plan, m),
-                     "fitted_gamma_eff_error": gamma_error or None,
-                     "anti_damped_gamma_off": gamma_off if gamma_off <= 0 else None})
+                    plan.master_seed, _measurement_manifest(plan, [m]))
+    gamma_error = m.ensemble.gamma_fit_error
     gamma = (f"fitted_gamma_eff = NaN: {gamma_error}" if gamma_error
              else f"gamma = {m.ensemble.fitted_gamma_eff:.4g}")
-    anti = (f", anti-damped (gamma_off = {gamma_off:.4g} rad/s <= 0)"
-            if gamma_off <= 0 else "")
+    anti = (f", anti-damped (gamma_off = {m.gamma_off:.4g} rad/s <= 0)"
+            if m.gamma_off <= 0 else "")
     print(f"retherm: rate = {m.rate_measured:.4g} +- "
           f"{m.rate_exact_err:.2g} /s (exact {m.rate_exact:.4g}, "
           f"predicted {m.rate_predicted:.4g}), "
@@ -281,18 +290,15 @@ def cmd_scan(args) -> int:
     csv_path = out / "scan.csv"
     write_scan_csv(csv_path, rows, comment=f"detuning scan, {config.label}, "
                    f"seed {plan.master_seed}")
-    anti_damped = [{"delta_hz": r.delta / TWO_PI, "gamma_off": g}
-                   for r in rows if r.ok and (g := _gamma_off(config, r.delta)) <= 0]
+    keys = _measurement_manifest(plan, rows)
     _write_manifest(out, "scan", args, path, [csv_path], plan.master_seed,
-                    {"deltas_hz": [float(d) / TWO_PI for d in deltas],
-                     "plans": [_plan_record(plan, r) for r in rows],
-                     "anti_damped_rows": anti_damped})
+                    {"deltas_hz": [float(d) / TWO_PI for d in deltas], **keys})
     failed = [r for r in rows if not r.ok]
     worst = max((abs(r.rate_measured - r.rate_exact) / r.rate_exact_err
                  for r in rows if r.ok and r.rate_exact_err > 0),
                 default=math.nan)
     print(f"scan: {len(rows)} detunings ({len(failed)} failed, "
-          f"{len(anti_damped)} anti-damped: gamma_off <= 0), worst "
+          f"{len(keys['anti_damped_rows'])} anti-damped: gamma_off <= 0), worst "
           f"|rate_measured - rate_exact| = {worst:.2f} exact errors "
           f"-> {csv_path}")
     for r in failed:

@@ -14,7 +14,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .errors import ValidationError
-from .model import HBAR, K_B, TWO_PI, NoiseEnv, SystemConfig
+from .model import HBAR, K_B, TWO_PI, SystemConfig
 
 # Laser frequency used for the frequency-pull coefficient when the budget is
 # given only a cavity length (1064-nm-class source, ~300 THz).
@@ -81,38 +81,6 @@ def heating_rates(m1: float, gamma1: float, omega_eff: float,
     return thermal, trap
 
 
-def _zero_point_coupling(g: float, m1: float, omega_eff: float) -> float:
-    return g * math.sqrt(HBAR / (2.0 * m1 * omega_eff))
-
-
-def _margin(sphi: float, omega_eff: float, g0: float) -> float:
-    if g0 == 0.0:
-        # 0 < 0 is false: a lossless-coupling boundary case counts as failed
-        return math.inf if sphi > 0 else 1.0
-    return sphi * omega_eff / g0**2
-
-
-def single_photon_coupling(config: SystemConfig, omega_eff: float) -> float:
-    """g0 = g * x_zpf with x_zpf = sqrt(hbar / (2*m1*omega_eff)), rad/s.
-
-    The zero-point amplitude is taken at the trapped frequency: coherence of
-    the trapped oscillator is what the condition governs.
-    """
-    if omega_eff <= 0:
-        raise ValidationError("omega_eff > 0", "omega_eff", omega_eff)
-    return _zero_point_coupling(config.cavity.g_pull, config.mirror1.mass,
-                                omega_eff)
-
-
-def check_condition(noise: NoiseEnv, g0: float, omega_eff: float
-                    ) -> tuple[bool, float]:
-    """Is S_phidot(omega_eff) < g0^2/omega_eff?  Returns (satisfied, margin)."""
-    if omega_eff <= 0:
-        raise ValidationError("omega_eff > 0", "omega_eff", omega_eff)
-    margin = _margin(noise.sphidot(omega_eff / TWO_PI), omega_eff, g0)
-    return margin < 1.0, margin
-
-
 def feasibility_budget(m1: float, omega_eff: float,
                        noise_amp_at_omega_eff: float, length: float,
                        q1: float, omega1: float, temperature: float,
@@ -146,13 +114,17 @@ def feasibility_budget(m1: float, omega_eff: float,
                                             temperature, sphi, g)
     inv_thermal = rate_thermal / f_eff
     inv_trap = rate_trap / f_eff
-    g0 = _zero_point_coupling(g, m1, omega_eff)
+    # single-photon coupling: g times the zero-point amplitude at the
+    # trapped frequency, whose coherence the condition governs
+    g0 = g * math.sqrt(HBAR / (2.0 * m1 * omega_eff))
+    # g0 = 0 only at g = 0, where heating_rates refuses any noise: 0 < 0
+    # is false, so that zero-coupling boundary case counts as failed
+    margin = sphi * omega_eff / g0**2 if g0 else 1.0
     total = inv_thermal + inv_trap
     n_osc = 1.0 / total if total > 0 else math.inf
     return CoherenceBudget(inv_n_osc_thermal=float(inv_thermal),
                            inv_n_osc_trap=float(inv_trap), n_osc=float(n_osc),
-                           condition_margin=float(_margin(sphi, omega_eff, g0)),
-                           g0=float(g0))
+                           condition_margin=float(margin), g0=float(g0))
 
 
 def config_budget(config: SystemConfig, omega_eff: float) -> CoherenceBudget:

@@ -184,6 +184,7 @@ class RateMeasurement:
     rate_thermal: float = math.nan
     rate_trap: float = math.nan
     n_osc: float = math.nan           # f_eff / rate_measured
+    gamma_off: float = math.nan       # rad/s, servo-off damping; <= 0 grows
     dt: float = math.nan              # s, the resolved step
     record_stride: int | None = None  # the resolved stride
     ensemble: EnsembleResult | None = None
@@ -507,13 +508,14 @@ class _Protocol:
     time_grid: np.ndarray  # s, record times from a phase start
 
 
-def _protocol(config: SystemConfig, noise: NoiseEnv, plan: SimPlan) -> _Protocol:
+def _protocol(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
+              model: ReducedModel | None = None) -> _Protocol:
     """The plan's checked protocol: from the first switch-off, a relaxation
     phase per switch period with a re-cooling phase between each two, each
     phase ``steps`` steps of dt: R - 1 whole strides, then the remainder
-    step to the phase end.  A plan over MAX_PLAN_FLOATS is refused before
-    any map is built."""
-    model = reduced_model(config, noise)
+    step to the phase end, on ``model`` (built from config if None).  A plan
+    over MAX_PLAN_FLOATS is refused before any map is built."""
+    model = model or reduced_model(config, noise)
     dt = plan.resolve_dt(model.omega_ref)
     if dt * model.omega_ref >= 0.1:
         raise ValidationError("dt * omega_eff < 0.1", "dt", dt)
@@ -915,13 +917,15 @@ def measure_rate(config: SystemConfig, noise: NoiseEnv, plan: SimPlan, *,
     initial slope with its OLS and exact errors, the exact oracle's slope
     and exponential fit with the exact error of the ensemble's fitted
     gamma, and the rate law at the servo-off pole f_eff, which also sets
-    n_osc = f_eff / rate_measured.  One protocol serves the ensemble and
+    n_osc = f_eff / rate_measured.  One reduced model serves the servo-off
+    pole, gamma_off and the protocol; one protocol serves the ensemble and
     the oracle, whose one walk serves the exact curve and both exact
     errors.  ``row`` draws a scan row's streams (row 0 draws
     ``run_ensemble``'s)."""
-    mode = off_state_mode(config, noise)
+    model = reduced_model(config, noise)
+    mode = extract_mode(config, gel=model.off_gain)
     total, thermal, trap = predicted_rate(config, noise, mode)
-    protocol = _protocol(config, noise, plan)
+    protocol = _protocol(config, noise, plan, model)
     result = _ensemble(protocol, plan, row)
     walk = _moments(protocol)
     t, n_exact = protocol.time_grid, _exact_curve(protocol.model, walk[0])
@@ -946,7 +950,8 @@ def measure_rate(config: SystemConfig, noise: NoiseEnv, plan: SimPlan, *,
         gamma_exact=gamma_exact, gamma_exact_err=gamma_err,
         rate_predicted=total, rate_thermal=thermal, rate_trap=trap,
         n_osc=mode.omega_eff / (TWO_PI * rate) if rate > 0 else math.inf,
-        dt=protocol.dt, record_stride=protocol.stride, ensemble=result)
+        gamma_off=model.gamma_off, dt=protocol.dt,
+        record_stride=protocol.stride, ensemble=result)
 
 
 def detuning_scan(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
@@ -981,17 +986,30 @@ def write_ensemble_csv(path, result: EnsembleResult, comment: str = ""):
                           f"f_ref_Hz: {float(result.omega_ref / TWO_PI)!r}"))
 
 
+def measurement_row(m: RateMeasurement) -> dict:
+    """``m`` as its one output row, the ``retherm_fit.json`` keys and the
+    ``scan.csv`` columns: frequencies in Hz, rates in phonons/s, gammas in
+    rad/s.  A failed measurement keeps its delta_Hz, and every other cell
+    is NaN."""
+    e = m.ensemble
+    return {"delta_Hz": m.delta / TWO_PI, "f_eff_Hz": m.omega_eff / TWO_PI,
+            "rate_measured": m.rate_measured, "rate_predicted": m.rate_predicted,
+            "n_osc": m.n_osc, "rate_exact": m.rate_exact,
+            "rate_exact_err": m.rate_exact_err,
+            "gamma_measured": e.fitted_gamma_eff if e else math.nan,
+            "gamma_exact": m.gamma_exact, "gamma_exact_err": m.gamma_exact_err,
+            "f_ref_Hz": e.omega_ref / TWO_PI if e else math.nan,
+            "n_segments": e.n_segments if e else math.nan,
+            "rate_ols_err": m.rate_ols_err, "rate_thermal": m.rate_thermal,
+            "rate_trap": m.rate_trap, "gamma_off": m.gamma_off}
+
+
+# the measurement's output schema, in scan.csv's column order
+MEASUREMENT_COLUMNS = tuple(measurement_row(RateMeasurement(delta=math.nan)))
+
+
 def write_scan_csv(path, rows: list[RateMeasurement], comment: str = ""):
-    """Columns: delta_Hz, f_eff_Hz, rate_measured, rate_predicted, n_osc,
-    rate_exact, rate_exact_err, gamma_measured, gamma_exact,
-    gamma_exact_err."""
-    write_table(path, ("delta_Hz", "f_eff_Hz", "rate_measured",
-                       "rate_predicted", "n_osc", "rate_exact",
-                       "rate_exact_err", "gamma_measured", "gamma_exact",
-                       "gamma_exact_err"),
-                zip(*((r.delta / TWO_PI, r.omega_eff / TWO_PI, r.rate_measured,
-                       r.rate_predicted, r.n_osc, r.rate_exact,
-                       r.rate_exact_err,
-                       r.ensemble.fitted_gamma_eff if r.ensemble else math.nan,
-                       r.gamma_exact, r.gamma_exact_err) for r in rows)),
+    """One ``measurement_row`` per detuning, under MEASUREMENT_COLUMNS."""
+    write_table(path, MEASUREMENT_COLUMNS,
+                zip(*(measurement_row(r).values() for r in rows)),
                 (comment,))

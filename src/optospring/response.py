@@ -189,9 +189,14 @@ def closed_loop_response(config: SystemConfig, omega_grid) -> ComplexResponse:
 # closed-loop poles
 # --------------------------------------------------------------------------
 
-def _characteristic_roots(config: SystemConfig, deltas, gels) -> np.ndarray:
+# floats a map cell takes in the pole solver's 4 x 4 complex companion block
+MAP_CELL_FLOATS = 2 * 4 * 4
+
+
+def _characteristic_roots(config: SystemConfig, configs, gels) -> np.ndarray:
     """Roots (in complex omega, exp(+i w t)) of the closed-loop quartic at
-    every (detuning, gain) cell, shape (n_delta, n_gel, 4).
+    every (detuning, gain) cell, shape (n_delta, n_gel, 4), with ``configs``
+    the config at each detuning.
 
     The denominator of chi_eff is cleared of both bare susceptibilities and
     the spring is used in its adiabatic first-order form, which turns the
@@ -213,9 +218,8 @@ def _characteristic_roots(config: SystemConfig, deltas, gels) -> np.ndarray:
     bare = m1.mass * m2.mass * np.convolve(x1, x2)
     servo_gain = np.asarray(gels, dtype=float) * config.cavity.zeta2 * m1.mass
     servo = servo_gain[:, None] * np.convolve([1j, 0.0], x1)
-    coeffs = np.zeros((len(deltas), servo.shape[0], 5), dtype=complex)
-    for i, delta in enumerate(deltas):
-        cav = config.with_detuning(float(delta)).cavity
+    coeffs = np.zeros((len(configs), servo.shape[0], 5), dtype=complex)
+    for i, cav in enumerate(cfg.cavity for cfg in configs):
         k0, c1 = adiabatic_spring(cav)
         spring = cav.zeta1**2 * k0 * m2.mass * np.convolve([-1j * c1, 1.0], x2)
         coeffs[i, :, 1:] = spring + servo
@@ -223,7 +227,7 @@ def _characteristic_roots(config: SystemConfig, deltas, gels) -> np.ndarray:
     companion = np.zeros((coeffs.shape[0], 4, 4), dtype=complex)
     companion[:, 1:, :-1] = np.eye(3)
     companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
-    return np.linalg.eigvals(companion).reshape(len(deltas), -1, 4)
+    return np.linalg.eigvals(companion).reshape(len(configs), -1, 4)
 
 
 def _characteristic_exact(config: SystemConfig, deltas, springs, gels, w):
@@ -258,8 +262,8 @@ def _trapped_poles(config: SystemConfig, deltas, gels):
     polished pole; the last iterate on failure), failure ("" or why) and
     moved (converged more than BRANCH_TOL from the seed).
     """
-    roots = _characteristic_roots(config, deltas, gels)
     configs = [config.with_detuning(float(d)) for d in deltas]
+    roots = _characteristic_roots(config, configs, gels)
     guess = np.array([math.sqrt(max(rigid_trap_omega_sq(cfg), 0.0))
                       for cfg in configs])[:, None, None]
     keep = roots.real >= -1e-9 * np.maximum(guess, 1.0)

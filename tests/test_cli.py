@@ -12,11 +12,20 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from optospring.cli import main
-from optospring.dynamics import (SimPlan, detuning_scan, off_state_mode,
-                                 reduced_model)
+from optospring.cli import _parse_range, main
+from optospring.dynamics import (MAX_PLAN_FLOATS, MEASUREMENT_COLUMNS, SimPlan,
+                                 off_state_mode, reduced_model)
+from optospring.errors import ValidationError
 from optospring.model import TWO_PI, load_config, resolve_config_path
 from optospring.response import extract_mode
+
+
+# the measurement's output schema, written out: scan.csv's ten columns in
+# their earlier order, then the six it gained
+SCHEMA = ("delta_Hz", "f_eff_Hz", "rate_measured", "rate_predicted", "n_osc",
+          "rate_exact", "rate_exact_err", "gamma_measured", "gamma_exact",
+          "gamma_exact_err", "f_ref_Hz", "n_segments", "rate_ols_err",
+          "rate_thermal", "rate_trap", "gamma_off")
 
 
 def _read_csv(path, columns):
@@ -112,16 +121,75 @@ def test_map_reports_unconverged_cells(tmp_path, capsys, monkeypatch):
      "--deltas start and stop finite"),
     (["cool", "--config", "experiment", "--gel-range", "inf:1:2"],
      "--gel-range start and stop finite"),
-], ids=["map-empty", "map-nan", "scan-nan", "cool-inf"])
-def test_map_empty_range_is_usage_error(tmp_path, capsys, argv, invariant):
-    """An empty or non-finite range exits 2 naming the invariant, before
-    any work and without a numpy warning."""
+    (["map", "--config", "ideal", "--delta-range=-1.7e308:1.7e308:3"],
+     "--delta-range start and stop finite, and their span"),
+    (["scan", "--config", "experiment", "--deltas", "9e5:1e6:100000000000"],
+     "--deltas count <= MAX_PLAN_FLOATS = 5.0e+07"),
+    (["cool", "--config", "experiment", "--gel-range", "14:560:100000000000"],
+     "--gel-range count <= MAX_PLAN_FLOATS = 5.0e+07"),
+    (["map", "--config", "experiment", "--delta-range", "0:1e6:100000000000",
+      "--gel-range", "0:1:2"],
+     "--delta-range count <= MAX_PLAN_FLOATS = 5.0e+07"),
+    (["map", "--config", "experiment", "--delta-range", "0:1e6:1000000",
+      "--gel-range", "0:1:2"],
+     "map companion block, MAP_CELL_FLOATS = 32 a cell, <= MAX_PLAN_FLOATS"),
+], ids=["map-empty", "map-nan", "scan-nan", "cool-inf", "map-span",
+        "scan-huge", "cool-huge", "map-huge", "map-grid"])
+def test_map_empty_range_is_usage_error(tmp_path, capsys, monkeypatch, argv,
+                                        invariant):
+    """An empty, non-finite or over-budget range exits 2 naming the
+    invariant, before any range array is built and without a numpy warning
+    or a traceback.  Over budget are a count over MAX_PLAN_FLOATS, and a
+    map grid whose 4 x 4 complex companion matrices, 32 floats a cell,
+    would exceed it (1e6 x 2 cells: 6.4e7 floats)."""
+    def never(*args, **kwargs):
+        raise AssertionError("a range array was built")
+
+    monkeypatch.setattr(np, "linspace", never)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(argv + ["--out-dir", str(tmp_path)])
     assert rc == 2
-    assert invariant in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert invariant in err
+    assert "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+_range_ends = st.one_of(st.floats(), st.sampled_from([-1.7e308, 1.7e308]))
+_range_counts = st.one_of(
+    st.integers(-2, 40),
+    st.integers(MAX_PLAN_FLOATS - 2, MAX_PLAN_FLOATS + 2),
+    st.integers(MAX_PLAN_FLOATS, 10**15))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(
+    st.builds(lambda a, b, n: f"{a!r}:{b!r}:{n}", _range_ends, _range_ends,
+              _range_counts),
+    st.text(alphabet="0123456789.:-+einfa ", max_size=16)))
+def test_range_text_is_refused_or_bounded(text):
+    """Any range text either raises ValidationError or yields at most
+    MAX_PLAN_FLOATS finite points; a count over the budget is refused before
+    np.linspace is called.  Ranges over 64 points are checked at the
+    np.linspace call, which is never run on them."""
+    linspace = np.linspace
+    counts = []
+
+    def guarded(start, stop, count):
+        counts.append(count)
+        assert count <= MAX_PLAN_FLOATS, "an over-budget range reached np.linspace"
+        return linspace(start, stop, count) if count <= 64 else None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "linspace", guarded)
+        try:
+            points = _parse_range(text, "--range")
+        except ValidationError:
+            return
+    [count] = counts
+    if points is not None:
+        assert points.size == count and np.isfinite(points).all()
 
 
 def test_map_single_point_matches_extract_mode(tmp_path, ideal_config):
@@ -330,33 +398,59 @@ def test_retherm_reports_why_gamma_is_nan(tmp_path, capsys):
                  "--seed", "1", "--out-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     fit = json.loads((tmp_path / "retherm_fit.json").read_text())
-    assert math.isnan(fit["fitted_gamma_eff"])
-    reason = json.loads((tmp_path / "manifest.json").read_text())[
-        "fitted_gamma_eff_error"]
+    assert math.isnan(fit["gamma_measured"])
+    [error] = json.loads((tmp_path / "manifest.json").read_text())[
+        "gamma_fit_errors"]
+    assert error["delta_hz"] == fit["delta_Hz"]
+    reason = error["reason"]
     assert reason.startswith("fitted gamma = -0.9094 rad/s <= 0")
     assert f"fitted_gamma_eff = NaN: {reason}" in out
-    assert (f"rate = {fit['fitted_rate']:.4g} +- {fit['rate_exact_err']:.2g}"
-            f" /s (exact {fit['exact_rate']:.4g}, predicted ") in out
+    assert (f"rate = {fit['rate_measured']:.4g} +- {fit['rate_exact_err']:.2g}"
+            f" /s (exact {fit['rate_exact']:.4g}, predicted ") in out
+
+
+def test_scan_names_a_row_whose_gamma_fit_fails(tmp_path, capsys):
+    """Row 0 of a scan at the preset's detuning draws retherm's streams, so
+    at 25 x 1 s and seed 1 its gamma fit fails as retherm's does: the scan
+    manifest names the row with the same reason, and the row's
+    gamma_measured is NaN."""
+    plan_args = ["--config", "experiment", "--n-trajectories", "25",
+                 "--seed", "1"]
+    assert main(["retherm", *plan_args, "--out-dir", str(tmp_path / "r")]) == 0
+    assert main(["scan", *plan_args, "--deltas", "9.1e5:9.1e5:1",
+                 "--out-dir", str(tmp_path / "s")]) == 0
+    errors = [json.loads((tmp_path / d / "manifest.json").read_text())[
+        "gamma_fit_errors"] for d in ("r", "s")]
+    assert errors[1] == errors[0]
+    [error] = errors[1]
+    assert error["delta_hz"] == pytest.approx(9.1e5, rel=1e-12, abs=0)
+    assert error["reason"].startswith("fitted gamma = -0.9094 rad/s <= 0")
+    [row] = _read_csv(tmp_path / "s" / "scan.csv", ["gamma_measured"])
+    assert math.isnan(float(row["gamma_measured"]))
 
 
 def test_retherm_names_an_anti_damped_detuning(tmp_path, capsys):
     """At 7e5 Hz the servo-off phase is anti-damped (gamma_off = -1.47
     rad/s): retherm still writes its numbers, and the manifest and the
-    summary line say so; at the preset's detuning the manifest holds
-    null."""
+    summary line say so; at the preset's detuning the manifest lists no
+    row."""
     config = _preset_with(tmp_path, "detuning_over_2pi_Hz", "7e5")
     for cfg, out in ((str(config), tmp_path / "anti"),
                      ("experiment", tmp_path / "preset")):
         assert main(["retherm", "--config", cfg, "--n-trajectories", "2",
                      "--seed", "4", "--out-dir", str(out)]) == 0
     summary = capsys.readouterr().out.splitlines()
-    gamma_off = json.loads((tmp_path / "anti" / "manifest.json").read_text())[
-        "anti_damped_gamma_off"]
+    [anti] = json.loads((tmp_path / "anti" / "manifest.json").read_text())[
+        "anti_damped_rows"]
+    assert anti["delta_hz"] == pytest.approx(7e5, rel=1e-12, abs=0)
+    gamma_off = anti["gamma_off"]
     assert gamma_off == pytest.approx(-1.466, rel=1e-3, abs=0)
+    fit = json.loads((tmp_path / "anti" / "retherm_fit.json").read_text())
+    assert fit["gamma_off"] == gamma_off
     assert f"anti-damped (gamma_off = {gamma_off:.4g} rad/s <= 0)" in summary[0]
     assert "anti-damped" not in summary[1]
     assert json.loads((tmp_path / "preset" / "manifest.json").read_text())[
-        "anti_damped_gamma_off"] is None
+        "anti_damped_rows"] == []
 
 
 def test_retherm_deterministic_across_runs(tmp_path):
@@ -369,18 +463,19 @@ def test_retherm_deterministic_across_runs(tmp_path):
     assert data1 == (out2 / "retherm_mean_n.csv").read_bytes()
     fit = json.loads((out1 / "retherm_fit.json").read_text())
     assert sorted(fit) == [
-        "exact_rate", "f_ref_Hz", "fitted_gamma_eff", "fitted_rate",
-        "fitted_rate_err", "gamma_exact", "gamma_exact_err", "n_osc",
-        "n_segments", "predicted_rate", "predicted_thermal", "predicted_trap",
-        "rate_exact_err"]
-    assert fit["fitted_rate"] > 0
-    assert fit["predicted_rate"] > 0
+        "delta_Hz", "f_eff_Hz", "f_ref_Hz", "gamma_exact", "gamma_exact_err",
+        "gamma_measured", "gamma_off", "n_osc", "n_segments", "rate_exact",
+        "rate_exact_err", "rate_measured", "rate_ols_err", "rate_predicted",
+        "rate_thermal", "rate_trap"]
+    assert fit["rate_measured"] > 0
+    assert fit["rate_predicted"] > 0
+    assert fit["rate_predicted"] == fit["rate_thermal"] + fit["rate_trap"]
     # the exact oracle's rate sits within 1% of the rate law; the exact
     # error is the honest one, well above the OLS error of 8 segments
-    assert fit["exact_rate"] == pytest.approx(fit["predicted_rate"], rel=0.01, abs=0)
+    assert fit["rate_exact"] == pytest.approx(fit["rate_predicted"], rel=0.01, abs=0)
     _assert_exact_error_above_ols(load_config("experiment"), SimPlan(
         duration=1.0, n_trajectories=8, master_seed=20),
-        fit["rate_exact_err"], fit["fitted_rate_err"])
+        fit["rate_exact_err"], fit["rate_ols_err"])
 
 
 def _assert_exact_error_above_ols(config, plan, exact_err, ols_err):
@@ -401,22 +496,33 @@ def _assert_exact_error_above_ols(config, plan, exact_err, ols_err):
 
 
 def test_retherm_and_scan_report_one_n_osc(tmp_path):
-    """n_osc is f_eff / rate_measured, with f_eff the servo-off pole, in
-    retherm_fit.json and in a one-row scan of the same config, plan and
-    seed."""
+    """retherm_fit.json is the one row of a one-row scan of the same
+    config, plan and seed: its keys are scan.csv's header, which is
+    MEASUREMENT_COLUMNS and the schema written out above, and every value
+    is the row's cell bit for bit.
+    n_osc is f_eff / rate_measured, with f_eff the servo-off pole."""
     plan_args = ["--config", "experiment", "--n-trajectories", "8",
                  "--duration", "1.0", "--seed", "20"]
     assert main(["retherm", *plan_args, "--out-dir", str(tmp_path / "r")]) == 0
     assert main(["scan", *plan_args, "--deltas", "9.1e5:9.1e5:1",
                  "--out-dir", str(tmp_path / "s")]) == 0
     fit = json.loads((tmp_path / "r" / "retherm_fit.json").read_text())
+    assert MEASUREMENT_COLUMNS == SCHEMA
+    assert list(fit) == sorted(SCHEMA)
+    header, line = (tmp_path / "s" / "scan.csv").read_text().splitlines()[1:]
+    assert tuple(header.split(",")) == SCHEMA
+    row = dict(zip(SCHEMA, line.split(",")))
+    for name, cell in row.items():
+        value = fit[name]
+        if isinstance(value, int):
+            assert cell == str(value), name
+        else:
+            assert np.float64(cell).tobytes() == np.float64(value).tobytes(), name
     config = load_config("experiment")
     f_eff = off_state_mode(config, config.noise).omega_eff / TWO_PI
-    assert fit["n_osc"] == pytest.approx(f_eff / fit["fitted_rate"],
+    assert fit["f_eff_Hz"] == f_eff
+    assert fit["n_osc"] == pytest.approx(f_eff / fit["rate_measured"],
                                          rel=1e-12, abs=0)
-    [row] = _read_csv(tmp_path / "s" / "scan.csv", ["n_osc", "rate_measured"])
-    assert float(row["rate_measured"]) == fit["fitted_rate"]
-    assert float(row["n_osc"]) == pytest.approx(fit["n_osc"], rel=1e-12, abs=0)
 
 
 def test_manifest_reproduces_outputs(tmp_path):
@@ -441,7 +547,7 @@ def test_manifest_records_resolved_step(tmp_path):
     out = tmp_path / "r"
     assert main(["retherm", "--config", "experiment", "--n-trajectories", "1",
                  "--seed", "3", "--out-dir", str(out)]) == 0
-    plan = json.loads((out / "manifest.json").read_text())["plan"]
+    [plan] = json.loads((out / "manifest.json").read_text())["plans"]
     f_ref = json.loads((out / "retherm_fit.json").read_text())["f_ref_Hz"]
     assert plan["record_stride"] == 47
     assert plan["dt"] == pytest.approx(1.0 / (200.0 * f_ref), rel=1e-12, abs=0)
@@ -475,28 +581,27 @@ def test_scan_writes_rows(tmp_path, capsys):
     [anti] = json.loads((out / "manifest.json").read_text())["anti_damped_rows"]
     assert anti["delta_hz"] == pytest.approx(7e5, rel=1e-12, abs=0)
     assert anti["gamma_off"] == pytest.approx(-1.466, rel=1e-3, abs=0)
-    columns = ["delta_Hz", "f_eff_Hz", "rate_measured", "rate_predicted",
-               "n_osc", "rate_exact", "rate_exact_err", "gamma_measured",
-               "gamma_exact", "gamma_exact_err"]
-    assert f"\n{','.join(columns)}\n" in (out / "scan.csv").read_text()
-    rows = _read_csv(out / "scan.csv", columns)
+    assert f"\n{','.join(SCHEMA)}\n" in (out / "scan.csv").read_text()
+    rows = [{k: float(v) for k, v in r.items()}
+            for r in _read_csv(out / "scan.csv", SCHEMA)]
     assert len(rows) == 2
+    assert rows[0]["gamma_off"] == anti["gamma_off"]
+    assert rows[1]["gamma_off"] > 0
     for r in rows:
-        assert float(r["rate_measured"]) > 0
-        assert float(r["rate_predicted"]) > 0
-        assert float(r["rate_exact"]) == pytest.approx(
-            float(r["rate_predicted"]), rel=0.05, abs=0)
-        assert float(r["gamma_exact_err"]) > 0
-        assert float(r["n_osc"]) > 0
+        assert r["rate_measured"] > 0
+        assert r["rate_predicted"] > 0
+        assert r["rate_predicted"] == r["rate_thermal"] + r["rate_trap"]
+        assert r["rate_exact"] == pytest.approx(r["rate_predicted"], rel=0.05, abs=0)
+        assert r["gamma_exact_err"] > 0
+        assert r["n_osc"] > 0
+        assert r["n_segments"] == 4
     # rate_exact_err is the exact error, well above the OLS error
     config = load_config("experiment")
     plan = SimPlan(duration=1.0, n_trajectories=4, master_seed=5)
-    deltas = np.linspace(7e5, 1.1e6, 2) * TWO_PI
-    measured = detuning_scan(config, config.noise, plan, deltas)
-    for r, m, delta in zip(rows, measured, deltas):
-        assert float(r["rate_exact_err"]) == m.rate_exact_err
-        _assert_exact_error_above_ols(config.with_detuning(float(delta)),
-                                      plan, m.rate_exact_err, m.rate_ols_err)
+    for r in rows:
+        _assert_exact_error_above_ols(
+            config.with_detuning(TWO_PI * r["delta_Hz"]), plan,
+            r["rate_exact_err"], r["rate_ols_err"])
 
 
 # --------------------------------------------------------------------------

@@ -8,25 +8,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from optospring.cli import main
-from optospring.coherence import (check_condition, config_budget,
-                                  feasibility_budget, single_photon_coupling)
+from optospring.coherence import (DEFAULT_OMEGA_LASER, config_budget,
+                                  feasibility_budget)
 from optospring.dynamics import off_state_mode, predicted_rate
 from optospring.errors import ValidationError
-from optospring.model import (HBAR, TWO_PI, NoiseEnv, load_config,
-                              resolve_config_path)
+from optospring.model import HBAR, TWO_PI, load_config, resolve_config_path
 
 REF = dict(m1=5e-6, omega_eff=TWO_PI * 1e3, noise_amp_at_omega_eff=4e-3,
            length=0.05, q1=5e7, omega1=TWO_PI * 1.0, temperature=300.0)
 
 
-class _FixedNoise:
-    """Duck-typed stand-in with an exactly pinned PSD value."""
-
-    def __init__(self, sphi):
-        self._sphi = sphi
-
-    def sphidot(self, f_hz):
-        return self._sphi
+def _zero_point_coupling(g, m1, omega_eff):
+    """g0 = g * sqrt(hbar / (2 m1 omega_eff)), written out."""
+    return g * math.sqrt(HBAR / (2.0 * m1 * omega_eff))
 
 
 # --------------------------------------------------------------------------
@@ -35,29 +29,32 @@ class _FixedNoise:
 
 def test_coupling_scales_with_mass(experiment_config):
     w_eff = TWO_PI * 1e3
-    g0 = single_photon_coupling(experiment_config, w_eff)
+    g0 = config_budget(experiment_config, w_eff).g0
     heavy = dataclasses.replace(
         experiment_config,
         mirror1=dataclasses.replace(experiment_config.mirror1,
                                     mass=4.0 * experiment_config.mirror1.mass),
         raw_items=())
-    assert single_photon_coupling(heavy, w_eff) == pytest.approx(g0 / 2.0,
-                                                                 rel=1e-12, abs=0)
+    assert config_budget(heavy, w_eff).g0 == pytest.approx(g0 / 2.0,
+                                                            rel=1e-12, abs=0)
 
 
 def test_coupling_is_pull_times_zero_point(experiment_config):
     """Dimensional oracle: g0 = g * sqrt(hbar / (2 m1 w_eff))."""
     w_eff = TWO_PI * 1e3
-    m1 = experiment_config.mirror1.mass
-    oracle = experiment_config.cavity.g_pull * math.sqrt(HBAR / (2.0 * m1 * w_eff))
-    assert single_photon_coupling(experiment_config, w_eff) == pytest.approx(
+    oracle = _zero_point_coupling(experiment_config.cavity.g_pull,
+                                  experiment_config.mirror1.mass, w_eff)
+    assert config_budget(experiment_config, w_eff).g0 == pytest.approx(
         oracle, rel=1e-14, abs=0)
 
 
-def test_coupling_vanishes_without_pull(experiment_config):
-    cav = dataclasses.replace(experiment_config.cavity, g_pull=0.0)
-    cfg = dataclasses.replace(experiment_config, cavity=cav, raw_items=())
-    assert single_photon_coupling(cfg, TWO_PI * 1e3) == 0.0
+def test_coupling_vanishes_without_pull():
+    """No pull, no coupling; with no noise either, the margin is the
+    boundary value 1, which the strict condition does not pass."""
+    budget = feasibility_budget(**{**REF, "g_pull": 0.0,
+                                   "noise_amp_at_omega_eff": 0.0})
+    assert budget.g0 == 0.0
+    assert budget.condition_margin == 1.0 and not budget.satisfied
 
 
 # --------------------------------------------------------------------------
@@ -65,30 +62,38 @@ def test_coupling_vanishes_without_pull(experiment_config):
 # --------------------------------------------------------------------------
 
 def test_condition_trivially_met_without_noise():
-    quiet = NoiseEnv(temperature=300.0, freq_noise_amp=0.0)
-    ok, margin = check_condition(quiet, g0=1.0, omega_eff=TWO_PI * 1e3)
-    assert ok and margin == 0.0
+    budget = feasibility_budget(**{**REF, "noise_amp_at_omega_eff": 0.0})
+    assert budget.condition_margin == 0.0
+    assert budget.satisfied
 
 
 def test_condition_boundary_is_strict():
-    w_eff = TWO_PI * 1e3
-    g0 = 1.5
-    ok, margin = check_condition(_FixedNoise(g0**2 / w_eff), g0, w_eff)
-    assert margin == pytest.approx(1.0, rel=1e-15, abs=0)
-    assert not ok
-    ok_below, _ = check_condition(_FixedNoise(0.999 * g0**2 / w_eff), g0, w_eff)
-    assert ok_below
+    """A margin of exactly 1 fails, and the amplitudes one ulp either side
+    of S_phidot = g0^2/w_eff fall on either side of it."""
+    assert not dataclasses.replace(feasibility_budget(**REF),
+                                   condition_margin=1.0).satisfied
+    g0 = feasibility_budget(**REF).g0
+    amp = math.sqrt(g0**2 / REF["omega_eff"])
+    below, above = (feasibility_budget(**{**REF, "noise_amp_at_omega_eff": a})
+                    for a in (math.nextafter(amp, 0.0),
+                              math.nextafter(amp, math.inf)))
+    assert below.condition_margin == pytest.approx(1.0, rel=1e-15, abs=0)
+    assert above.condition_margin == pytest.approx(1.0, rel=1e-15, abs=0)
+    assert below.condition_margin < 1.0 < above.condition_margin
+    assert below.satisfied and not above.satisfied
 
 
 def test_condition_for_prospective_parameters():
-    """Stabilized 4 mHz/sqrt(Hz) noise and a 1 kHz trap pass the condition."""
+    """Stabilized 4 mHz/sqrt(Hz) noise and a 1 kHz trap pass the condition;
+    the margin is S_phidot * w_eff / g0^2, with g = DEFAULT_OMEGA_LASER/L."""
     budget = feasibility_budget(**REF)
+    g0 = _zero_point_coupling(DEFAULT_OMEGA_LASER / REF["length"], REF["m1"],
+                              REF["omega_eff"])
+    assert budget.g0 == pytest.approx(g0, rel=1e-14, abs=0)
+    margin = (4e-3) ** 2 * REF["omega_eff"] / g0**2
+    assert budget.condition_margin == pytest.approx(margin, rel=1e-12, abs=0)
     assert budget.condition_margin < 1.0
     assert budget.satisfied
-    noise = _FixedNoise((4e-3) ** 2)
-    ok, margin = check_condition(noise, budget.g0, REF["omega_eff"])
-    assert ok
-    assert margin == pytest.approx(budget.condition_margin, rel=1e-12, abs=0)
 
 
 # --------------------------------------------------------------------------
@@ -186,9 +191,10 @@ def test_budget_agrees_with_rate_law(experiment_config, tmp_path):
         scale = TWO_PI / mode.omega_eff
         assert budget.inv_n_osc_thermal == pytest.approx(scale * thermal, rel=1e-2, abs=0)
         assert budget.inv_n_osc_trap == pytest.approx(scale * trap, rel=1e-2, abs=0)
-        _, margin = check_condition(cfg.noise,
-                                    single_photon_coupling(cfg, mode.omega_eff),
-                                    mode.omega_eff)
+        g0 = _zero_point_coupling(cfg.cavity.g_pull, cfg.mirror1.mass,
+                                  mode.omega_eff)
+        margin = cfg.noise.sphidot(mode.omega_eff / TWO_PI) * mode.omega_eff / g0**2
+        assert budget.g0 == pytest.approx(g0, rel=1e-14, abs=0)
         assert budget.condition_margin == pytest.approx(margin, rel=1e-12, abs=0)
 
 

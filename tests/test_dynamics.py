@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from optospring import dynamics
 from optospring.errors import (InstabilityError, InsufficientDataError,
-                               ValidationError)
+                               NoConvergenceError, ValidationError)
 from optospring.model import HBAR, K_B, TWO_PI
 from optospring.response import extract_mode
 from optospring.dynamics import (PhaseMap, SimPlan,
@@ -1060,6 +1060,47 @@ def test_scan_single_point_matches_pipeline(experiment_config):
     assert rows[0].omega_eff == mode.omega_eff
     assert rows[0].n_osc == pytest.approx(
         mode.omega_eff / (TWO_PI * direct.fitted_rate), rel=1e-12, abs=0)
+
+
+def test_measure_rate_builds_the_reduced_model_once(experiment_config,
+                                                    monkeypatch):
+    """One measure_rate builds one reduced model, which serves the
+    servo-off pole, gamma_off and the protocol."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return reduced_model(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "reduced_model", spy)
+    plan = SimPlan(duration=1.0, n_trajectories=2, master_seed=9)
+    m = measure_rate(experiment_config, experiment_config.noise, plan)
+    assert len(calls) == 1
+    assert m.gamma_off == reduced_model(experiment_config,
+                                        experiment_config.noise).gamma_off
+    assert m.omega_eff == off_state_mode(experiment_config,
+                                         experiment_config.noise).omega_eff
+
+
+def test_scan_row_records_the_pole_error_first(experiment_config,
+                                               monkeypatch):
+    """A scan row whose servo-off pole fails records the pole's error: the
+    pole is solved before the protocol is built, so a plan step the
+    protocol would refuse (dt * omega_eff >= 0.1) does not mask it."""
+    def no_pole(*args, **kwargs):
+        raise NoConvergenceError("servo-off pole did not converge")
+
+    monkeypatch.setattr(dynamics, "extract_mode", no_pole)
+    plan = SimPlan(duration=1.0, n_trajectories=1, master_seed=9, dt=1e-3)
+    [row] = detuning_scan(experiment_config, experiment_config.noise, plan,
+                          [experiment_config.cavity.detuning])
+    assert not row.ok
+    assert row.error.startswith(
+        "NoConvergenceError: servo-off pole did not converge")
+    monkeypatch.undo()
+    [row] = detuning_scan(experiment_config, experiment_config.noise, plan,
+                          [experiment_config.cavity.detuning])
+    assert row.error.startswith("ValidationError") and "dt * omega_eff" in row.error
 
 
 def test_scan_rows_draw_independent_streams(experiment_config):

@@ -91,8 +91,8 @@ def test_benchmark_grid_poles_against_mpmath(experiment_config):
 
 def test_ideal_auto_grid_poles_against_mpmath(ideal_config):
     """All of the ideal preset's auto grid, its 9 ambiguous cells included."""
-    deltas = TWO_PI * _auto_delta_range(ideal_config)
-    gels = _auto_gel_range(ideal_config)
+    deltas = TWO_PI * np.linspace(*_auto_delta_range(ideal_config))
+    gels = np.linspace(*_auto_gel_range(ideal_config))
     cells = [(i, j) for i in range(deltas.size) for j in range(gels.size)]
     smap, errors = _map_errors(ideal_config, deltas, gels, cells)
     assert int(smap.ambiguous.sum()) == 9

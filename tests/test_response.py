@@ -457,7 +457,8 @@ def _np_roots_per_cell(config, gel):
 
 
 def _assert_roots_bitwise(config, deltas, gels):
-    roots = _characteristic_roots(config, deltas, gels)
+    roots = _characteristic_roots(
+        config, [config.with_detuning(float(d)) for d in deltas], gels)
     assert roots.shape == (len(deltas), len(gels), 4)
     for i, d in enumerate(deltas):
         cfg = config.with_detuning(float(d))
@@ -478,7 +479,7 @@ def test_batched_roots_equal_np_roots_bitwise(experiment_config, ideal_config):
     _assert_roots_bitwise(experiment_config, bench_deltas[40:47], bench_gels[60:65])
     rng = np.random.default_rng(20240607)
     for cfg in (experiment_config, ideal_config):
-        g_max = 2.0 * _auto_gel_range(cfg)[-1]
+        g_max = 2.0 * _auto_gel_range(cfg)[1]  # twice the auto range's stop
         for _ in range(25):
             _assert_roots_bitwise(cfg, [rng.uniform(0.0, 3.0 * cfg.cavity.kappa)],
                                   [rng.uniform(0.0, g_max)])
@@ -501,8 +502,8 @@ def test_map_ambiguous_cells_match_extract_mode_warnings(experiment_config,
     """``ambiguous`` flags exactly the cells where extract_mode warns: ties
     of two candidates (the ideal preset's auto grid) and polish steps over
     1% (a gain section the quartic seed does not know)."""
-    deltas = TWO_PI * _auto_delta_range(ideal_config)
-    gels = _auto_gel_range(ideal_config)
+    deltas = TWO_PI * np.linspace(*_auto_delta_range(ideal_config))
+    gels = np.linspace(*_auto_gel_range(ideal_config))
     smap = stability_map(ideal_config, deltas, gels)
     np.testing.assert_array_equal(smap.ambiguous,
                                   _warned_cells(ideal_config, deltas, gels))
