@@ -117,8 +117,8 @@ def cmd_map(args) -> int:
                 else _range_spec(args.gel_range, "--gel-range"))
     if MAP_CELL_FLOATS * delta_spec[2] * gel_spec[2] > MAX_PLAN_FLOATS:
         raise ValidationError(
-            f"map companion block, MAP_CELL_FLOATS = {MAP_CELL_FLOATS} a "
-            f"cell, <= MAX_PLAN_FLOATS = {MAX_PLAN_FLOATS:.1e} floats",
+            f"map grid arrays, MAP_CELL_FLOATS = {MAP_CELL_FLOATS} a cell, "
+            f"<= MAX_PLAN_FLOATS = {MAX_PLAN_FLOATS:.1e} floats",
             "--delta-range x --gel-range", f"{delta_spec[2]} x {gel_spec[2]}")
     deltas = np.linspace(*delta_spec) * TWO_PI
     gels = np.linspace(*gel_spec)
@@ -246,10 +246,10 @@ def _measurement_manifest(plan: SimPlan, rows: list[RateMeasurement]) -> dict:
     per detuning: its plan as run, and the anti-damped rows (gamma_off <=
     0) and the rows whose gamma fit failed, with the reason."""
     return {"plans": [_plan_record(plan, r) for r in rows],
-            "anti_damped_rows": [{"delta_hz": r.delta / TWO_PI,
+            "anti_damped_rows": [{"delta_Hz": r.delta / TWO_PI,
                                   "gamma_off": r.gamma_off}
                                  for r in rows if r.gamma_off <= 0],
-            "gamma_fit_errors": [{"delta_hz": r.delta / TWO_PI,
+            "gamma_fit_errors": [{"delta_Hz": r.delta / TWO_PI,
                                   "reason": r.ensemble.gamma_fit_error}
                                  for r in rows
                                  if r.ensemble and r.ensemble.gamma_fit_error]}
@@ -269,7 +269,7 @@ def cmd_retherm(args) -> int:
     _write_manifest(out, "retherm", args, path, [csv_path, fit_path],
                     plan.master_seed, _measurement_manifest(plan, [m]))
     gamma_error = m.ensemble.gamma_fit_error
-    gamma = (f"fitted_gamma_eff = NaN: {gamma_error}" if gamma_error
+    gamma = (f"gamma_measured = NaN: {gamma_error}" if gamma_error
              else f"gamma = {m.ensemble.fitted_gamma_eff:.4g}")
     anti = (f", anti-damped (gamma_off = {m.gamma_off:.4g} rad/s <= 0)"
             if m.gamma_off <= 0 else "")
@@ -292,7 +292,7 @@ def cmd_scan(args) -> int:
                    f"seed {plan.master_seed}")
     keys = _measurement_manifest(plan, rows)
     _write_manifest(out, "scan", args, path, [csv_path], plan.master_seed,
-                    {"deltas_hz": [float(d) / TWO_PI for d in deltas], **keys})
+                    {"deltas_Hz": [float(d) / TWO_PI for d in deltas], **keys})
     failed = [r for r in rows if not r.ok]
     worst = max((abs(r.rate_measured - r.rate_exact) / r.rate_exact_err
                  for r in rows if r.ok and r.rate_exact_err > 0),

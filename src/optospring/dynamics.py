@@ -87,7 +87,8 @@ RECORDS_PER_PHASE = 2000
 
 # Floats in a plan's largest array at most, 400 MB of float64: the (B,
 # periods, R) phonon block or the (periods, R, 3, 3) exact moments, which
-# outgrow simulate_trajectory's 3 (2 periods - 1) R timeline.
+# outgrow simulate_trajectory's four (2 periods - 1) R timeline arrays (t,
+# x, v, n).
 MAX_PLAN_FLOATS = 50_000_000
 
 # A kernel block runs at most as many map steps as keep every pole power
@@ -764,16 +765,20 @@ def simulate_trajectory(config: SystemConfig, noise: NoiseEnv, plan: SimPlan,
     t = 0 is the first switch-off.  Through the first relaxation phase the
     same index inside run_ensemble produces bit-identical numbers; after
     it, run_ensemble jumps re-cooling in one step and draws another
-    realisation of the same law.
+    realisation of the same law.  Beside the four returned arrays it holds
+    one kernel call's states (DRAW_BLOCK steps at most) at a time: t and n
+    are filled chunk by chunk as the walk yields, never from the whole x
+    and v.
     """
     protocol = _protocol(config, noise, plan)
     n_rec, stride, dt = protocol.n_rec, protocol.stride, protocol.dt
-    t, x, v = (np.empty(len(protocol.phases) * n_rec) for _ in range(3))
+    t, x, v, n = (np.empty(len(protocol.phases) * n_rec) for _ in range(4))
     for p, r, xs, vs in _walk(protocol, plan.master_seed, [index]):
         at, m = p * n_rec + r, xs.shape[1]
         t[at:at + m] = protocol.phases[p][2] + stride * np.arange(r, r + m) * dt
         x[at:at + m], v[at:at + m] = xs[0], vs[0]
-    return t, x, v, _phonon(protocol.model, x, v)
+        n[at:at + m] = _phonon(protocol.model, xs[0], vs[0])
+    return t, x, v, n
 
 
 def _fit_window(t: np.ndarray) -> tuple[float, np.ndarray]:

@@ -29,6 +29,11 @@ LORENTZIAN_3SIGMA_FRACTION = 2.0 / math.pi * math.atan(3.0)
 
 GRID_F_MIN, GRID_F_MAX = 0.1, 1e5  # Hz, span of the master frequency grid
 
+# Segments transformed at once by welch_psd.  On a 2 s stride-1 trajectory
+# (285,042 samples, 68 segments of 8192) one batch traced 9.0 MB above the
+# input; 8 segments at a time trace 1.9 MB, and the estimate is no slower.
+WELCH_BLOCK = 8
+
 # Each spectrum kind and the unit of its values.
 SPECTRUM_UNITS = {"displacement": "m^2/Hz", "voltage": "V^2/Hz",
                   "frequency-noise": "Hz^2/Hz"}
@@ -166,7 +171,10 @@ def welch_psd(series, dt: float, segment_length: int | None = None,
     """One-sided Welch estimate (Welch, IEEE Trans. Audio Electroacoust. 15,
     70 (1967)): the mean of the periodograms of half-overlapping segments,
     each with its mean removed and a periodic Hann window applied, scaled to
-    a density (|X|^2 dt / sum w^2, doubled off the DC and Nyquist bins)."""
+    a density (|X|^2 dt / sum w^2, doubled off the DC and Nyquist bins).
+    Beside the input it holds WELCH_BLOCK segments and their transforms at
+    a time, and adds their periodograms to one running sum in segment
+    order, mean(axis=0)'s order, so the blocks change no bit."""
     x = np.asarray(series, dtype=float)
     if segment_length is None:
         segment_length = max(256, x.size // 8)
@@ -177,10 +185,14 @@ def welch_psd(series, dt: float, segment_length: int | None = None,
     step = n - n // 2
     segments = np.lib.stride_tricks.sliding_window_view(x, n)[::step]
     window = 0.5 - 0.5 * np.cos(TWO_PI * np.arange(n) / n)
-    spectra = np.fft.rfft((segments - segments.mean(axis=1, keepdims=True))
-                          * window, axis=1)
-    p = (spectra.real**2 + spectra.imag**2).mean(axis=0) * (
-        dt / np.dot(window, window))
+    total = np.zeros(n // 2 + 1)
+    for i in range(0, len(segments), WELCH_BLOCK):
+        block = segments[i:i + WELCH_BLOCK]
+        spectra = np.fft.rfft((block - block.mean(axis=1, keepdims=True))
+                              * window, axis=1)
+        for row in spectra.real**2 + spectra.imag**2:
+            total += row
+    p = total / len(segments) * (dt / np.dot(window, window))
     p[1:(n + 1) // 2] *= 2.0
     # drop the DC bin so the grid stays strictly positive / log-plottable
     return Spectrum(grid=np.fft.rfftfreq(n, dt)[1:], values=p[1:], kind=kind)

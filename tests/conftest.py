@@ -94,3 +94,18 @@ def ols_error_bound(protocol, n_segments):
     sd = math.sqrt(2.0 * np.trace(pc @ pc) + 4.0 * mu @ cov @ mu)
     return (math.sqrt(c @ cov @ c),
             math.sqrt((mean + 4.0 * sd) * (c @ c) / (w - 2)))
+
+
+def traced_peak(f):
+    """(f(), the peak bytes traced while it ran).  numpy reports its data
+    buffers to tracemalloc, so the peak counts every array f allocates,
+    and none that existed before the call."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        out = f()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak

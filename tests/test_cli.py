@@ -130,9 +130,9 @@ def test_map_reports_unconverged_cells(tmp_path, capsys, monkeypatch):
     (["map", "--config", "experiment", "--delta-range", "0:1e6:100000000000",
       "--gel-range", "0:1:2"],
      "--delta-range count <= MAX_PLAN_FLOATS = 5.0e+07"),
-    (["map", "--config", "experiment", "--delta-range", "0:1e6:1000000",
+    (["map", "--config", "experiment", "--delta-range", "0:1e6:10000000",
       "--gel-range", "0:1:2"],
-     "map companion block, MAP_CELL_FLOATS = 32 a cell, <= MAX_PLAN_FLOATS"),
+     "map grid arrays, MAP_CELL_FLOATS = 8 a cell, <= MAX_PLAN_FLOATS"),
 ], ids=["map-empty", "map-nan", "scan-nan", "cool-inf", "map-span",
         "scan-huge", "cool-huge", "map-huge", "map-grid"])
 def test_map_empty_range_is_usage_error(tmp_path, capsys, monkeypatch, argv,
@@ -140,8 +140,8 @@ def test_map_empty_range_is_usage_error(tmp_path, capsys, monkeypatch, argv,
     """An empty, non-finite or over-budget range exits 2 naming the
     invariant, before any range array is built and without a numpy warning
     or a traceback.  Over budget are a count over MAX_PLAN_FLOATS, and a
-    map grid whose 4 x 4 complex companion matrices, 32 floats a cell,
-    would exceed it (1e6 x 2 cells: 6.4e7 floats)."""
+    map grid whose whole-grid arrays, 8 floats a cell, would exceed it
+    (1e7 x 2 cells: 1.6e8 floats)."""
     def never(*args, **kwargs):
         raise AssertionError("a range array was built")
 
@@ -401,10 +401,10 @@ def test_retherm_reports_why_gamma_is_nan(tmp_path, capsys):
     assert math.isnan(fit["gamma_measured"])
     [error] = json.loads((tmp_path / "manifest.json").read_text())[
         "gamma_fit_errors"]
-    assert error["delta_hz"] == fit["delta_Hz"]
+    assert error["delta_Hz"] == fit["delta_Hz"]
     reason = error["reason"]
     assert reason.startswith("fitted gamma = -0.9094 rad/s <= 0")
-    assert f"fitted_gamma_eff = NaN: {reason}" in out
+    assert f"gamma_measured = NaN: {reason}" in out
     assert (f"rate = {fit['rate_measured']:.4g} +- {fit['rate_exact_err']:.2g}"
             f" /s (exact {fit['rate_exact']:.4g}, predicted ") in out
 
@@ -423,7 +423,7 @@ def test_scan_names_a_row_whose_gamma_fit_fails(tmp_path, capsys):
         "gamma_fit_errors"] for d in ("r", "s")]
     assert errors[1] == errors[0]
     [error] = errors[1]
-    assert error["delta_hz"] == pytest.approx(9.1e5, rel=1e-12, abs=0)
+    assert error["delta_Hz"] == pytest.approx(9.1e5, rel=1e-12, abs=0)
     assert error["reason"].startswith("fitted gamma = -0.9094 rad/s <= 0")
     [row] = _read_csv(tmp_path / "s" / "scan.csv", ["gamma_measured"])
     assert math.isnan(float(row["gamma_measured"]))
@@ -442,7 +442,7 @@ def test_retherm_names_an_anti_damped_detuning(tmp_path, capsys):
     summary = capsys.readouterr().out.splitlines()
     [anti] = json.loads((tmp_path / "anti" / "manifest.json").read_text())[
         "anti_damped_rows"]
-    assert anti["delta_hz"] == pytest.approx(7e5, rel=1e-12, abs=0)
+    assert anti["delta_Hz"] == pytest.approx(7e5, rel=1e-12, abs=0)
     gamma_off = anti["gamma_off"]
     assert gamma_off == pytest.approx(-1.466, rel=1e-3, abs=0)
     fit = json.loads((tmp_path / "anti" / "retherm_fit.json").read_text())
@@ -578,8 +578,11 @@ def test_scan_writes_rows(tmp_path, capsys):
                "--n-trajectories", "4", "--seed", "5", "--out-dir", str(out)])
     assert rc == 0
     assert "(0 failed, 1 anti-damped: gamma_off <= 0)" in capsys.readouterr().out
-    [anti] = json.loads((out / "manifest.json").read_text())["anti_damped_rows"]
-    assert anti["delta_hz"] == pytest.approx(7e5, rel=1e-12, abs=0)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["deltas_Hz"] == pytest.approx([7e5, 1.1e6], rel=1e-12,
+                                                  abs=0)
+    [anti] = manifest["anti_damped_rows"]
+    assert anti["delta_Hz"] == pytest.approx(7e5, rel=1e-12, abs=0)
     assert anti["gamma_off"] == pytest.approx(-1.466, rel=1e-3, abs=0)
     assert f"\n{','.join(SCHEMA)}\n" in (out / "scan.csv").read_text()
     rows = [{k: float(v) for k, v in r.items()}

@@ -819,6 +819,21 @@ def test_same_seed_bit_identical(experiment_config):
         np.testing.assert_array_equal(x, y)
 
 
+@pytest.mark.parametrize("stride", [1, None])
+def test_trajectory_phonons_equal_whole_timeline_phonons(experiment_config,
+                                                         stride):
+    """simulate_trajectory fills n chunk by chunk as the walk yields; each
+    entry equals ``_phonon`` of the returned x and v bit for bit.  Stride 1
+    runs 12 kernel chunks a phase, the default stride one."""
+    plan = SimPlan(duration=1.0, n_trajectories=1, master_seed=21,
+                   record_stride=stride)
+    noise = experiment_config.noise
+    t, x, v, n = simulate_trajectory(experiment_config, noise, plan, 0)
+    model = reduced_model(experiment_config, noise)
+    assert n.shape == x.shape == t.shape
+    np.testing.assert_array_equal(n, dynamics._phonon(model, x, v))
+
+
 def test_trajectory_independent_of_batch(experiment_config):
     """Two switch periods, so the re-cooling jump is inside the check."""
     noise = experiment_config.noise

@@ -545,6 +545,46 @@ def test_unconverged_row_is_flagged_and_isolated(monkeypatch, experiment_config)
         extract_mode(experiment_config.with_detuning(float(deltas[3])))
 
 
+_MAP_FIELDS = ("omega_eff", "gamma_eff", "stable", "converged", "ambiguous")
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3000, 1), (7, 3000), (120, 100)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_map_blocks_equal_whole_grid(experiment_config, shape):
+    """stability_map solves MAP_BLOCK cells of whole detuning rows at a
+    time (one row where a row is larger: 7 x 3000); every cell's roots,
+    pick and polish are its own, so the map equals _trapped_poles on the
+    whole grid in one batch, bit for bit."""
+    deltas = TWO_PI * np.linspace(0.0, 1.7e6, shape[0])
+    gels = np.linspace(0.0, 1.5, shape[1])
+    stable, tie, _, _, root, failure, moved = response._trapped_poles(
+        experiment_config, deltas, gels)
+    ok = failure == ""
+    want = (np.where(ok, np.abs(root.real), np.nan),
+            np.where(ok, 2.0 * root.imag, np.nan), ok & stable, ok, tie | moved)
+    got = stability_map(experiment_config, deltas, gels)
+    for name, ref in zip(_MAP_FIELDS, want):
+        value = getattr(got, name)
+        assert value.shape == shape and value.dtype == ref.dtype
+        np.testing.assert_array_equal(value, ref)
+
+
+def test_map_memory_does_not_grow_with_the_grid(experiment_config):
+    """stability_map's traced peak above its returned arrays is one block's
+    solver arrays: ~0.95 MB at 20 x 100 and at 200 x 100 cells.  Solved
+    in one batch it was 1.7 and 16.2 MB."""
+    from conftest import traced_peak
+
+    gels = np.linspace(0.0, 1.5, 100)
+    above = []
+    for rows in (20, 200):
+        deltas = TWO_PI * np.linspace(0.0, 1.7e6, rows)
+        smap, peak = traced_peak(
+            lambda: stability_map(experiment_config, deltas, gels))
+        above.append(peak - sum(getattr(smap, f).nbytes for f in _MAP_FIELDS))
+    assert above[1] <= 1.2 * above[0]
+
+
 def test_map_requires_nonempty_ranges(ideal_config):
     with pytest.raises(ValidationError, match="nonempty"):
         stability_map(ideal_config, [], [0.0])

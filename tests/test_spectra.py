@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from optospring import spectra
 from optospring.errors import (InstabilityError, InsufficientDataError,
                                SpectrumBandError, ValidationError)
 from optospring.model import HBAR, K_B, TWO_PI
@@ -202,6 +203,50 @@ def test_welch_matches_scipy_on_a_trajectory(experiment_config, segment_length):
                  noverlap=segment_length // 2, detrend="constant")
     np.testing.assert_allclose(s.grid, f[1:], rtol=1e-15, atol=0.0)
     assert np.all(np.abs(s.values - p[1:]) <= 1e-13 * np.sqrt(p[1:] * p.max()))
+
+
+def _one_batch_welch(x, dt, n):
+    """welch_psd's estimate with every segment transformed in one batch
+    and the periodograms averaged by mean(axis=0)."""
+    step = n - n // 2
+    segments = np.lib.stride_tricks.sliding_window_view(x, n)[::step]
+    window = 0.5 - 0.5 * np.cos(TWO_PI * np.arange(n) / n)
+    spectra = np.fft.rfft((segments - segments.mean(axis=1, keepdims=True))
+                          * window, axis=1)
+    p = (spectra.real**2 + spectra.imag**2).mean(axis=0) * (
+        dt / np.dot(window, window))
+    p[1:(n + 1) // 2] *= 2.0
+    return p[1:]
+
+
+@pytest.mark.parametrize("n", [1024, 1001])
+@pytest.mark.parametrize("blocks", [0.5, 1, 2.5])
+def test_welch_blocks_equal_one_batch(n, blocks):
+    """welch_psd transforms WELCH_BLOCK segments at a time and adds their
+    periodograms in segment order, the order of mean(axis=0), so its
+    estimate equals the one-batch estimate bit for bit: below one block,
+    exactly one, and past one but not a multiple; an odd segment length
+    too."""
+    count = max(2, int(blocks * spectra.WELCH_BLOCK))
+    step = n - n // 2
+    x = np.random.default_rng(count).standard_normal(n + (count - 1) * step)
+    s = welch_psd(x, 1e-4, segment_length=n)
+    assert np.array_equal(s.values, _one_batch_welch(x, 1e-4, n))
+
+
+def test_welch_memory_does_not_grow_with_the_series():
+    """welch_psd's traced peak above its input, at a fixed segment length
+    of 4096, is one block's segments and FFTs, whatever the series length:
+    ~1.1 MB at 2^18 and at 2^20 samples.  Transformed in one batch it was
+    8.5 and 33.6 MB."""
+    from conftest import traced_peak
+
+    peaks = []
+    for k in (18, 20):
+        x = np.random.default_rng(k).standard_normal(1 << k)
+        _, peak = traced_peak(lambda: welch_psd(x, 1e-3, segment_length=4096))
+        peaks.append(peak)
+    assert peaks[1] <= 1.2 * peaks[0]
 
 
 def test_welch_needs_two_segments():
